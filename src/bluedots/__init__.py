@@ -11,8 +11,6 @@ from .core import (
     MetricKind,
     MetricSpec,
     PlotDomain,
-    X_REF_HALF_DIFFERENCE,
-    X_REF_MIDPOINT,
     metric_distance,
     normalize,
 )
@@ -57,8 +55,6 @@ __all__ = [
     "MetricKind",
     "MetricSpec",
     "PlotDomain",
-    "X_REF_HALF_DIFFERENCE",
-    "X_REF_MIDPOINT",
     "metric_distance",
     "normalize",
     "DensityEstimate",

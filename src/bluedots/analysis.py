@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DotLayout, MetricSpec
-from .solver import assign_sites
+from .solver import _SiteAssigner
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,10 @@ def cost_estimate(layout: DotLayout, sites, metric: MetricSpec) -> float:
     """Monte Carlo layout cost: sum over dots of the mean metric distance
     from the dot to the sites in its cell. Empty cells contribute zero."""
     sites = np.asarray(sites, dtype=np.float64)
-    assignment = assign_sites(layout, sites, metric)
-    owner = assignment.owner
-    ox = layout.x[owner]
-    oy = layout.y[owner]
-    w = metric.encoding_weight(ox, sites[:, 0])
-    dist = w * np.abs(ox - sites[:, 0]) + np.abs(oy - sites[:, 1])
+    if sites.ndim != 2 or sites.shape[1] != 2:
+        raise ValueError("sites must be an (m, 2) array")
+    dist = np.empty(sites.shape[0])
+    owner = _SiteAssigner(layout.x, sites, metric).assign(layout.y, dist)
     n = len(layout)
     counts = np.bincount(owner, minlength=n)
     sums = np.bincount(owner, weights=dist, minlength=n)

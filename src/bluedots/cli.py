@@ -1,9 +1,10 @@
 """Command-line front end: CSV in, layout JSON + SVG + analysis reports out.
 
-Every run is reproducible from the written layout file alone: it records the
-seed, iteration count, domain and metric. Malformed cells are hard errors;
-silently dropping or imputing rows would break the promise that every data
-point is shown.
+The written layout file records the seed, iteration count, domain and
+metric; the site count and iteration cap come from the command line.
+Malformed cells, blank class labels included, are hard errors; silently
+dropping or imputing rows would break the promise that every data point is
+shown.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,7 @@ from .analysis import (
 from .render import RenderStyle, StrokeStyle, render_svg
 
 LAYOUT_FILE_VERSION = 1
+DEFAULT_SITES = 8192
 
 
 class CliError(Exception):
@@ -80,7 +83,12 @@ def load_csv(path, column: str, class_column: str | None = None) -> DataSet:
                 )
             values.append(value)
             if class_column:
-                labels.append(row[class_column])
+                label = row[class_column]
+                if label is None or label.strip() == "":
+                    raise CliError(
+                        f"{path}: row {reader.line_num}, column {class_column!r}: blank class label"
+                    )
+                labels.append(label)
     if not values:
         raise CliError(f"{path}: no data rows")
     return DataSet(
@@ -107,24 +115,22 @@ def _resolve_setup(data: DataSet, radius: float, height_arg: str):
     return xs, domain, dens
 
 
-def _make_layout(data: DataSet, xs, domain, dens, args) -> DotLayout:
-    metric = (
-        MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens)
-        if args.centrality
-        else MetricSpec()
+def _solver_config(args, n: int, metric: MetricSpec = MetricSpec()) -> SolverConfig:
+    """The run's solver settings; ``--sites`` defaults to max(8192, 2n)."""
+    n_sites = args.sites if args.sites is not None else max(DEFAULT_SITES, 2 * n)
+    return SolverConfig(
+        n_sites=n_sites, max_iterations=args.iterations, seed=args.seed, metric=metric
     )
-    profile = height_profile(dens, len(data), domain.radius) if args.centrality else None
-    if args.treatment == "jitter":
-        layout = jitter_init(xs, domain, args.seed, profile)
-        return DotLayout(
-            x=layout.x, y=layout.y, domain=domain, labels=data.labels, seed=args.seed
-        )
-    config = SolverConfig(
-        n_sites=args.sites,
-        max_iterations=args.iterations,
-        seed=args.seed,
-        metric=metric,
-    )
+
+
+def _make_layout(treatment: str, data: DataSet, xs, domain, config: SolverConfig,
+                 profile=None) -> DotLayout:
+    """The one path from a treatment to a layout, seeded by ``config.seed``."""
+    if treatment == "jitter":
+        # The solver carries labels through; jitter has to be given them.
+        return replace(jitter_init(xs, domain, config.seed, profile), labels=data.labels)
+    if treatment == "lloyd2d":
+        return relax_unconstrained(len(data), domain, config)
     if data.labels is not None and data.n_classes >= 2:
         return relax_multiclass(data, domain, config)
     return relax(data, domain, config)
@@ -179,18 +185,22 @@ def load_layout(path) -> tuple[DotLayout, dict]:
 def cmd_plot(args) -> int:
     data = load_csv(args.input, args.column, args.class_column)
     xs, domain, dens = _resolve_setup(data, args.radius, args.height)
-    layout = _make_layout(data, xs, domain, dens, args)
-    metric_kind = MetricKind.DENSITY_WARPED if args.centrality else MetricKind.UNIFORM
+    if args.centrality:
+        metric = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens)
+        profile = height_profile(dens, len(data), domain.radius)
+    else:
+        metric, profile = MetricSpec(), None
+    config = _solver_config(args, len(data), metric)
+    layout = _make_layout(args.treatment, data, xs, domain, config, profile)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_layout(layout, data, metric_kind, f"{out}.json")
+    save_layout(layout, data, metric.kind, f"{out}.json")
     style = RenderStyle(
         dot_radius_px=args.radius * 800,
         canvas_width_px=800,
         envelope=StrokeStyle() if args.centrality else None,
     )
-    profile = height_profile(dens, len(data), domain.radius) if args.centrality else None
     svg = render_svg(layout, style, profile)
     with open(f"{out}.svg", "w", encoding="utf-8") as fh:
         fh.write(svg)
@@ -201,19 +211,11 @@ def cmd_plot(args) -> int:
 def cmd_analyze_spectrum(args) -> int:
     data = load_csv(args.input, args.column, None)
     xs, domain, dens = _resolve_setup(data, args.radius, args.height)
-    layouts = []
-    for i in range(args.realizations):
-        seed = args.seed + i
-        if args.treatment == "jitter":
-            layouts.append(jitter_init(xs, domain, seed))
-        else:
-            config = SolverConfig(
-                n_sites=args.sites, max_iterations=args.iterations, seed=seed
-            )
-            if args.treatment == "lloyd2d":
-                layouts.append(relax_unconstrained(len(data), domain, config))
-            else:
-                layouts.append(relax(data, domain, config))
+    config = _solver_config(args, len(data))
+    layouts = [
+        _make_layout(args.treatment, data, xs, domain, replace(config, seed=args.seed + i))
+        for i in range(args.realizations)
+    ]
     grid = power_spectrum(layouts, args.kmax)
 
     out = Path(args.out)
@@ -245,7 +247,7 @@ def cmd_analyze_spectrum(args) -> int:
 
 
 def cmd_analyze_overlap(args) -> int:
-    data = load_csv(args.input, args.column, args.class_column)
+    data = load_csv(args.input, args.column)
     try:
         counts = [int(c) for c in args.counts.split(",") if c.strip()]
     except ValueError:
@@ -255,23 +257,14 @@ def cmd_analyze_overlap(args) -> int:
     if max(counts) > len(data):
         raise CliError(f"count {max(counts)} exceeds dataset size {len(data)}")
 
+    config = _solver_config(args, len(data))
     rows = []
     for treatment in ("blue", "jitter"):
         for count in counts:
-            subset = DataSet(
-                values=data.values[:count],
-                labels=data.labels[:count] if data.labels is not None else None,
-                name=data.name,
-            )
+            subset = DataSet(values=data.values[:count], name=data.name)
             xs, domain, dens = _resolve_setup(subset, args.radius, args.height)
             for seed in range(args.seeds):
-                if treatment == "jitter":
-                    layout = jitter_init(xs, domain, seed)
-                else:
-                    config = SolverConfig(
-                        n_sites=args.sites, max_iterations=args.iterations, seed=seed
-                    )
-                    layout = relax(subset, domain, config)
+                layout = _make_layout(treatment, subset, xs, domain, replace(config, seed=seed))
                 rows.append(
                     {
                         "dataset": data.name or "",
@@ -311,16 +304,19 @@ def cmd_analyze_overlap(args) -> int:
     return 0
 
 
-def _add_common_input(p: argparse.ArgumentParser, with_class: bool = True) -> None:
+def _add_common_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="input CSV path")
     p.add_argument("--column", required=True, help="name of the value column")
-    if with_class:
-        p.add_argument("--class-column", default=None, help="optional class column")
     p.add_argument("--radius", type=float, default=0.01, help="dot radius, normalized units")
     p.add_argument("--height", default="auto", help="'auto' or a normalized height")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iterations", type=int, default=40)
-    p.add_argument("--sites", type=int, default=8192)
+    p.add_argument(
+        "--sites",
+        type=int,
+        default=None,
+        help=f"number of Monte Carlo sites (default: max({DEFAULT_SITES}, 2n) for n input rows)",
+    )
     p.add_argument("--out", required=True, help="output path prefix")
 
 
@@ -333,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plot = sub.add_parser("plot", help="lay out a dataset and write layout JSON + SVG")
     _add_common_input(plot)
+    plot.add_argument("--class-column", default=None, help="optional class column")
     plot.add_argument("--treatment", choices=["blue", "jitter"], default="blue")
     plot.add_argument(
         "--centrality",
@@ -345,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     asub = analyze.add_subparsers(dest="analysis", required=True)
 
     spectrum = asub.add_parser("spectrum", help="averaged power spectrum over realizations")
-    _add_common_input(spectrum, with_class=False)
+    _add_common_input(spectrum)
     spectrum.add_argument("--realizations", type=int, default=100)
     spectrum.add_argument("--kmax", type=int, default=16)
     spectrum.add_argument(

@@ -9,8 +9,10 @@ permuted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -71,8 +73,7 @@ class PlotDomain:
     radius: float
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max):
-            raise ValueError(f"x_min {self.x_min} must be < x_max {self.x_max}")
+        _check_range(self.x_min, self.x_max)
         if not (self.height > 0):
             raise ValueError(f"height must be positive, got {self.height}")
         if not (self.radius > 0):
@@ -139,25 +140,18 @@ class MetricKind(Enum):
     DENSITY_WARPED = "density_warped"
 
 
-# Where the density-warped metric samples the density: at the midpoint of the
-# two x coordinates, or at half their difference (the literal alternative).
-X_REF_MIDPOINT = "midpoint"
-X_REF_HALF_DIFFERENCE = "half_difference"
-
-
 @dataclass(frozen=True)
 class MetricSpec:
     """Which distance governs Voronoi assignment and the layout cost.
 
     UNIFORM weighs the encoding axis by a constant 2. DENSITY_WARPED weighs it
-    by 1 + d(x_ref)/d_max in (1, 2], so the warped metric agrees with the
-    uniform one where the data is densest and relaxes toward plain L1 where it
-    is sparse.
+    by 1 + d(x_mid)/d_max in (1, 2], with x_mid the midpoint of the two x
+    coordinates, so the warped metric agrees with the uniform one where the
+    data is densest and relaxes toward plain L1 where it is sparse.
     """
 
     kind: MetricKind = MetricKind.UNIFORM
     density: Optional["DensityEstimate"] = None
-    x_reference: str = X_REF_MIDPOINT
 
     def __post_init__(self):
         if self.kind is MetricKind.DENSITY_WARPED:
@@ -165,31 +159,52 @@ class MetricSpec:
                 raise ValueError("DENSITY_WARPED metric requires a density estimate")
             if float(np.min(self.density.values)) <= 0.0:
                 raise ValueError("density must be strictly positive on [0, 1]")
-        if self.x_reference not in (X_REF_MIDPOINT, X_REF_HALF_DIFFERENCE):
-            raise ValueError(f"unknown x_reference {self.x_reference!r}")
 
     def encoding_weight(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """Weight applied to |x1 - x2| in the metric, elementwise."""
         if self.kind is MetricKind.UNIFORM:
             return np.broadcast_to(np.float64(2.0), np.broadcast_shapes(np.shape(x1), np.shape(x2)))
-        if self.x_reference == X_REF_MIDPOINT:
-            ref = (np.asarray(x1, dtype=np.float64) + np.asarray(x2, dtype=np.float64)) / 2.0
-        else:
-            ref = (np.asarray(x1, dtype=np.float64) - np.asarray(x2, dtype=np.float64)) / 2.0
+        ref = (np.asarray(x1, dtype=np.float64) + np.asarray(x2, dtype=np.float64)) / 2.0
         return 1.0 + self.density.evaluate(ref) / self.density.d_max
+
+
+def _check_range(x_min: float, x_max: float) -> None:
+    if not (x_min < x_max):
+        raise ValueError(f"x_min {x_min} must be < x_max {x_max}")
+    if not math.isfinite(x_max - x_min):
+        raise ValueError(f"x range [{x_min!r}, {x_max!r}] is too wide: x_max - x_min overflows")
+
+
+def _constant_range(x: float) -> tuple[float, float]:
+    """Raw range synthesized around constant data: x +/- delta, so that x is
+    exactly its midpoint.
+
+    delta is the largest power of two up to max(0.5, ulp(x)) that makes both
+    ends exact. ulp(x) always does, except at +/- the largest float, where
+    the range overflows and is rejected.
+    """
+    delta = max(0.5, math.ulp(x))
+    while True:
+        lo, hi = x - delta, x + delta
+        exact = math.isfinite(hi - lo) and Fraction(hi) - Fraction(x) == Fraction(x) - Fraction(lo) == delta
+        if exact or delta <= math.ulp(x):
+            return lo, hi
+        delta /= 2
 
 
 def normalize(data: DataSet) -> tuple[np.ndarray, tuple[float, float]]:
     """Map data values affinely onto [0, 1]; return (xs, (x_min, x_max)).
 
-    Constant data maps every value to 0.5 with a synthesized unit raw range,
-    so downstream geometry stays well-defined.
+    Constant data maps every value to 0.5 with a synthesized raw range, so
+    downstream geometry stays well-defined. xs is computed exactly as
+    ``PlotDomain.normalize_x`` computes it, so the two agree bit for bit.
     """
     values = data.values
     x_min = float(np.min(values))
     x_max = float(np.max(values))
     if x_min == x_max:
-        return np.full(values.shape, 0.5), (x_min - 0.5, x_max + 0.5)
+        x_min, x_max = _constant_range(x_min)
+    _check_range(x_min, x_max)
     return (values - x_min) / (x_max - x_min), (x_min, x_max)
 
 

@@ -5,9 +5,12 @@ assign every domain site to its nearest dot under the active metric, move
 each dot to the mean of its sites, and re-impose the encoding coordinate.
 Only the vertical coordinate ever changes; the horizontal one is the data.
 
-Sites are drawn once per run, so the Monte Carlo cost estimate has a fixed
-objective across iterations. Because x is frozen, the encoding-axis part of
-every dot-to-site distance is constant for the whole run and is precomputed.
+Single-class and multiclass relaxation are one loop over a schedule of dot
+index groups: ``[all dots]`` for one class, every class and class union for
+several. Sites are drawn once per run, so the Monte Carlo cost estimate has a
+fixed objective across iterations. Because x is frozen, the encoding-axis
+part of every dot-to-site distance is constant for the whole run and is
+precomputed.
 """
 
 from __future__ import annotations
@@ -25,9 +28,6 @@ from .density import height_profile
 # Sites per assignment chunk; keeps the working distance block cache-sized.
 _CHUNK_ELEMENTS = 131072
 
-UPDATE_MEAN = "mean"
-UPDATE_MEDIAN = "median"
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -38,9 +38,6 @@ class SolverConfig:
     convergence_eps: float = 1e-4
     seed: int = 0
     metric: MetricSpec = field(default_factory=MetricSpec)
-    # Mean matches the cell-average update of the relaxation; median is kept
-    # as an experiment knob for the L1 metric's true minimizer.
-    update: str = UPDATE_MEAN
 
     def __post_init__(self):
         if self.n_sites <= 0:
@@ -49,8 +46,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be non-negative")
         if self.convergence_eps < 0:
             raise ValueError("convergence_eps must be non-negative")
-        if self.update not in (UPDATE_MEAN, UPDATE_MEDIAN):
-            raise ValueError(f"unknown update rule {self.update!r}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,9 @@ class _SiteAssigner:
         self.chunk = max(1, _CHUNK_ELEMENTS // self.n)
         self._buf = np.empty((self.chunk, self.n))
 
-    def assign(self, y: np.ndarray) -> np.ndarray:
+    def assign(self, y: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
+        """Owner of every site; ties go to the lowest dot index. If ``dist``
+        is given, the owner's metric distance is written into it."""
         m = self.sy.size
         owner = np.empty(m, dtype=np.intp)
         for a in range(0, m, self.chunk):
@@ -105,6 +102,8 @@ class _SiteAssigner:
             np.abs(buf, out=buf)
             buf += self.xpart[a:b]
             owner[a:b] = buf.argmin(axis=1)
+            if dist is not None:
+                dist[a:b] = buf[np.arange(b - a), owner[a:b]]
         return owner
 
 
@@ -150,73 +149,69 @@ def assign_sites(dots: DotLayout, sites, metric: MetricSpec) -> VoronoiAssignmen
     return VoronoiAssignment(sites=sites, owner=owner)
 
 
-def _cell_means(owner: np.ndarray, site_y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _cell_update(owner: np.ndarray, site_coord: np.ndarray, current: np.ndarray, upper: float) -> np.ndarray:
+    """Each dot's coordinate moved to the mean of its cell's sites, clamped
+    to [0, upper]; dots whose cell is empty keep ``current``."""
+    n = current.size
     counts = np.bincount(owner, minlength=n)
-    sums = np.bincount(owner, weights=site_y, minlength=n)
-    means = sums / np.maximum(counts, 1)
-    return means, counts
+    means = np.bincount(owner, weights=site_coord, minlength=n) / np.maximum(counts, 1)
+    new = np.where(counts > 0, means, current)
+    np.clip(new, 0.0, upper, out=new)
+    return new
 
 
-def _cell_medians(owner: np.ndarray, site_y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    counts = np.bincount(owner, minlength=n)
-    medians = np.zeros(n)
-    order = np.argsort(owner, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    sorted_y = site_y[order]
-    for i in range(n):
-        a, b = bounds[i], bounds[i + 1]
-        if b > a:
-            medians[i] = np.median(sorted_y[a:b])
-    return medians, counts
-
-
-def lloyd_step(dots: DotLayout, assignment: VoronoiAssignment, update: str = UPDATE_MEAN) -> DotLayout:
+def lloyd_step(dots: DotLayout, assignment: VoronoiAssignment) -> DotLayout:
     """One relaxation step: dot -> average of its cell's sites, x re-imposed.
 
     Dots whose cell is empty are left unchanged. y is clamped to [0, h].
     """
-    n = len(dots)
-    site_y = assignment.sites[:, 1]
-    if update == UPDATE_MEAN:
-        target, counts = _cell_means(assignment.owner, site_y, n)
-    else:
-        target, counts = _cell_medians(assignment.owner, site_y, n)
-    new_y = np.where(counts > 0, target, dots.y)
-    np.clip(new_y, 0.0, dots.domain.height, out=new_y)
+    new_y = _cell_update(assignment.owner, assignment.sites[:, 1], dots.y, dots.domain.height)
     return dots.replace_y(new_y)
 
 
-def _converged(y_old: np.ndarray, y_new: np.ndarray, eps: float, h: float) -> bool:
-    return float(np.max(np.abs(y_new - y_old))) < eps * h
-
-
-def relax_traced(data: DataSet, domain: PlotDomain, config: SolverConfig) -> tuple[DotLayout, RelaxTrace]:
-    """Full relaxation run, also returning the initialization and site set."""
+def _setup(data: DataSet, domain: PlotDomain, config: SolverConfig):
+    """Normalized x, initial y and the run's fixed sites, in RNG draw order."""
     xs = domain.normalize_x(data.values)
     n = xs.size
     if config.n_sites < n:
         raise ValueError(f"n_sites {config.n_sites} < number of dots {n}")
     rng = np.random.default_rng(config.seed)
-    profile = _centrality_profile(config, n, domain)
-    y = _initial_y(rng, xs, domain, profile)
-    initial = DotLayout(
-        x=xs, y=y, domain=domain, labels=data.labels, seed=config.seed, iterations_run=0
-    )
+    y0 = _initial_y(rng, xs, domain, _centrality_profile(config, n, domain))
     sites = _uniform_sites(rng, config.n_sites, domain.height)
+    return xs, y0, sites
 
-    layout = initial
-    iterations = 0
-    if config.max_iterations > 0:
-        assigner = _SiteAssigner(xs, sites, config.metric)
-        for _ in range(config.max_iterations):
-            owner = assigner.assign(layout.y)
-            stepped = lloyd_step(layout, VoronoiAssignment(sites=sites, owner=owner), config.update)
-            iterations += 1
-            done = _converged(layout.y, stepped.y, config.convergence_eps, domain.height)
-            layout = stepped
-            if done:
-                break
-    return layout.replace_y(layout.y, iterations_run=iterations), RelaxTrace(initial=initial, sites=sites)
+
+def _relax_groups(xs, y0, sites, groups, h: float, config: SolverConfig) -> tuple[np.ndarray, int]:
+    """The relaxation loop: each iteration runs one assign + cell-mean step
+    per index group, the group's dots competing for all sites alone.
+
+    The schedule ends with the full union, on which convergence is measured.
+    Returns the final y and the number of iterations run.
+    """
+    y = np.array(y0)
+    if config.max_iterations == 0:
+        return y, 0
+    site_y = sites[:, 1]
+    assigners = [_SiteAssigner(xs[idx], sites, config.metric) for idx in groups]
+    for iterations in range(1, config.max_iterations + 1):
+        for idx, assigner in zip(groups, assigners):
+            old = y[idx]
+            new = _cell_update(assigner.assign(old), site_y, old, h)
+            y[idx] = new
+        if float(np.max(np.abs(new - old))) < config.convergence_eps * h:
+            break
+    return y, iterations
+
+
+def relax_traced(data: DataSet, domain: PlotDomain, config: SolverConfig) -> tuple[DotLayout, RelaxTrace]:
+    """Full relaxation run, also returning the initialization and site set."""
+    xs, y0, sites = _setup(data, domain, config)
+    y, iterations = _relax_groups(xs, y0, sites, [np.arange(xs.size)], domain.height, config)
+    initial = DotLayout(x=xs, y=y0, domain=domain, labels=data.labels, seed=config.seed)
+    final = DotLayout(
+        x=xs, y=y, domain=domain, labels=data.labels, seed=config.seed, iterations_run=iterations
+    )
+    return final, RelaxTrace(initial=initial, sites=sites)
 
 
 def relax(data: DataSet, domain: PlotDomain, config: SolverConfig) -> DotLayout:
@@ -232,7 +227,10 @@ def _class_schedule(labels: Sequence, n: int) -> list[np.ndarray]:
     first); beyond that only the full union is, since the number of unions
     grows exponentially.
     """
-    classes = sorted(set(labels))
+    try:
+        classes = sorted(set(labels))
+    except TypeError as exc:
+        raise ValueError(f"class labels must be mutually orderable: {exc}") from None
     by_class = {c: np.flatnonzero([lab == c for lab in labels]) for c in classes}
     groups = [by_class[c] for c in classes]
     k = len(classes)
@@ -258,36 +256,9 @@ def relax_multiclass(data: DataSet, domain: PlotDomain, config: SolverConfig) ->
     if data.n_classes < 2:
         warnings.warn("single class present; falling back to single-class relax")
         return relax(data, domain, config)
-
-    xs = domain.normalize_x(data.values)
-    n = xs.size
-    if config.n_sites < n:
-        raise ValueError(f"n_sites {config.n_sites} < number of dots {n}")
-    rng = np.random.default_rng(config.seed)
-    profile = _centrality_profile(config, n, domain)
-    y = np.array(_initial_y(rng, xs, domain, profile))
-    sites = _uniform_sites(rng, config.n_sites, domain.height)
-    site_y = sites[:, 1]
-    h = domain.height
-
-    groups = _class_schedule(data.labels, n)
-    assigners = [_SiteAssigner(xs[idx], sites, config.metric) for idx in groups]
-    cell_stat = _cell_means if config.update == UPDATE_MEAN else _cell_medians
-
-    iterations = 0
-    for _ in range(config.max_iterations):
-        union_disp = 0.0
-        for idx, assigner in zip(groups, assigners):
-            owner = assigner.assign(y[idx])
-            target, counts = cell_stat(owner, site_y, idx.size)
-            new_sub = np.where(counts > 0, target, y[idx])
-            np.clip(new_sub, 0.0, h, out=new_sub)
-            if idx.size == n:
-                union_disp = float(np.max(np.abs(new_sub - y[idx])))
-            y[idx] = new_sub
-        iterations += 1
-        if union_disp < config.convergence_eps * h:
-            break
+    xs, y0, sites = _setup(data, domain, config)
+    groups = _class_schedule(data.labels, xs.size)
+    y, iterations = _relax_groups(xs, y0, sites, groups, domain.height, config)
     return DotLayout(
         x=xs, y=y, domain=domain, labels=data.labels, seed=config.seed, iterations_run=iterations
     )
@@ -309,18 +280,13 @@ def relax_unconstrained(n: int, domain: PlotDomain, config: SolverConfig) -> Dot
     x = rng.random(n)
     y = rng.random(n) * h
     sites = _uniform_sites(rng, config.n_sites, h)
-    site_x, site_y = sites[:, 0], sites[:, 1]
 
     iterations = 0
     for _ in range(config.max_iterations):
         # x moves too, so the encoding-axis term cannot be precomputed here.
-        assigner = _SiteAssigner(x, sites, config.metric)
-        owner = assigner.assign(y)
-        counts = np.bincount(owner, minlength=n)
-        mean_x = np.bincount(owner, weights=site_x, minlength=n) / np.maximum(counts, 1)
-        mean_y = np.bincount(owner, weights=site_y, minlength=n) / np.maximum(counts, 1)
-        new_x = np.clip(np.where(counts > 0, mean_x, x), 0.0, 1.0)
-        new_y = np.clip(np.where(counts > 0, mean_y, y), 0.0, h)
+        owner = _SiteAssigner(x, sites, config.metric).assign(y)
+        new_x = _cell_update(owner, sites[:, 0], x, 1.0)
+        new_y = _cell_update(owner, sites[:, 1], y, h)
         disp = max(float(np.max(np.abs(new_x - x))), float(np.max(np.abs(new_y - y))))
         x, y = new_x, new_y
         iterations += 1

@@ -16,11 +16,7 @@ def oracle_metric(spec, p1, p2) -> float:
     if spec.kind is MetricKind.UNIFORM:
         w = 2.0
     else:
-        if spec.x_reference == "midpoint":
-            ref = (x1 + x2) / 2.0
-        else:
-            ref = (x1 - x2) / 2.0
-        ref = min(max(ref, 0.0), 1.0)
+        ref = min(max((x1 + x2) / 2.0, 0.0), 1.0)
         t = ref * (GRID_SIZE - 1)
         i0 = min(int(t), GRID_SIZE - 2)
         frac = t - i0

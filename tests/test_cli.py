@@ -48,6 +48,11 @@ class TestLoadCsv:
         with pytest.raises(CliError, match="row 3"):
             load_csv(path, "v", "c")
 
+    def test_blank_class_label_rejected(self, tmp_path):
+        path = write_csv(tmp_path, "g.csv", "v,c\n1,a\n2, \n3,b\n")
+        with pytest.raises(CliError, match="row 3, column 'c'"):
+            load_csv(path, "v", "c")
+
     def test_missing_column(self, tmp_path):
         path = write_csv(tmp_path, "e.csv", "v\n1\n")
         with pytest.raises(CliError, match="'nope'"):
@@ -142,6 +147,13 @@ class TestCmdPlot:
                          "--out", str(tmp_path / "x")])
         assert code != 0
         assert "error" in capsys.readouterr().err
+
+    def test_default_sites_scale_with_rows(self, tmp_path):
+        rows = "\n".join(str(i % 997) for i in range(8193))
+        path = write_csv(tmp_path, "big.csv", "v\n" + rows + "\n")
+        common = ["plot", "--input", path, "--column", "v", "--iterations", "0"]
+        assert self.run(common + ["--out", str(tmp_path / "big")]) == 0
+        assert self.run(common + ["--sites", "8192", "--out", str(tmp_path / "few")]) == 1
 
     def test_bad_height_exit_code(self, tmp_path, capsys):
         code = self.run(["plot", "--input", GEYSER, "--column", "waiting",

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from bluedots import (
     MetricKind,
     MetricSpec,
     PlotDomain,
-    X_REF_HALF_DIFFERENCE,
     estimate_density,
     metric_distance,
     normalize,
@@ -19,9 +20,9 @@ finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
 
 
-def make_warped_spec(**kwargs):
+def make_warped_spec():
     dens = estimate_density(np.linspace(0.1, 0.9, 32))
-    return MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens, **kwargs)
+    return MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens)
 
 
 class TestDataSet:
@@ -73,6 +74,32 @@ class TestNormalize:
         assert lo < hi
         assert np.all(xs >= 0.0) and np.all(xs <= 1.0)
 
+    def test_large_constant_gets_a_range(self):
+        # x +/- 0.5 rounds back to x at this magnitude
+        xs, (lo, hi) = normalize(DataSet(values=np.array([1e16] * 3)))
+        assert lo < 1e16 < hi
+        assert xs.tolist() == [0.5, 0.5, 0.5]
+        PlotDomain(x_min=lo, x_max=hi, height=0.2, radius=0.01)
+
+    def test_overflowing_range_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            normalize(DataSet(values=np.array([-1e308, 1e308])))
+        with pytest.raises(ValueError, match="overflows"):
+            PlotDomain(x_min=-1e308, x_max=1e308, height=0.2, radius=0.01)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 4))
+    def test_constant_data_matches_domain_bit_for_bit(self, value, n):
+        data = DataSet(values=np.full(n, value))
+        if abs(value) == sys.float_info.max:
+            # no finite range has the largest float strictly inside it
+            with pytest.raises(ValueError, match="overflows"):
+                normalize(data)
+            return
+        xs, (lo, hi) = normalize(data)
+        dom = PlotDomain(x_min=lo, x_max=hi, height=0.2, radius=0.01)
+        assert np.array_equal(xs.view(np.int64), dom.normalize_x(data.values).view(np.int64))
+        assert xs.tolist() == [0.5] * n
+
 
 class TestPlotDomain:
     def test_validation(self):
@@ -117,15 +144,12 @@ class TestMetricDistance:
         peak = spec.density.grid[np.argmax(spec.density.values)]
         assert float(spec.encoding_weight(peak, peak)) == pytest.approx(2.0)
 
-    def test_half_difference_alternative(self):
+    def test_warped_metric_samples_midpoint(self):
         mid = make_warped_spec()
-        half = make_warped_spec(x_reference=X_REF_HALF_DIFFERENCE)
         p1, p2 = (0.2, 0.0), (0.8, 0.0)
-        # midpoint samples d(0.5); half-difference samples d(-0.3) clamped to 0
+        # the warped metric samples the density at the midpoint, d(0.5)
         d_mid = mid.density.evaluate(0.5)
-        d_half = mid.density.evaluate(0.0)
         assert metric_distance(mid, p1, p2) == pytest.approx((1 + d_mid / mid.density.d_max) * 0.6)
-        assert metric_distance(half, p1, p2) == pytest.approx((1 + d_half / mid.density.d_max) * 0.6)
 
     @given(unit_floats, st.floats(0, 0.5), unit_floats, st.floats(0, 0.5))
     def test_symmetry_uniform(self, x1, y1, x2, y2):

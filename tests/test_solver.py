@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import oracle_nearest_dot_scan, oracle_pairwise_min_distance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bluedots import (
     DataSet,
@@ -21,6 +23,7 @@ from bluedots import (
     relax_traced,
     relax_unconstrained,
 )
+from bluedots.solver import _class_schedule
 
 DOM = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
 
@@ -266,6 +269,50 @@ class TestRelaxMulticlass:
         a = relax_multiclass(data, dom, cfg)
         b = relax_multiclass(data, dom, cfg)
         assert np.array_equal(a.y, b.y)
+
+
+    def test_unorderable_labels_rejected(self):
+        with pytest.raises(ValueError, match="mutually orderable"):
+            _class_schedule((1, "a", 1), 3)
+        data = DataSet(values=np.array([0.1, 0.5, 0.9]), labels=(1, "a", 1))
+        with pytest.raises(ValueError, match="mutually orderable"):
+            relax_multiclass(data, DOM, SolverConfig(max_iterations=2, n_sites=64))
+
+
+@st.composite
+def engine_inputs(draw):
+    """Finite data with duplicates, constants and any magnitude up to 1e300
+    (a wider span overflows the raw range), n >= 1, 1-3 classes."""
+    finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+    pool = draw(st.lists(finite, min_size=1, max_size=4))
+    values = draw(st.lists(st.one_of(st.sampled_from(pool), finite), min_size=1, max_size=24))
+    n = len(values)
+    k = draw(st.integers(0, 3))
+    labels = tuple(draw(st.lists(st.sampled_from("abc"[:k]), min_size=n, max_size=n))) if k else None
+    config = SolverConfig(
+        n_sites=draw(st.integers(n, 256)),
+        max_iterations=draw(st.integers(0, 5)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return DataSet(values=np.array(values), labels=labels), config
+
+
+class TestRelaxEngineProperties:
+    @given(engine_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_contract(self, inputs):
+        data, config = inputs
+        xs, (lo, hi) = normalize(data)
+        dom = PlotDomain(x_min=lo, x_max=hi, height=0.1, radius=0.01)
+        solve = relax_multiclass if data.n_classes >= 2 else relax
+        out = solve(data, dom, config)
+        again = solve(data, dom, config)
+        assert np.array_equal(out.x.view(np.int64), xs.view(np.int64))
+        assert np.all((out.y >= 0.0) & (out.y <= dom.height))
+        assert len(out) == len(data) and out.labels == data.labels
+        assert 0 <= out.iterations_run <= config.max_iterations
+        assert out.y.tobytes() == again.y.tobytes()
+        assert out.iterations_run == again.iterations_run
 
 
 class TestRelaxUnconstrained:
