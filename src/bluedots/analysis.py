@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DotLayout, MetricSpec
-from .solver import _SiteAssigner
+from .core import DotLayout, MetricSpec, _readonly
+from .solver import _SiteAssigner, _as_sites, _cell_means
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,9 @@ class SpectrumGrid:
         power = np.asarray(self.power, dtype=np.float64)
         if power.shape != (ky.size, kx.size):
             raise ValueError("power grid shape does not match the frequency axes")
-        for name, a in (("kx", kx), ("ky_multiples", ky), ("power", power)):
-            a = np.array(a, copy=True)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        object.__setattr__(self, "kx", _readonly(kx, np.int64))
+        object.__setattr__(self, "ky_multiples", _readonly(ky, np.int64))
+        object.__setattr__(self, "power", _readonly(power))
 
     @property
     def k_max(self) -> int:
@@ -135,15 +134,10 @@ def overlap_metric(layout: DotLayout) -> float:
 def cost_estimate(layout: DotLayout, sites, metric: MetricSpec) -> float:
     """Monte Carlo layout cost: sum over dots of the mean metric distance
     from the dot to the sites in its cell. Empty cells contribute zero."""
-    sites = np.asarray(sites, dtype=np.float64)
-    if sites.ndim != 2 or sites.shape[1] != 2:
-        raise ValueError("sites must be an (m, 2) array")
+    sites = _as_sites(sites)
     dist = np.empty(sites.shape[0])
     owner = _SiteAssigner(layout.x, sites, metric).assign(layout.y, dist)
-    n = len(layout)
-    counts = np.bincount(owner, minlength=n)
-    sums = np.bincount(owner, weights=dist, minlength=n)
-    means = sums / np.maximum(counts, 1)
+    counts, means = _cell_means(owner, dist, len(layout))
     return float(means[counts > 0].sum())
 
 

@@ -1,10 +1,10 @@
 """Command-line front end: CSV in, layout JSON + SVG + analysis reports out.
 
+Input CSVs are read by ``bluedots.datasets.load_csv``, the same reader the
+bundled fixtures go through; its ``CliError`` and every ``ValueError`` from
+the library end the command with a one-line diagnostic and exit status 1.
 The written layout file records the seed, iteration count, domain and
 metric; the site count and iteration cap come from the command line.
-Malformed cells, blank class labels included, are hard errors; silently
-dropping or imputing rows would break the promise that every data point is
-shown.
 """
 
 from __future__ import annotations
@@ -43,59 +43,11 @@ from .analysis import (
     spectrum_to_csv,
     spectrum_to_pgm,
 )
+from .datasets import CliError, load_csv
 from .render import RenderStyle, StrokeStyle, render_svg
 
 LAYOUT_FILE_VERSION = 1
 DEFAULT_SITES = 8192
-
-
-class CliError(Exception):
-    """User-facing error; printed as a diagnostic with a nonzero exit."""
-
-
-def load_csv(path, column: str, class_column: str | None = None) -> DataSet:
-    """Read one numeric column (and an optional class column) from a CSV.
-
-    Rows are numbered as in the file, the header being row 1. Blank or
-    non-numeric cells abort with the offending location.
-    """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    values = []
-    labels = []
-    with fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        for name in [column] + ([class_column] if class_column else []):
-            if name not in fields:
-                raise CliError(f"{path}: column {name!r} not found (have {fields})")
-        for row in reader:
-            cell = row[column]
-            try:
-                value = float(cell) if cell is not None and cell.strip() != "" else None
-            except ValueError:
-                value = None
-            if value is None or not np.isfinite(value):
-                raise CliError(
-                    f"{path}: row {reader.line_num}, column {column!r}: not a number: {cell!r}"
-                )
-            values.append(value)
-            if class_column:
-                label = row[class_column]
-                if label is None or label.strip() == "":
-                    raise CliError(
-                        f"{path}: row {reader.line_num}, column {class_column!r}: blank class label"
-                    )
-                labels.append(label)
-    if not values:
-        raise CliError(f"{path}: no data rows")
-    return DataSet(
-        values=np.array(values),
-        labels=tuple(labels) if class_column else None,
-        name=Path(path).stem,
-    )
 
 
 def _resolve_setup(data: DataSet, radius: float, height_arg: str):
@@ -254,26 +206,33 @@ def cmd_analyze_overlap(args) -> int:
         raise CliError(f"--counts must be a comma-separated list of integers: {args.counts!r}")
     if not counts or any(c <= 0 for c in counts):
         raise CliError("--counts entries must be positive")
+    if len(set(counts)) != len(counts):
+        raise CliError(f"--counts entries must be distinct: {args.counts!r}")
     if max(counts) > len(data):
         raise CliError(f"count {max(counts)} exceeds dataset size {len(data)}")
+    if args.seeds <= 0:
+        raise CliError("--seeds must be positive")
 
     config = _solver_config(args, len(data))
-    rows = []
-    for treatment in ("blue", "jitter"):
-        for count in counts:
-            subset = DataSet(values=data.values[:count], name=data.name)
-            xs, domain, dens = _resolve_setup(subset, args.radius, args.height)
-            for seed in range(args.seeds):
-                layout = _make_layout(treatment, subset, xs, domain, replace(config, seed=seed))
-                rows.append(
-                    {
-                        "dataset": data.name or "",
-                        "treatment": treatment,
-                        "seed": seed,
-                        "n": count,
-                        "value": overlap_metric(layout),
-                    }
+    treatments = ("blue", "jitter")
+    values = {}
+    for count in counts:
+        subset = DataSet(values=data.values[:count], name=data.name)
+        xs, domain, _ = _resolve_setup(subset, args.radius, args.height)
+        for treatment in treatments:
+            values[treatment, count] = [
+                overlap_metric(
+                    _make_layout(treatment, subset, xs, domain, replace(config, seed=seed))
                 )
+                for seed in range(args.seeds)
+            ]
+    dataset = data.name or ""
+    rows = [
+        {"dataset": dataset, "treatment": t, "seed": seed, "n": c, "value": v}
+        for t in treatments
+        for c in counts
+        for seed, v in enumerate(values[t, c])
+    ]
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -285,18 +244,15 @@ def cmd_analyze_overlap(args) -> int:
     with open(f"{out}_summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=["dataset", "treatment", "n", "median", "iqr"])
         writer.writeheader()
-        for treatment in ("blue", "jitter"):
-            for count in counts:
-                vals = [
-                    r["value"] for r in rows if r["treatment"] == treatment and r["n"] == count
-                ]
-                q75, q25 = np.percentile(vals, [75, 25])
+        for t in treatments:
+            for c in counts:
+                q75, q25 = np.percentile(values[t, c], [75, 25])
                 writer.writerow(
                     {
-                        "dataset": data.name or "",
-                        "treatment": treatment,
-                        "n": count,
-                        "median": float(np.median(vals)),
+                        "dataset": dataset,
+                        "treatment": t,
+                        "n": c,
+                        "median": float(np.median(values[t, c])),
                         "iqr": float(q75 - q25),
                     }
                 )
@@ -363,10 +319,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,10 +21,18 @@ if TYPE_CHECKING:
     from .density import DensityEstimate
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.float64, copy=True)
+def _readonly(a, dtype=np.float64) -> np.ndarray:
+    a = np.array(a, dtype=dtype, copy=True)
     a.flags.writeable = False
     return a
+
+
+def _class_order(labels) -> list:
+    """Distinct class labels, sorted: the class order of solver and renderer."""
+    try:
+        return sorted(set(labels))
+    except TypeError as exc:
+        raise ValueError(f"class labels must be mutually orderable: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -145,20 +153,18 @@ class MetricSpec:
     """Which distance governs Voronoi assignment and the layout cost.
 
     UNIFORM weighs the encoding axis by a constant 2. DENSITY_WARPED weighs it
-    by 1 + d(x_mid)/d_max in (1, 2], with x_mid the midpoint of the two x
+    by 1 + d(x_mid)/d_max in [1, 2], with x_mid the midpoint of the two x
     coordinates, so the warped metric agrees with the uniform one where the
-    data is densest and relaxes toward plain L1 where it is sparse.
+    data is densest and relaxes toward plain L1 where it is sparse (exactly
+    L1 where the density is 0).
     """
 
     kind: MetricKind = MetricKind.UNIFORM
     density: Optional["DensityEstimate"] = None
 
     def __post_init__(self):
-        if self.kind is MetricKind.DENSITY_WARPED:
-            if self.density is None:
-                raise ValueError("DENSITY_WARPED metric requires a density estimate")
-            if float(np.min(self.density.values)) <= 0.0:
-                raise ValueError("density must be strictly positive on [0, 1]")
+        if self.kind is MetricKind.DENSITY_WARPED and self.density is None:
+            raise ValueError("DENSITY_WARPED metric requires a density estimate")
 
     def encoding_weight(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """Weight applied to |x1 - x2| in the metric, elementwise."""

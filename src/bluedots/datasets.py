@@ -1,8 +1,12 @@
-"""Bundled reference datasets.
+"""CSV ingestion and the bundled reference datasets.
 
-These are synthetic stand-ins for classic teaching datasets, generated once
-from the documented distributions below and committed as CSV files under
-``bluedots/data/``. Regenerate with ``python -m bluedots.datasets``.
+``load_csv`` is the one CSV reader, for user files and fixtures alike.
+Malformed cells, blank class labels included, are hard errors (``CliError``):
+dropping or imputing rows would break the promise that every point is shown.
+
+The fixtures are synthetic stand-ins for classic teaching datasets, generated
+once from the documented distributions below and committed as CSV files
+under ``bluedots/data/``. Regenerate with ``python -m bluedots.datasets``.
 
 - geyser.csv  column ``waiting``: 256 draws from the even mixture
   0.5*N(55, 7^2) + 0.5*N(80, 7^2), rounded to 3 decimals (seed 7).
@@ -25,6 +29,57 @@ from .core import DataSet
 
 DATA_DIR = Path(__file__).parent / "data"
 
+
+class CliError(Exception):
+    """User-facing error; printed as a diagnostic with a nonzero exit."""
+
+
+def load_csv(path, column: str, class_column: str | None = None) -> DataSet:
+    """Read one numeric column (and an optional class column) from a CSV.
+
+    Rows are numbered as in the file, the header being row 1. Blank or
+    non-numeric cells abort with the offending location. The dataset is
+    named after the file's stem.
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+    values = []
+    labels = []
+    with fh:
+        reader = csv.DictReader(fh)
+        fields = reader.fieldnames or []
+        for name in [column] + ([class_column] if class_column else []):
+            if name not in fields:
+                raise CliError(f"{path}: column {name!r} not found (have {fields})")
+        for row in reader:
+            cell = row[column]
+            try:
+                value = float(cell) if cell is not None and cell.strip() != "" else None
+            except ValueError:
+                value = None
+            if value is None or not np.isfinite(value):
+                raise CliError(
+                    f"{path}: row {reader.line_num}, column {column!r}: not a number: {cell!r}"
+                )
+            values.append(value)
+            if class_column:
+                label = row[class_column]
+                if label is None or label.strip() == "":
+                    raise CliError(
+                        f"{path}: row {reader.line_num}, column {class_column!r}: blank class label"
+                    )
+                labels.append(label)
+    if not values:
+        raise CliError(f"{path}: no data rows")
+    return DataSet(
+        values=np.array(values),
+        labels=tuple(labels) if class_column else None,
+        name=Path(path).stem,
+    )
+
+
 FIXTURES = {
     "geyser": ("geyser.csv", "waiting", None),
     "tips": ("tips.csv", "bill", "time"),
@@ -39,21 +94,10 @@ def fixture_path(name: str) -> Path:
 
 
 def load_fixture(name: str) -> DataSet:
-    """Load a bundled fixture as a DataSet."""
+    """Load a bundled fixture as a DataSet named ``name``."""
     path = fixture_path(name)
     _, column, class_column = FIXTURES[name]
-    values = []
-    labels = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            values.append(float(row[column]))
-            if class_column is not None:
-                labels.append(row[class_column])
-    return DataSet(
-        values=np.array(values),
-        labels=tuple(labels) if class_column is not None else None,
-        name=name,
-    )
+    return load_csv(path, column, class_column)
 
 
 def _generate_geyser(rng: np.random.Generator) -> list[tuple]:

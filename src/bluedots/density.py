@@ -12,6 +12,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .core import _readonly
+
 GRID_SIZE = 512
 # Smallest bandwidth we allow: one grid cell. Guards against zero-spread
 # samples where Silverman's rule collapses.
@@ -40,10 +42,8 @@ class DensityEstimate:
             raise ValueError("density values must be non-negative")
         if not (self.d_max > 0):
             raise ValueError("d_max must be positive")
-        for name, a in (("grid", grid), ("values", values)):
-            a = np.array(a, copy=True)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        object.__setattr__(self, "grid", _readonly(grid))
+        object.__setattr__(self, "values", _readonly(values))
 
     def evaluate(self, x) -> np.ndarray:
         """Linearly interpolated density at x (scalar or array), clamped to [0, 1]."""

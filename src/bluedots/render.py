@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DotLayout
+from .core import DotLayout, _class_order
 from .density import GRID_SIZE
 
 DEFAULT_PALETTE = (
@@ -50,8 +50,7 @@ def _fmt(v: float) -> str:
 def _class_indices(layout: DotLayout) -> np.ndarray:
     if layout.labels is None:
         return np.zeros(len(layout), dtype=np.intp)
-    classes = sorted(set(layout.labels))
-    index = {c: i for i, c in enumerate(classes)}
+    index = {c: i for i, c in enumerate(_class_order(layout.labels))}
     return np.array([index[lab] for lab in layout.labels], dtype=np.intp)
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DataSet, DotLayout, MetricKind, MetricSpec, PlotDomain
+from .core import DataSet, DotLayout, MetricKind, MetricSpec, PlotDomain, _class_order, _readonly
 from .density import height_profile
 
 # Sites per assignment chunk; keeps the working distance block cache-sized.
@@ -56,16 +56,12 @@ class VoronoiAssignment:
     owner: np.ndarray
 
     def __post_init__(self):
-        sites = np.asarray(self.sites, dtype=np.float64)
+        sites = _as_sites(self.sites)
         owner = np.asarray(self.owner, dtype=np.intp)
-        if sites.ndim != 2 or sites.shape[1] != 2:
-            raise ValueError("sites must be an (m, 2) array")
         if owner.shape != (sites.shape[0],):
             raise ValueError("owner must map every site")
-        for name, a in (("sites", sites), ("owner", owner)):
-            a = np.array(a, copy=True)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        object.__setattr__(self, "sites", _readonly(sites))
+        object.__setattr__(self, "owner", _readonly(owner, np.intp))
 
 
 @dataclass(frozen=True)
@@ -77,17 +73,27 @@ class RelaxTrace:
     sites: np.ndarray
 
 
+def _as_sites(sites) -> np.ndarray:
+    sites = np.asarray(sites, dtype=np.float64)
+    if sites.ndim != 2 or sites.shape[1] != 2:
+        raise ValueError("sites must be an (m, 2) array")
+    return sites
+
+
 class _SiteAssigner:
-    """Nearest-dot search with the constant encoding-axis term precomputed."""
+    """Nearest-dot search with the constant encoding-axis term precomputed,
+    in the search's own site blocks so the build holds no full-size temporary."""
 
     def __init__(self, x: np.ndarray, sites: np.ndarray, metric: MetricSpec):
         self.n = x.size
         sx = sites[:, 0]
         self.sy = np.ascontiguousarray(sites[:, 1])
-        dx = np.abs(x[None, :] - sx[:, None])
-        w = metric.encoding_weight(x[None, :], sx[:, None])
-        self.xpart = np.ascontiguousarray(w * dx)
         self.chunk = max(1, _CHUNK_ELEMENTS // self.n)
+        self.xpart = np.empty((sx.size, self.n))
+        for a in range(0, sx.size, self.chunk):
+            s = sx[a : a + self.chunk, None]
+            w = metric.encoding_weight(x[None, :], s)
+            np.multiply(w, np.abs(x[None, :] - s), out=self.xpart[a : a + self.chunk])
         self._buf = np.empty((self.chunk, self.n))
 
     def assign(self, y: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
@@ -107,7 +113,10 @@ class _SiteAssigner:
         return owner
 
 
-def _uniform_sites(rng: np.random.Generator, n_sites: int, height: float) -> np.ndarray:
+def _draw_sites(rng: np.random.Generator, n_sites: int, n: int, height: float) -> np.ndarray:
+    """The run's fixed sites, uniform on [0, 1] x [0, height]; at least one per dot."""
+    if n_sites < n:
+        raise ValueError(f"n_sites {n_sites} < number of dots {n}")
     return np.column_stack([rng.random(n_sites), rng.random(n_sites) * height])
 
 
@@ -140,21 +149,23 @@ def jitter_init(xs, domain: PlotDomain, seed: int, profile=None) -> DotLayout:
 
 def assign_sites(dots: DotLayout, sites, metric: MetricSpec) -> VoronoiAssignment:
     """Map each site to its nearest dot; ties go to the lowest dot index."""
-    sites = np.asarray(sites, dtype=np.float64)
-    if sites.ndim != 2 or sites.shape[1] != 2:
-        raise ValueError("sites must be an (m, 2) array")
+    sites = _as_sites(sites)
     if len(dots) == 0:
         raise ValueError("cannot assign sites to an empty dot list")
     owner = _SiteAssigner(dots.x, sites, metric).assign(dots.y)
     return VoronoiAssignment(sites=sites, owner=owner)
 
 
+def _cell_means(owner: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dot site count and mean of ``weights`` over the dot's cell (0 if empty)."""
+    counts = np.bincount(owner, minlength=n)
+    return counts, np.bincount(owner, weights=weights, minlength=n) / np.maximum(counts, 1)
+
+
 def _cell_update(owner: np.ndarray, site_coord: np.ndarray, current: np.ndarray, upper: float) -> np.ndarray:
     """Each dot's coordinate moved to the mean of its cell's sites, clamped
     to [0, upper]; dots whose cell is empty keep ``current``."""
-    n = current.size
-    counts = np.bincount(owner, minlength=n)
-    means = np.bincount(owner, weights=site_coord, minlength=n) / np.maximum(counts, 1)
+    counts, means = _cell_means(owner, site_coord, current.size)
     new = np.where(counts > 0, means, current)
     np.clip(new, 0.0, upper, out=new)
     return new
@@ -172,12 +183,9 @@ def lloyd_step(dots: DotLayout, assignment: VoronoiAssignment) -> DotLayout:
 def _setup(data: DataSet, domain: PlotDomain, config: SolverConfig):
     """Normalized x, initial y and the run's fixed sites, in RNG draw order."""
     xs = domain.normalize_x(data.values)
-    n = xs.size
-    if config.n_sites < n:
-        raise ValueError(f"n_sites {config.n_sites} < number of dots {n}")
     rng = np.random.default_rng(config.seed)
-    y0 = _initial_y(rng, xs, domain, _centrality_profile(config, n, domain))
-    sites = _uniform_sites(rng, config.n_sites, domain.height)
+    y0 = _initial_y(rng, xs, domain, _centrality_profile(config, xs.size, domain))
+    sites = _draw_sites(rng, config.n_sites, xs.size, domain.height)
     return xs, y0, sites
 
 
@@ -227,10 +235,7 @@ def _class_schedule(labels: Sequence, n: int) -> list[np.ndarray]:
     first); beyond that only the full union is, since the number of unions
     grows exponentially.
     """
-    try:
-        classes = sorted(set(labels))
-    except TypeError as exc:
-        raise ValueError(f"class labels must be mutually orderable: {exc}") from None
+    classes = _class_order(labels)
     by_class = {c: np.flatnonzero([lab == c for lab in labels]) for c in classes}
     groups = [by_class[c] for c in classes]
     k = len(classes)
@@ -273,13 +278,11 @@ def relax_unconstrained(n: int, domain: PlotDomain, config: SolverConfig) -> Dot
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    if config.n_sites < n:
-        raise ValueError(f"n_sites {config.n_sites} < number of dots {n}")
     rng = np.random.default_rng(config.seed)
     h = domain.height
     x = rng.random(n)
     y = rng.random(n) * h
-    sites = _uniform_sites(rng, config.n_sites, h)
+    sites = _draw_sites(rng, config.n_sites, n, h)
 
     iterations = 0
     for _ in range(config.max_iterations):

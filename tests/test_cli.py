@@ -155,6 +155,13 @@ class TestCmdPlot:
         assert self.run(common + ["--out", str(tmp_path / "big")]) == 0
         assert self.run(common + ["--sites", "8192", "--out", str(tmp_path / "few")]) == 1
 
+    def test_centrality_on_constant_data(self, tmp_path):
+        path = write_csv(tmp_path, "five.csv", "v\n5\n5\n5\n")
+        assert self.run(["plot", "--input", path, "--column", "v", "--centrality",
+                         "--iterations", "3", "--out", str(tmp_path / "five")]) == 0
+        doc = json.loads((tmp_path / "five.json").read_text())
+        assert [d["x_norm"] for d in doc["dots"]] == [0.5, 0.5, 0.5]
+
     def test_bad_height_exit_code(self, tmp_path, capsys):
         code = self.run(["plot", "--input", GEYSER, "--column", "waiting",
                          "--height", "zero", "--out", str(tmp_path / "x")])
@@ -172,6 +179,30 @@ class TestCmdAnalyze:
         assert len(rows) == 4  # 2 treatments x 2 counts x 1 seed
         keys = [tuple(r.split(",")[:4]) for r in rows]
         assert keys == sorted(keys)  # ordering fixed by (treatment, count, seed)
+
+    def test_overlap_rows_in_treatment_count_seed_order(self, tmp_path):
+        out = tmp_path / "ord"
+        assert main(["analyze", "overlap", "--input", GEYSER, "--column", "waiting",
+                     "--height", "0.2", "--seeds", "2", "--counts", "32,16",
+                     "--iterations", "2", "--sites", "512", "--out", str(out)]) == 0
+        rows = (tmp_path / "ord_overlap.csv").read_text().strip().split("\n")[1:]
+        keys = [tuple(r.split(",")[1:4]) for r in rows]
+        assert keys == [(t, s, c) for t in ("blue", "jitter") for c in ("32", "16")
+                        for s in ("0", "1")]
+        summary = (tmp_path / "ord_summary.csv").read_text().strip().split("\n")[1:]
+        assert [tuple(r.split(",")[1:3]) for r in summary] == [
+            ("blue", "32"), ("blue", "16"), ("jitter", "32"), ("jitter", "16")]
+
+    @pytest.mark.parametrize("args, message", [
+        (["--counts", "16,16"], "distinct"),
+        (["--counts", "16", "--seeds", "0"], "--seeds must be positive"),
+    ])
+    def test_bad_overlap_arguments_rejected(self, tmp_path, capsys, args, message):
+        code = main(["analyze", "overlap", "--input", GEYSER, "--column", "waiting",
+                     *args, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_overlap_summary_columns(self, tmp_path):
         out = tmp_path / "ov2"

@@ -139,6 +139,15 @@ class TestMetricDistance:
         w = spec.encoding_weight(np.linspace(0, 1, 64), np.linspace(0, 1, 64))
         assert np.all(w > 1.0) and np.all(w <= 2.0)
 
+    def test_warped_weight_is_one_where_density_is_zero(self):
+        # a cluster at x = 0.9 under the bandwidth floor: the KDE underflows
+        # to exactly 0 over most of [0, 1]
+        dens = estimate_density(np.full(3, 0.9), bandwidth=1.0 / 512)
+        assert dens.values[0] == 0.0 and dens.evaluate(0.2) == 0.0
+        spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens)
+        assert float(spec.encoding_weight(0.1, 0.3)) == 1.0
+        assert metric_distance(spec, (0.1, 0.0), (0.3, 0.05)) == pytest.approx(0.2 + 0.05)
+
     def test_warped_weight_is_two_at_peak(self):
         spec = make_warped_spec()
         peak = spec.density.grid[np.argmax(spec.density.values)]

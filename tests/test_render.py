@@ -62,6 +62,11 @@ class TestRenderSvg:
         with pytest.raises(ValueError):
             render_svg(lay, RenderStyle(palette=("#111111",)))
 
+    def test_unorderable_labels_rejected(self):
+        lay = layout_of([0.1, 0.2, 0.3], [0.1, 0.1, 0.1], labels=(1, "a", 1))
+        with pytest.raises(ValueError, match="mutually orderable"):
+            render_svg(lay, RenderStyle())
+
     def test_roundtrip_recovers_coordinates(self):
         rng = np.random.default_rng(1)
         lay = layout_of(rng.random(50), rng.random(50) * 0.2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import oracle_nearest_dot_scan, oracle_pairwise_min_distance
@@ -23,7 +25,7 @@ from bluedots import (
     relax_traced,
     relax_unconstrained,
 )
-from bluedots.solver import _class_schedule
+from bluedots.solver import _class_schedule, _SiteAssigner
 
 DOM = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
 
@@ -93,6 +95,31 @@ class TestAssignSites:
         assert np.array_equal(a.sites, sites)
         assert a.owner.shape == (200,)
         assert np.all((a.owner >= 0) & (a.owner < 16))
+
+
+class TestSiteAssigner:
+    @staticmethod
+    def warped_inputs(n, m):
+        rng = np.random.default_rng(9)
+        x = rng.random(n)
+        sites = np.column_stack([rng.random(m), rng.random(m) * DOM.height])
+        return x, sites, MetricSpec(kind=MetricKind.DENSITY_WARPED, density=estimate_density(x))
+
+    def test_blockwise_xpart_matches_full_matrix(self):
+        x, sites, spec = self.warped_inputs(1024, 300)  # 128 sites per block: 3 blocks
+        sx = sites[:, 0][:, None]
+        full = spec.encoding_weight(x[None, :], sx) * np.abs(x[None, :] - sx)
+        assert np.array_equal(_SiteAssigner(x, sites, spec).xpart, full)
+
+    def test_warped_build_holds_no_full_size_temporaries(self):
+        x, sites, spec = self.warped_inputs(1024, 8192)
+        tracemalloc.start()
+        try:
+            assigner = _SiteAssigner(x, sites, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * assigner.xpart.nbytes
 
 
 class TestLloydStep:
