@@ -136,7 +136,7 @@ def cost_estimate(layout: DotLayout, sites, metric: MetricSpec) -> float:
     from the dot to the sites in its cell. Empty cells contribute zero."""
     sites = _as_sites(sites)
     dist = np.empty(sites.shape[0])
-    owner = _SiteAssigner(layout.x, sites, metric).assign(layout.y, dist)
+    owner = _SiteAssigner(layout.x, sites, metric, layout.y).assign(layout.y, dist)
     counts, means = _cell_means(owner, dist, len(layout))
     return float(means[counts > 0].sum())
 

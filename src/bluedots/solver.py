@@ -10,7 +10,12 @@ index groups: ``[all dots]`` for one class, every class and class union for
 several. Sites are drawn once per run, so the Monte Carlo cost estimate has a
 fixed objective across iterations. Because x is frozen, the encoding-axis
 part of every dot-to-site distance is constant for the whole run and is
-precomputed.
+precomputed, and so is which dots can own which sites: with every |dy| at
+most delta (the height, or the initial y's span), a dot whose encoding term
+w*|dx| exceeds the smallest one by more than delta is strictly farther than
+that dot whatever the y. Each block of x-sorted sites is scored only against
+its candidate window of dots, with the dense search's owners and distances
+bit for bit (see ``_SiteAssigner``).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 from .core import DataSet, DotLayout, MetricKind, MetricSpec, PlotDomain, _class_order, _readonly
 from .density import height_profile
 
-# Sites per assignment chunk; keeps the working distance block cache-sized.
+# Most distance terms one site block holds; keeps the working block cache-sized.
 _CHUNK_ELEMENTS = 131072
 
 
@@ -81,36 +86,103 @@ def _as_sites(sites) -> np.ndarray:
 
 
 class _SiteAssigner:
-    """Nearest-dot search with the constant encoding-axis term precomputed,
-    in the search's own site blocks so the build holds no full-size temporary."""
+    """Exact nearest-dot search that scores each block of sites only against
+    the dots that can own one of its sites.
 
-    def __init__(self, x: np.ndarray, sites: np.ndarray, metric: MetricSpec):
-        self.n = x.size
-        sx = sites[:, 0]
-        self.sy = np.ascontiguousarray(sites[:, 1])
-        self.chunk = max(1, _CHUNK_ELEMENTS // self.n)
-        self.xpart = np.empty((sx.size, self.n))
-        for a in range(0, sx.size, self.chunk):
-            s = sx[a : a + self.chunk, None]
-            w = metric.encoding_weight(x[None, :], s)
-            np.multiply(w, np.abs(x[None, :] - s), out=self.xpart[a : a + self.chunk])
-        self._buf = np.empty((self.chunk, self.n))
+    Built once for fixed dot x and sites, and for a bound ``delta`` on every
+    |s_y - y| it will see: ``y_range`` holds values whose range covers every
+    dot y it is asked about. Sites are sorted by x into consecutive blocks;
+    each block stores its candidate dots in ascending index order together
+    with their precomputed encoding-axis terms w*|dx|.
+
+    A site's distance to dot i is fl(fl|s_y - y_i| + xp_i) with
+    xp_i = fl(w * fl|x_i - s_x|), which lies in [xp_i, fl(xp_i + delta)].
+    So a dot whose xp exceeds fl(min_j xp_j + delta) is strictly farther
+    than the dot with the smallest xp: it can neither own the site nor tie
+    for it. Because w >= 1, such dots include every dot with
+    fl|x_i - s_x| > fl(xp_j + delta) for any j; the rest form a contiguous
+    x-window, found by binary search and trimmed exactly. The argmin over a
+    block's columns then gives the dense search's owner and distance bit for
+    bit, ties going to the lowest dot index.
+    """
+
+    def __init__(self, x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray):
+        n, m = x.size, sites.shape[0]
+        self.order = np.argsort(sites[:, 0], kind="stable")
+        sx = sites[self.order, 0]
+        sy = sites[self.order, 1]
+        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        if m == 0:  # no sites: nothing to own
+            self._buf = np.empty(0)
+            return
+        delta = max(float(sy.max()) - float(np.min(y_range)), float(np.max(y_range)) - float(sy.min()))
+        by_x = np.argsort(x, kind="stable")
+        x_sorted = x[by_x]
+
+        def xpart(xd, s):
+            xp = np.subtract(xd, s)
+            np.abs(xp, out=xp)
+            return np.multiply(metric.encoding_weight(xd, s), xp, out=xp)
+
+        # Bound per site from its two x-neighbours: R = fl(xp_j + delta).
+        pos = np.searchsorted(x_sorted, sx)
+        near = by_x[np.clip(np.stack([pos - 1, pos]), 0, n - 1)]
+        reach = np.minimum(xpart(x[near[0]], sx), xpart(x[near[1]], sx)) + delta
+        # Covers the rounding of fl|x - s_x| and of the window ends.
+        tol = 8 * np.finfo(np.float64).eps * (
+            np.abs(x_sorted[[0, -1]]).max() + np.abs(sx[[0, -1]]).max() + reach.max()
+        )
+
+        # A block spans about a quarter of the mean window's x-width and
+        # holds at most _CHUNK_ELEMENTS terms.
+        span = float(sx[-1] - sx[0])
+        size = int(min(max(m * float(reach.mean()) / (2.0 * span) if span > 0 else m, 1), m))
+        while True:
+            starts = np.arange(0, m, size)
+            ends = np.minimum(starts + size, m)
+            r = np.maximum.reduceat(reach, starts)
+            lo = np.searchsorted(x_sorted, sx[starts] - r - tol, side="left")
+            hi = np.searchsorted(x_sorted, sx[ends - 1] + r + tol, side="right")
+            terms = int(((ends - starts) * (hi - lo)).max())
+            if size == 1 or terms <= _CHUNK_ELEMENTS:
+                break
+            size = max(1, min(size - 1, size * _CHUNK_ELEMENTS // terms))
+
+        width = 0
+        for a, b, first, last in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
+            cols = np.sort(by_x[first:last])
+            s = sx[a:b, None]
+            xp = xpart(x[cols], s)
+            keep = (xp <= (xp.min(axis=1) + delta)[:, None]).any(axis=0)
+            if not keep.all():
+                cols, xp = cols[keep], np.compress(keep, xp, axis=1)
+            self.blocks.append((sy[a:b, None], cols, xp))
+            width = max(width, xp.size)
+        self._buf = np.empty(width)
 
     def assign(self, y: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
         """Owner of every site; ties go to the lowest dot index. If ``dist``
         is given, the owner's metric distance is written into it."""
-        m = self.sy.size
+        m = self.order.size
         owner = np.empty(m, dtype=np.intp)
-        for a in range(0, m, self.chunk):
-            b = min(a + self.chunk, m)
-            buf = self._buf[: b - a]
-            np.subtract(self.sy[a:b, None], y[None, :], out=buf)
+        best = np.empty(m) if dist is not None else None
+        a = 0
+        for s, cols, xp in self.blocks:
+            b = a + s.shape[0]
+            buf = self._buf[: xp.size].reshape(xp.shape)
+            np.subtract(s, y[cols], out=buf)
             np.abs(buf, out=buf)
-            buf += self.xpart[a:b]
-            owner[a:b] = buf.argmin(axis=1)
-            if dist is not None:
-                dist[a:b] = buf[np.arange(b - a), owner[a:b]]
-        return owner
+            buf += xp
+            j = buf.argmin(axis=1)
+            owner[a:b] = cols[j]
+            if best is not None:
+                best[a:b] = buf[np.arange(b - a), j]
+            a = b
+        out = np.empty(m, dtype=np.intp)
+        out[self.order] = owner
+        if dist is not None:
+            dist[self.order] = best
+        return out
 
 
 def _draw_sites(rng: np.random.Generator, n_sites: int, n: int, height: float) -> np.ndarray:
@@ -152,7 +224,7 @@ def assign_sites(dots: DotLayout, sites, metric: MetricSpec) -> VoronoiAssignmen
     sites = _as_sites(sites)
     if len(dots) == 0:
         raise ValueError("cannot assign sites to an empty dot list")
-    owner = _SiteAssigner(dots.x, sites, metric).assign(dots.y)
+    owner = _SiteAssigner(dots.x, sites, metric, dots.y).assign(dots.y)
     return VoronoiAssignment(sites=sites, owner=owner)
 
 
@@ -200,7 +272,9 @@ def _relax_groups(xs, y0, sites, groups, h: float, config: SolverConfig) -> tupl
     if config.max_iterations == 0:
         return y, 0
     site_y = sites[:, 1]
-    assigners = [_SiteAssigner(xs[idx], sites, config.metric) for idx in groups]
+    # Every y the loop sees is y0 or clamped to [0, h].
+    y_range = np.append(y, [0.0, h])
+    assigners = [_SiteAssigner(xs[idx], sites, config.metric, y_range) for idx in groups]
     for iterations in range(1, config.max_iterations + 1):
         for idx, assigner in zip(groups, assigners):
             old = y[idx]
@@ -287,7 +361,7 @@ def relax_unconstrained(n: int, domain: PlotDomain, config: SolverConfig) -> Dot
     iterations = 0
     for _ in range(config.max_iterations):
         # x moves too, so the encoding-axis term cannot be precomputed here.
-        owner = _SiteAssigner(x, sites, config.metric).assign(y)
+        owner = _SiteAssigner(x, sites, config.metric, y).assign(y)
         new_x = _cell_update(owner, sites[:, 0], x, 1.0)
         new_y = _cell_update(owner, sites[:, 1], y, h)
         disp = max(float(np.max(np.abs(new_x - x))), float(np.max(np.abs(new_y - y))))

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import oracle_nearest_dot_scan, oracle_pairwise_min_distance
+from conftest import dense_assign, oracle_cost, oracle_nearest_dot_scan, oracle_pairwise_min_distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +15,8 @@ from bluedots import (
     SolverConfig,
     VoronoiAssignment,
     assign_sites,
+    automatic_height,
+    cost_estimate,
     estimate_density,
     jitter_init,
     lloyd_step,
@@ -97,6 +99,63 @@ class TestAssignSites:
         assert np.all((a.owner >= 0) & (a.owner < 16))
 
 
+# Multiples of 1/64: sums and differences are exact, so mirrored dots tie exactly.
+_grid = st.integers(-8, 72).map(lambda k: k / 64.0)
+
+
+@st.composite
+def assignment_inputs(draw):
+    """Dots with duplicate, constant or mirrored x, coincident dots, y outside
+    [0, h], n >= 1; sites on and off the dots; either metric."""
+    n = draw(st.integers(1, 12))
+    unit = st.one_of(_grid.map(lambda v: min(max(v, 0.0), 1.0)), st.floats(0.0, 1.0))
+    pool = draw(st.lists(unit, min_size=1, max_size=3))
+    x = draw(st.lists(st.one_of(st.sampled_from(pool), unit), min_size=n, max_size=n))
+    y = draw(st.lists(st.one_of(_grid.map(lambda v: v / 4), st.floats(-0.1, 0.3)), min_size=n, max_size=n))
+    if draw(st.booleans()):  # a coincident copy of dot 0 at a higher index
+        x[-1], y[-1] = x[0], y[0]
+    m = draw(st.integers(1, 48))
+    sx = draw(st.lists(unit, min_size=m, max_size=m))
+    sy = draw(st.lists(st.one_of(_grid.map(lambda v: v / 4), st.floats(-0.1, 0.3)), min_size=m, max_size=m))
+    if draw(st.booleans()):  # a site midway between two dots at equal y
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        y[j] = y[i]
+        sx[0], sy[0] = (x[i] + x[j]) / 2, draw(_grid.map(lambda v: v / 4))
+    if draw(st.booleans()):
+        spec = MetricSpec()
+    else:
+        spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=estimate_density(np.array(x)))
+    lay = DotLayout(x=np.array(x), y=np.array(y), domain=DOM)
+    return lay, np.column_stack([sx, sy]), spec
+
+
+class TestBandedExactness:
+    @given(assignment_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracles(self, inputs):
+        lay, sites, spec = inputs
+        owner = assign_sites(lay, sites, spec).owner
+        assert np.array_equal(owner, oracle_nearest_dot_scan(lay, sites, spec))
+        assert np.array_equal(owner, dense_assign(lay.x, lay.y, sites, spec)[0])
+        assert cost_estimate(lay, sites, spec) == pytest.approx(oracle_cost(lay, sites, spec), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["geyser", "tips", "iris"])
+    @pytest.mark.parametrize("warped", [False, True])
+    def test_relaxed_fixtures_bit_equal_to_dense(self, name, warped):
+        data = load_fixture(name)
+        xs, (lo, hi) = normalize(data)
+        dens = estimate_density(xs)
+        dom = PlotDomain(x_min=lo, x_max=hi, height=automatic_height(dens.d_max, xs.size, 0.01), radius=0.01)
+        spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens) if warped else MetricSpec()
+        final, trace = relax_traced(data, dom, SolverConfig(seed=1, max_iterations=10, metric=spec))
+        for lay in (trace.initial, final):
+            dist = np.empty(trace.sites.shape[0])
+            owner = _SiteAssigner(lay.x, trace.sites, spec, lay.y).assign(lay.y, dist)
+            want_owner, want_dist = dense_assign(lay.x, lay.y, trace.sites, spec)
+            assert np.array_equal(owner, want_owner)
+            assert dist.tobytes() == want_dist.tobytes()
+
+
 class TestSiteAssigner:
     @staticmethod
     def warped_inputs(n, m):
@@ -105,21 +164,43 @@ class TestSiteAssigner:
         sites = np.column_stack([rng.random(m), rng.random(m) * DOM.height])
         return x, sites, MetricSpec(kind=MetricKind.DENSITY_WARPED, density=estimate_density(x))
 
+    @staticmethod
+    def block_rows(assigner):
+        """Original site indices of every block, in block order."""
+        a = 0
+        for sy, cols, xp in assigner.blocks:
+            yield assigner.order[a : a + sy.shape[0]], cols, xp
+            a += sy.shape[0]
+
     def test_blockwise_xpart_matches_full_matrix(self):
-        x, sites, spec = self.warped_inputs(1024, 300)  # 128 sites per block: 3 blocks
+        x, sites, spec = self.warped_inputs(1024, 300)
         sx = sites[:, 0][:, None]
         full = spec.encoding_weight(x[None, :], sx) * np.abs(x[None, :] - sx)
-        assert np.array_equal(_SiteAssigner(x, sites, spec).xpart, full)
+        assigner = _SiteAssigner(x, sites, spec, np.array([0.0, DOM.height]))
+        assert len(assigner.blocks) > 1
+        for rows, cols, xp in self.block_rows(assigner):
+            assert np.all(np.diff(cols) > 0)  # ascending dot index: ties go low
+            assert np.array_equal(xp, full[np.ix_(rows, cols)])
+        assert sorted(np.concatenate([r for r, _, _ in self.block_rows(assigner)])) == list(range(300))
 
     def test_warped_build_holds_no_full_size_temporaries(self):
         x, sites, spec = self.warped_inputs(1024, 8192)
         tracemalloc.start()
         try:
-            assigner = _SiteAssigner(x, sites, spec)
+            assigner = _SiteAssigner(x, sites, spec, np.array([0.0, DOM.height]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * assigner.xpart.nbytes
+        assert peak < 1.5 * sum(xp.nbytes for _, _, xp in assigner.blocks)
+
+    def test_prunes_most_terms_on_geyser(self):
+        data = load_fixture("geyser")
+        xs, _ = normalize(data)
+        h = automatic_height(estimate_density(xs).d_max, xs.size, 0.01)
+        rng = np.random.default_rng(0)
+        sites = np.column_stack([rng.random(8192), rng.random(8192) * h])
+        assigner = _SiteAssigner(xs, sites, MetricSpec(), np.array([0.0, h]))
+        assert sum(xp.size for _, _, xp in assigner.blocks) <= 0.15 * sites.shape[0] * xs.size
 
 
 class TestLloydStep:
