@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import oracle_overlap
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bluedots import (
     DotLayout,
@@ -129,6 +131,21 @@ class TestOverlapMetric:
         rng = np.random.default_rng(5)
         lay = layout_of(rng.random(40), rng.random(40) * 0.05, radius=0.008)
         assert overlap_metric(lay) == pytest.approx(oracle_overlap(lay), abs=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_matches_scalar_oracle(self, data):
+        """Any n >= 1, with stacked (equal x) and duplicate dots and pairs at
+        every spacing around one diameter."""
+        n = data.draw(st.integers(1, 16))
+        near = st.integers(0, 40).map(lambda k: k / 1000.0)  # steps of r/10 (r = 0.01)
+        coord = st.one_of(near, st.floats(0.0, 0.04))
+        x = data.draw(st.lists(coord, min_size=n, max_size=n))
+        y = data.draw(st.lists(coord, min_size=n, max_size=n))
+        if n >= 2 and data.draw(st.booleans()):
+            x[1], y[1] = x[0], y[0]  # duplicate
+        lay = layout_of(x, y, radius=0.01)
+        assert overlap_metric(lay) == pytest.approx(oracle_overlap(lay), rel=1e-12, abs=0.0)
 
     def test_permutation_and_translation_invariant(self):
         rng = np.random.default_rng(6)
