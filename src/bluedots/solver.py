@@ -108,7 +108,9 @@ class _SiteAssigner:
 
     def __init__(self, x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray):
         n, m = x.size, sites.shape[0]
-        self.order = np.argsort(sites[:, 0], kind="stable")
+        # Sort order among equal keys never matters: sites are scattered
+        # back by index, and each block's dots are re-sorted by index.
+        self.order = np.argsort(sites[:, 0])
         sx = sites[self.order, 0]
         sy = sites[self.order, 1]
         self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -116,7 +118,7 @@ class _SiteAssigner:
             self._buf = np.empty(0)
             return
         delta = max(float(sy.max()) - float(np.min(y_range)), float(np.max(y_range)) - float(sy.min()))
-        by_x = np.argsort(x, kind="stable")
+        by_x = np.argsort(x)
         x_sorted = x[by_x]
 
         def xpart(xd, s):
@@ -124,10 +126,10 @@ class _SiteAssigner:
             np.abs(xp, out=xp)
             return np.multiply(metric.encoding_weight(xd, s), xp, out=xp)
 
-        # Bound per site from its two x-neighbours: R = fl(xp_j + delta).
+        # Bound per site from its nearest dot in x: R = fl(xp_j + delta).
         pos = np.searchsorted(x_sorted, sx)
-        near = by_x[np.clip(np.stack([pos - 1, pos]), 0, n - 1)]
-        reach = np.minimum(xpart(x[near[0]], sx), xpart(x[near[1]], sx)) + delta
+        left, right = x_sorted[np.maximum(pos - 1, 0)], x_sorted[np.minimum(pos, n - 1)]
+        reach = xpart(np.where(sx - left <= right - sx, left, right), sx) + delta
         # Covers the rounding of fl|x - s_x| and of the window ends.
         tol = 8 * np.finfo(np.float64).eps * (
             np.abs(x_sorted[[0, -1]]).max() + np.abs(sx[[0, -1]]).max() + reach.max()
@@ -148,7 +150,6 @@ class _SiteAssigner:
                 break
             size = max(1, min(size - 1, size * _CHUNK_ELEMENTS // terms))
 
-        width = 0
         for a, b, first, last in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
             cols = np.sort(by_x[first:last])
             s = sx[a:b, None]
@@ -157,8 +158,7 @@ class _SiteAssigner:
             if not keep.all():
                 cols, xp = cols[keep], np.compress(keep, xp, axis=1)
             self.blocks.append((sy[a:b, None], cols, xp))
-            width = max(width, xp.size)
-        self._buf = np.empty(width)
+        self._buf = np.empty(max(xp.size for _, _, xp in self.blocks))
 
     def assign(self, y: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
         """Owner of every site; ties go to the lowest dot index. If ``dist``
