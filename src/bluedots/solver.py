@@ -15,7 +15,10 @@ most delta (the height, or the initial y's span), a dot whose encoding term
 w*|dx| exceeds the smallest one by more than delta is strictly farther than
 that dot whatever the y. Each block of x-sorted sites is scored only against
 its candidate window of dots, with the dense search's owners and distances
-bit for bit (see ``_SiteAssigner``).
+bit for bit (see ``_SiteAssigner``). Every iteration narrows the wide
+windows further: the distance from a site to its previous owner under the
+current y bounds its nearest distance, so only dots whose encoding term is
+within that bound are scored.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +35,12 @@ from .density import height_profile
 
 # Most distance terms one site block holds; keeps the working block cache-sized.
 _CHUNK_ELEMENTS = 131072
+# Blocks storing at least this many dots are narrowed on every call ...
+_WIDE = 256
+# ... with a bound from the first _PROBE stored dots when no owners are
+# given, and cut at a multiple of _CUT_STRIDE stored dots.
+_PROBE = 64
+_CUT_STRIDE = 16
 
 
 @dataclass(frozen=True)
@@ -85,6 +94,19 @@ def _as_sites(sites) -> np.ndarray:
     return sites
 
 
+class _Block(NamedTuple):
+    """x-sorted sites ``s`` (a column of their y) with their stored dots
+    ``cols`` and terms ``xp`` (one row per site). A wide block stores its
+    dots in ascending order of their smallest term over the block's sites,
+    held in ``cut``; a narrow one stores them in ascending index, ``cut``
+    None."""
+
+    s: np.ndarray
+    cols: np.ndarray
+    xp: np.ndarray
+    cut: np.ndarray | None
+
+
 class _SiteAssigner:
     """Exact nearest-dot search that scores each block of sites only against
     the dots that can own one of its sites.
@@ -92,8 +114,8 @@ class _SiteAssigner:
     Built once for fixed dot x and sites, and for a bound ``delta`` on every
     |s_y - y| it will see: ``y_range`` holds values whose range covers every
     dot y it is asked about. Sites are sorted by x into consecutive blocks;
-    each block stores its candidate dots in ascending index order together
-    with their precomputed encoding-axis terms w*|dx|.
+    each block stores its candidate dots together with their precomputed
+    encoding-axis terms w*|dx|.
 
     A site's distance to dot i is fl(fl|s_y - y_i| + xp_i) with
     xp_i = fl(w * fl|x_i - s_x|), which lies in [xp_i, fl(xp_i + delta)].
@@ -101,19 +123,34 @@ class _SiteAssigner:
     than the dot with the smallest xp: it can neither own the site nor tie
     for it. Because w >= 1, such dots include every dot with
     fl|x_i - s_x| > fl(xp_j + delta) for any j; the rest form a contiguous
-    x-window, found by binary search and trimmed exactly. The argmin over a
-    block's columns then gives the dense search's owner and distance bit for
-    bit, ties going to the lowest dot index.
+    x-window, found by binary search and trimmed exactly.
+
+    A narrow block stores its dots in ascending index, so ``argmin`` over
+    them gives the lowest index among tied dots. A wide block (at least
+    ``_WIDE`` stored dots) stores them by their smallest term over its
+    sites instead, and each call scores only a prefix of them. The distance
+    D from a site to any one dot under the current y, computed exactly as
+    the search computes it, bounds the site's nearest distance, and a dot
+    whose term exceeds D is strictly farther than that dot. The one dot is
+    the site's owner in ``prev`` when given (the previous iteration's), else
+    its nearest among the block's first ``_PROBE`` stored dots. So every dot
+    whose smallest term exceeds the block's largest D can be dropped, and
+    the prefix ends at the first multiple of ``_CUT_STRIDE`` past the kept
+    ones. Ties, now out of index order, go to the lowest index among the
+    dots at the row minimum. Owners and distances are the dense search's
+    bit for bit, ties going to the lowest dot index.
     """
 
     def __init__(self, x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray):
         n, m = x.size, sites.shape[0]
+        self.metric = metric
         # Sort order among equal keys never matters: sites are scattered
-        # back by index, and each block's dots are re-sorted by index.
+        # back by index, and each block's dots are re-sorted.
         self.order = np.argsort(sites[:, 0])
-        sx = sites[self.order, 0]
-        sy = sites[self.order, 1]
-        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.x = x
+        self.sx = sx = sites[self.order, 0]
+        self.sy = sy = sites[self.order, 1]
+        self.blocks: list[_Block] = []
         if m == 0:  # no sites: nothing to own
             self._buf = np.empty(0)
             return
@@ -121,15 +158,10 @@ class _SiteAssigner:
         by_x = np.argsort(x)
         x_sorted = x[by_x]
 
-        def xpart(xd, s):
-            xp = np.subtract(xd, s)
-            np.abs(xp, out=xp)
-            return np.multiply(metric.encoding_weight(xd, s), xp, out=xp)
-
         # Bound per site from its nearest dot in x: R = fl(xp_j + delta).
         pos = np.searchsorted(x_sorted, sx)
         left, right = x_sorted[np.maximum(pos - 1, 0)], x_sorted[np.minimum(pos, n - 1)]
-        reach = xpart(np.where(sx - left <= right - sx, left, right), sx) + delta
+        reach = self._xpart(np.where(sx - left <= right - sx, left, right), sx) + delta
         # Covers the rounding of fl|x - s_x| and of the window ends.
         tol = 8 * np.finfo(np.float64).eps * (
             np.abs(x_sorted[[0, -1]]).max() + np.abs(sx[[0, -1]]).max() + reach.max()
@@ -149,34 +181,74 @@ class _SiteAssigner:
             if size == 1 or terms <= _CHUNK_ELEMENTS:
                 break
             size = max(1, min(size - 1, size * _CHUNK_ELEMENTS // terms))
+        self.starts = starts
 
         for a, b, first, last in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
             cols = np.sort(by_x[first:last])
-            s = sx[a:b, None]
-            xp = xpart(x[cols], s)
-            keep = (xp <= (xp.min(axis=1) + delta)[:, None]).any(axis=0)
-            if not keep.all():
-                cols, xp = cols[keep], np.compress(keep, xp, axis=1)
-            self.blocks.append((sy[a:b, None], cols, xp))
-        self._buf = np.empty(max(xp.size for _, _, xp in self.blocks))
+            xp = self._xpart(x[cols], sx[a:b, None])
+            keep = np.flatnonzero((xp <= (xp.min(axis=1) + delta)[:, None]).any(axis=0))
+            cut = None
+            if keep.size >= _WIDE:
+                low = xp.min(axis=0)[keep]
+                by_low = np.argsort(low)
+                keep, cut = keep[by_low], low[by_low][::_CUT_STRIDE].copy()
+            if cut is not None or keep.size < cols.size:
+                cols, xp = cols[keep], xp.take(keep, axis=1)
+            self.blocks.append(_Block(sy[a:b, None], cols, xp, cut))
+        self._buf = np.empty(max(blk.xp.size for blk in self.blocks))
+        self._ties = np.empty(self._buf.size, dtype=bool)
+        self._wide = any(blk.cut is not None for blk in self.blocks)
 
-    def assign(self, y: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
+    def _xpart(self, xd, s):
+        xp = np.subtract(xd, s)
+        np.abs(xp, out=xp)
+        return np.multiply(self.metric.encoding_weight(xd, s), xp, out=xp)
+
+    def _scores(self, s, cols, xp, y):
+        """|s_y - y| + xp for a block's rows against ``cols``, in the scratch buffer."""
+        buf = self._buf[: xp.size].reshape(xp.shape)
+        np.subtract(s, y[cols], out=buf)
+        np.abs(buf, out=buf)
+        buf += xp
+        return buf
+
+    def assign(self, y: np.ndarray, dist: np.ndarray | None = None, prev: np.ndarray | None = None) -> np.ndarray:
         """Owner of every site; ties go to the lowest dot index. If ``dist``
-        is given, the owner's metric distance is written into it."""
+        is given, the owner's metric distance is written into it. ``prev``
+        may give any dot per site, in practice its previous owner; it only
+        narrows the search, never changes its result."""
         m = self.order.size
         owner = np.empty(m, dtype=np.intp)
         best = np.empty(m) if dist is not None else None
+        bound = None
+        if self._wide and prev is not None:
+            p = prev[self.order]
+            bound = np.abs(self.sy - y[p])
+            bound += self._xpart(self.x[p], self.sx)
+            bound = np.maximum.reduceat(bound, self.starts).tolist()
         a = 0
-        for s, cols, xp in self.blocks:
+        for i, (s, cols, xp, cut) in enumerate(self.blocks):
             b = a + s.shape[0]
-            buf = self._buf[: xp.size].reshape(xp.shape)
-            np.subtract(s, y[cols], out=buf)
-            np.abs(buf, out=buf)
-            buf += xp
+            if cut is not None:
+                if bound is None:  # no owners given: the dots nearest in x bound the sites
+                    lim = float(self._scores(s, cols[:_PROBE], xp[:, :_PROBE], y).min(axis=1).max())
+                else:
+                    lim = bound[i]
+                k = min(_CUT_STRIDE * int(np.searchsorted(cut, lim, side="right")), cols.size)
+                cols, xp = cols[:k], xp[:, :k]
+            buf = self._scores(s, cols, xp, y)
             j = buf.argmin(axis=1)
             owner[a:b] = cols[j]
-            if best is not None:
-                best[a:b] = buf[np.arange(b - a), j]
+            if best is not None or cut is not None:
+                d = buf[np.arange(b - a), j]
+                if best is not None:
+                    best[a:b] = d
+            if cut is not None:
+                # Stored out of index order: the lowest index among tied dots.
+                ties = np.equal(buf, d[:, None], out=self._ties[: buf.size].reshape(buf.shape))
+                if np.count_nonzero(ties) > b - a:
+                    tied = np.flatnonzero(np.count_nonzero(ties, axis=1) > 1)
+                    owner[a + tied] = np.where(ties[tied], cols, np.iinfo(np.intp).max).min(axis=1)
             a = b
         out = np.empty(m, dtype=np.intp)
         out[self.order] = owner
@@ -275,10 +347,12 @@ def _relax_groups(xs, y0, sites, groups, h: float, config: SolverConfig) -> tupl
     # Every y the loop sees is y0 or clamped to [0, h].
     y_range = np.append(y, [0.0, h])
     assigners = [_SiteAssigner(xs[idx], sites, config.metric, y_range) for idx in groups]
+    owners = [None] * len(groups)
     for iterations in range(1, config.max_iterations + 1):
-        for idx, assigner in zip(groups, assigners):
+        for g, (idx, assigner) in enumerate(zip(groups, assigners)):
             old = y[idx]
-            new = _cell_update(assigner.assign(old), site_y, old, h)
+            owners[g] = assigner.assign(old, prev=owners[g])
+            new = _cell_update(owners[g], site_y, old, h)
             y[idx] = new
         if float(np.max(np.abs(new - old))) < config.convergence_eps * h:
             break

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from bluedots import (
     relax_traced,
     relax_unconstrained,
 )
+from bluedots import solver
 from bluedots.solver import _class_schedule, _SiteAssigner
 
 DOM = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
@@ -139,6 +141,57 @@ class TestBandedExactness:
         assert np.array_equal(owner, dense_assign(lay.x, lay.y, sites, spec)[0])
         assert cost_estimate(lay, sites, spec) == pytest.approx(oracle_cost(lay, sites, spec), rel=1e-12, abs=0.0)
 
+    @given(assignment_inputs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tightened_blocks_match_oracles(self, inputs, data):
+        """Every block on the tightened path, its prefix cut finely enough
+        to bite, with no owners given or with arbitrary ones."""
+        lay, sites, spec = inputs
+        m, n = sites.shape[0], len(lay)
+        prev = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.intp)
+        stride = data.draw(st.sampled_from([1, 2, 16]))
+        probe = data.draw(st.sampled_from([1, 2, 64]))
+        with patch.multiple(solver, _WIDE=1, _CUT_STRIDE=stride, _PROBE=probe):
+            assigner = _SiteAssigner(lay.x, sites, spec, lay.y)
+            assert all(blk.cut is not None for blk in assigner.blocks)
+            want_owner, want_dist = dense_assign(lay.x, lay.y, sites, spec)
+            assert np.array_equal(want_owner, oracle_nearest_dot_scan(lay, sites, spec))
+            for owners in (None, prev):
+                dist = np.empty(m)
+                assert np.array_equal(assigner.assign(lay.y, dist, owners), want_owner)
+                assert dist.tobytes() == want_dist.tobytes()
+
+    @pytest.mark.parametrize("warped", [False, True])
+    def test_relax_trajectory_with_wide_blocks_bit_equal_to_dense(self, monkeypatch, warped):
+        """Five iterations at n = 1024, where the loop passes each iteration's
+        owners to the next and both block kinds occur."""
+        rng = np.random.default_rng(4)
+        values = np.where(rng.random(1024) < 0.5, rng.normal(55.0, 7.0, 1024), rng.normal(80.0, 7.0, 1024))
+        data = DataSet(values=values)
+        xs, (lo, hi) = normalize(data)
+        dens = estimate_density(xs)
+        dom = PlotDomain(x_min=lo, x_max=hi, height=automatic_height(dens.d_max, xs.size, 0.01), radius=0.01)
+        spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens) if warped else MetricSpec()
+        calls = []
+        assign = _SiteAssigner.assign
+
+        def recording(self, y, dist=None, prev=None):
+            assert {blk.cut is None for blk in self.blocks} == {True, False}
+            d = np.empty(self.order.size)
+            owner = assign(self, y, d, prev)
+            calls.append((y.copy(), prev is not None, owner, d))
+            return owner
+
+        monkeypatch.setattr(_SiteAssigner, "assign", recording)
+        config = SolverConfig(seed=2, max_iterations=5, convergence_eps=0.0, metric=spec)
+        _, trace = relax_traced(data, dom, config)
+        assert [given_prev for _, given_prev, _, _ in calls] == [False, True, True, True, True]
+        for y, _, owner, dist in calls:
+            # Dense reference in chunks of sites, to keep its (m, n) temporaries small.
+            chunks = [dense_assign(xs, y, part, spec) for part in np.array_split(trace.sites, 8)]
+            assert np.array_equal(owner, np.concatenate([o for o, _ in chunks]))
+            assert dist.tobytes() == np.concatenate([d for _, d in chunks]).tobytes()
+
     @pytest.mark.parametrize("name", ["geyser", "tips", "iris"])
     @pytest.mark.parametrize("warped", [False, True])
     def test_relaxed_fixtures_bit_equal_to_dense(self, name, warped):
@@ -166,11 +219,11 @@ class TestSiteAssigner:
 
     @staticmethod
     def block_rows(assigner):
-        """Original site indices of every block, in block order."""
+        """Original site indices of every block, with the block, in block order."""
         a = 0
-        for sy, cols, xp in assigner.blocks:
-            yield assigner.order[a : a + sy.shape[0]], cols, xp
-            a += sy.shape[0]
+        for blk in assigner.blocks:
+            yield assigner.order[a : a + blk.s.shape[0]], blk
+            a += blk.s.shape[0]
 
     def test_blockwise_xpart_matches_full_matrix(self):
         x, sites, spec = self.warped_inputs(1024, 300)
@@ -178,10 +231,19 @@ class TestSiteAssigner:
         full = spec.encoding_weight(x[None, :], sx) * np.abs(x[None, :] - sx)
         assigner = _SiteAssigner(x, sites, spec, np.array([0.0, DOM.height]))
         assert len(assigner.blocks) > 1
-        for rows, cols, xp in self.block_rows(assigner):
-            assert np.all(np.diff(cols) > 0)  # ascending dot index: ties go low
-            assert np.array_equal(xp, full[np.ix_(rows, cols)])
-        assert sorted(np.concatenate([r for r, _, _ in self.block_rows(assigner)])) == list(range(300))
+        kinds = set()
+        for rows, blk in self.block_rows(assigner):
+            assert np.array_equal(blk.xp, full[np.ix_(rows, blk.cols)])
+            if blk.cut is None:  # narrow: ascending dot index, so argmin ties go low
+                assert np.all(np.diff(blk.cols) > 0)
+            else:  # wide: distinct dots by ascending smallest term, sampled into cut
+                assert np.unique(blk.cols).size == blk.cols.size
+                low = blk.xp.min(axis=0)
+                assert np.all(np.diff(low) >= 0)
+                assert np.array_equal(blk.cut, low[::solver._CUT_STRIDE])
+            kinds.add(blk.cut is None)
+        assert kinds == {True, False}
+        assert sorted(np.concatenate([r for r, _ in self.block_rows(assigner)])) == list(range(300))
 
     def test_warped_build_holds_no_full_size_temporaries(self):
         x, sites, spec = self.warped_inputs(1024, 8192)
@@ -191,7 +253,7 @@ class TestSiteAssigner:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * sum(xp.nbytes for _, _, xp in assigner.blocks)
+        assert peak < 1.5 * sum(blk.xp.nbytes for blk in assigner.blocks)
 
     def test_prunes_most_terms_on_geyser(self):
         data = load_fixture("geyser")
@@ -200,7 +262,7 @@ class TestSiteAssigner:
         rng = np.random.default_rng(0)
         sites = np.column_stack([rng.random(8192), rng.random(8192) * h])
         assigner = _SiteAssigner(xs, sites, MetricSpec(), np.array([0.0, h]))
-        assert sum(xp.size for _, _, xp in assigner.blocks) <= 0.15 * sites.shape[0] * xs.size
+        assert sum(blk.xp.size for blk in assigner.blocks) <= 0.15 * sites.shape[0] * xs.size
 
 
 class TestLloydStep:
