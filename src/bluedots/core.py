@@ -170,8 +170,12 @@ class MetricSpec:
         """Weight applied to |x1 - x2| in the metric, elementwise."""
         if self.kind is MetricKind.UNIFORM:
             return np.broadcast_to(np.float64(2.0), np.broadcast_shapes(np.shape(x1), np.shape(x2)))
-        ref = (np.asarray(x1, dtype=np.float64) + np.asarray(x2, dtype=np.float64)) / 2.0
-        return 1.0 + self.density.evaluate(ref) / self.density.d_max
+        ref = np.add(x1, x2, dtype=np.float64)
+        ref /= 2.0
+        w = self.density.evaluate(ref)
+        w /= self.density.d_max
+        w += 1.0
+        return w
 
 
 def _check_range(x_min: float, x_max: float) -> None:

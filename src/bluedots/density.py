@@ -44,15 +44,21 @@ class DensityEstimate:
             raise ValueError("d_max must be positive")
         object.__setattr__(self, "grid", _readonly(grid))
         object.__setattr__(self, "values", _readonly(values))
+        # Per-cell slope v[i + 1] - v[i] of the interpolation.
+        object.__setattr__(self, "_slope", _readonly(values[1:] - values[:-1]))
 
     def evaluate(self, x) -> np.ndarray:
-        """Linearly interpolated density at x (scalar or array), clamped to [0, 1]."""
-        x = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
-        t = x * (GRID_SIZE - 1)
-        i0 = np.minimum(t.astype(np.intp), GRID_SIZE - 2)
-        frac = t - i0
-        v = self.values
-        return v[i0] + (v[i0 + 1] - v[i0]) * frac
+        """Linearly interpolated density at x (scalar or array), clamped to
+        [0, 1]: v[i] + (v[i + 1] - v[i]) * frac, computed in one buffer."""
+        t = np.array(x, dtype=np.float64)
+        np.clip(t, 0.0, 1.0, out=t)
+        t *= GRID_SIZE - 1
+        i0 = t.astype(np.intp)
+        np.minimum(i0, GRID_SIZE - 2, out=i0)
+        t -= i0
+        t *= self._slope[i0]
+        t += self.values[i0]
+        return t if t.ndim else t[()]
 
 
 def silverman_bandwidth(xs: np.ndarray) -> float:

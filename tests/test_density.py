@@ -110,6 +110,32 @@ class TestEstimateDensity:
             0.5 * (est.values[10] + est.values[11])
         )
 
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+        st.lists(st.one_of(st.floats(-2.0, 3.0), st.sampled_from([0.0, 1.0, 0.5, 1e-300, -0.0])),
+                 min_size=1, max_size=64),
+        st.sampled_from(["array", "float", "numpy scalar", "0-d array"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_evaluate_bit_equal_to_reference_formula(self, sample, queries, form):
+        est = estimate_density(np.array(sample))
+        x = {
+            "array": np.array(queries),
+            "float": queries[0],
+            "numpy scalar": np.float64(queries[0]),
+            "0-d array": np.array(queries[0]),
+        }[form]
+        # The formula evaluate implements, with its temporaries spelled out.
+        t = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0) * (GRID_SIZE - 1)
+        i0 = np.minimum(t.astype(np.intp), GRID_SIZE - 2)
+        v = est.values
+        want = v[i0] + (v[i0 + 1] - v[i0]) * (t - i0)
+        got = est.evaluate(x)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        if form == "array":
+            assert np.array_equal(x, np.array(queries))  # the input is not modified
+
 
 class TestAutomaticHeight:
     def test_direct_formula(self):
