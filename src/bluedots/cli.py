@@ -161,6 +161,10 @@ def cmd_plot(args) -> int:
 
 
 def cmd_analyze_spectrum(args) -> int:
+    if args.kmax < 8:
+        raise CliError(f"--kmax must be at least 8, got {args.kmax}")
+    if args.realizations < 1:
+        raise CliError(f"--realizations must be at least 1, got {args.realizations}")
     data = load_csv(args.input, args.column, None)
     xs, domain, dens = _resolve_setup(data, args.radius, args.height)
     config = _solver_config(args, len(data))

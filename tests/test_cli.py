@@ -12,6 +12,7 @@ from bluedots import (
     normalize,
     power_spectrum,
 )
+from bluedots import cli
 from bluedots.cli import CliError, load_csv, load_layout, main
 from bluedots.datasets import fixture_path
 
@@ -258,6 +259,23 @@ class TestCmdAnalyze:
         assert code == 0
         header, row = (tmp_path / "l2_summary.csv").read_text().strip().split("\n")
         assert "lloyd2d" in row
+
+    @pytest.mark.parametrize("args, message", [
+        (["--kmax", "4", "--realizations", "20"], "--kmax must be at least 8"),
+        (["--realizations", "0"], "--realizations must be at least 1"),
+    ])
+    def test_bad_spectrum_arguments_rejected_before_any_layout(
+        self, tmp_path, capsys, monkeypatch, args, message
+    ):
+        def no_layout(*_args, **_kwargs):
+            raise AssertionError("a layout was computed before the arguments were checked")
+
+        monkeypatch.setattr(cli, "_make_layout", no_layout)
+        code = main(["analyze", "spectrum", "--input", GEYSER, "--column", "waiting",
+                     *args, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestLayoutRoundTrip:
