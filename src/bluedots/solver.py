@@ -147,10 +147,10 @@ class _SiteAssigner:
         # Sort order among equal keys never matters: sites are scattered
         # back by index, and each block's dots are re-sorted.
         self.order = np.argsort(sites[:, 0])
-        self.x = x
-        self.sx = sx = sites[self.order, 0]
-        self.sy = sy = sites[self.order, 1]
+        sx = sites[self.order, 0]
+        sy = sites[self.order, 1]
         self.blocks: list[_Block] = []
+        self.wide = False
         if m == 0:  # no sites: nothing to own
             self._buf = np.empty(0)
             return
@@ -196,8 +196,10 @@ class _SiteAssigner:
                 cols, xp = cols[keep], xp.take(keep, axis=1)
             self.blocks.append(_Block(sy[a:b, None], cols, xp, cut))
         self._buf = np.empty(max(blk.xp.size for blk in self.blocks))
-        self._ties = np.empty(self._buf.size, dtype=bool)
-        self._wide = any(blk.cut is not None for blk in self.blocks)
+        self.wide = any(blk.cut is not None for blk in self.blocks)
+        if self.wide:  # kept for narrowing the wide blocks on every call
+            self.x, self.sx, self.sy = x, sx, sy
+            self._ties = np.empty(self._buf.size, dtype=bool)
 
     def _xpart(self, xd, s):
         xp = np.subtract(xd, s)
@@ -221,7 +223,7 @@ class _SiteAssigner:
         owner = np.empty(m, dtype=np.intp)
         best = np.empty(m) if dist is not None else None
         bound = None
-        if self._wide and prev is not None:
+        if self.wide and prev is not None:
             p = prev[self.order]
             bound = np.abs(self.sy - y[p])
             bound += self._xpart(self.x[p], self.sx)
@@ -347,12 +349,15 @@ def _relax_groups(xs, y0, sites, groups, h: float, config: SolverConfig) -> tupl
     # Every y the loop sees is y0 or clamped to [0, h].
     y_range = np.append(y, [0.0, h])
     assigners = [_SiteAssigner(xs[idx], sites, config.metric, y_range) for idx in groups]
+    # Each group's previous owners, kept where they narrow the next search.
     owners = [None] * len(groups)
     for iterations in range(1, config.max_iterations + 1):
         for g, (idx, assigner) in enumerate(zip(groups, assigners)):
             old = y[idx]
-            owners[g] = assigner.assign(old, prev=owners[g])
-            new = _cell_update(owners[g], site_y, old, h)
+            owner = assigner.assign(old, prev=owners[g])
+            if assigner.wide:
+                owners[g] = owner
+            new = _cell_update(owner, site_y, old, h)
             y[idx] = new
         if float(np.max(np.abs(new - old))) < config.convergence_eps * h:
             break
