@@ -232,7 +232,7 @@ class _SiteAssigner:
         for i, (s, cols, xp, cut) in enumerate(self.blocks):
             b = a + s.shape[0]
             if cut is not None:
-                if bound is None:  # no owners given: the dots nearest in x bound the sites
+                if bound is None:  # no owners given: the first stored dots bound the sites
                     lim = float(self._scores(s, cols[:_PROBE], xp[:, :_PROBE], y).min(axis=1).max())
                 else:
                     lim = bound[i]
