@@ -16,6 +16,9 @@ import numpy as np
 from .core import DotLayout, MetricSpec, _readonly
 from .solver import _SiteAssigner, _as_sites, _cell_means
 
+# Smallest frequency cutoff a spectrum is computed for.
+MIN_KMAX = 8
+
 
 @dataclass(frozen=True)
 class SpectrumGrid:
@@ -59,8 +62,8 @@ def power_spectrum(realizations: Sequence[DotLayout], k_max: int) -> SpectrumGri
 
     Per realization, P(k) = |sum_j exp(-2*pi*i * k . p_j)|^2 / n.
     """
-    if k_max < 8:
-        raise ValueError("k_max must be at least 8")
+    if k_max < MIN_KMAX:
+        raise ValueError(f"k_max must be at least {MIN_KMAX}")
     if not realizations:
         raise ValueError("need at least one realization")
     n = len(realizations[0])

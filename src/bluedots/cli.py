@@ -35,6 +35,7 @@ from .solver import (
     relax_unconstrained,
 )
 from .analysis import (
+    MIN_KMAX,
     high_band_mean,
     low_band_mean,
     mean_power,
@@ -161,8 +162,8 @@ def cmd_plot(args) -> int:
 
 
 def cmd_analyze_spectrum(args) -> int:
-    if args.kmax < 8:
-        raise CliError(f"--kmax must be at least 8, got {args.kmax}")
+    if args.kmax < MIN_KMAX:
+        raise CliError(f"--kmax must be at least {MIN_KMAX}, got {args.kmax}")
     if args.realizations < 1:
         raise CliError(f"--realizations must be at least 1, got {args.realizations}")
     data = load_csv(args.input, args.column, None)
