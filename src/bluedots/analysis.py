@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DotLayout, MetricSpec, _readonly
-from .solver import _SiteAssigner, _as_sites, _cell_means
+from .solver import _as_sites, _cell_means, _site_assigner
 
 # Smallest frequency cutoff a spectrum is computed for.
 MIN_KMAX = 8
@@ -151,7 +151,7 @@ def cost_estimate(layout: DotLayout, sites, metric: MetricSpec) -> float:
     from the dot to the sites in its cell. Empty cells contribute zero."""
     sites = _as_sites(sites)
     dist = np.empty(sites.shape[0])
-    owner = _SiteAssigner(layout.x, sites, metric, layout.y).assign(layout.y, dist)
+    owner = _site_assigner(layout.x, sites, metric, layout.y).assign(layout.y, dist)
     counts, means = _cell_means(owner, dist, len(layout))
     return float(means[counts > 0].sum())
 

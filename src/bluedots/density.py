@@ -18,6 +18,8 @@ GRID_SIZE = 512
 # Smallest bandwidth we allow: one grid cell. Guards against zero-spread
 # samples where Silverman's rule collapses.
 BANDWIDTH_FLOOR = 1.0 / GRID_SIZE
+# Grid rows whose kernel values estimate_density holds at once.
+_KDE_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -90,11 +92,23 @@ def estimate_density(xs, bandwidth: Optional[float] = None) -> DensityEstimate:
     bw = float(bandwidth)
 
     grid = np.linspace(0.0, 1.0, GRID_SIZE)
-    # Direct summation over the sample plus its reflections at 0 and 1.
+    # Direct summation over the sample plus its reflections at 0 and 1, a
+    # few grid rows at a time in reused buffers: each row's kernel values
+    # and their sum are the ones the full (grid, sources) matrix would give.
     sources = np.concatenate([xs, -xs, 2.0 - xs])
-    z = (grid[:, None] - sources[None, :]) / bw
-    kernel = np.exp(-0.5 * z * z)
-    values = kernel.sum(axis=1) / (xs.size * bw * np.sqrt(2.0 * np.pi))
+    sums = np.empty(GRID_SIZE)
+    z = np.empty((_KDE_ROWS, sources.size))
+    k = np.empty_like(z)
+    for a in range(0, GRID_SIZE, _KDE_ROWS):
+        b = min(a + _KDE_ROWS, GRID_SIZE)
+        zc, kc = z[: b - a], k[: b - a]
+        np.subtract(grid[a:b, None], sources, out=zc)
+        zc /= bw
+        np.multiply(-0.5, zc, out=kc)
+        kc *= zc
+        np.exp(kc, out=kc)
+        kc.sum(axis=1, out=sums[a:b])
+    values = sums / (xs.size * bw * np.sqrt(2.0 * np.pi))
     return DensityEstimate(
         grid=grid,
         values=values,

@@ -8,21 +8,26 @@ Only the vertical coordinate ever changes; the horizontal one is the data.
 Single-class and multiclass relaxation are one loop over a schedule of dot
 index groups: ``[all dots]`` for one class, every class and class union for
 several. Sites are drawn once per run, so the Monte Carlo cost estimate has a
-fixed objective across iterations. Because x is frozen, the encoding-axis
-part of every dot-to-site distance is constant for the whole run and is
-precomputed, and so is which dots can own which sites: with every |dy| at
-most delta (the height, or the initial y's span), a dot whose encoding term
-w*|dx| exceeds the smallest one by more than delta is strictly farther than
-that dot whatever the y. Each block of x-sorted sites is scored only against
-its candidate window of dots, with the dense search's owners and distances
-bit for bit (see ``_SiteAssigner``). Every iteration narrows the wide
-windows further: the distance from a site to its previous owner under the
-current y bounds its nearest distance, so only dots whose encoding term is
-within that bound are scored.
+fixed objective across iterations.
+
+The nearest-dot search is exact: its owners and distances are the dense
+(m, n) search's bit for bit, ties going to the lowest dot index. It comes in
+two forms, and ``_site_assigner`` picks one per dot group. Because x is
+frozen, the encoding-axis term w*|dx| of every dot-to-site distance is
+constant for the whole run, and so is which dots can own which sites: with
+every |dy| at most delta (the height, or the initial y's span), a dot whose
+term exceeds the smallest one by more than delta is strictly farther than
+that dot whatever the y. Where those candidate windows are narrow, blocks of
+x-sorted sites store their windows' terms once (``_BandAssigner``). At large
+n with the auto height they span most dots and the store grows as m*n, so
+there a grid search scores each site only against the dots within its
+distance to a known dot (``_GridAssigner``): a few dots per site once the
+layout settles, and nothing of size m*n is stored.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -33,17 +38,24 @@ import numpy as np
 from .core import DataSet, DotLayout, MetricKind, MetricSpec, PlotDomain, _class_order, _readonly
 from .density import height_profile
 
-# Most distance terms one site block holds; keeps the working block cache-sized.
+# Most distance terms one band block stores, and about the most (site, dot)
+# pairs and (site, column) ranges the grid search holds at once; keeps each
+# working set cache-sized and the search's memory O(m + n).
 _CHUNK_ELEMENTS = 131072
-# Blocks storing at least _WIDE dots are narrowed on every call, with a bound
-# from the first _PROBE stored dots when no owners are given, and cut at a
-# multiple of _CUT_STRIDE stored dots. Narrower blocks keep index order and
-# plain argmin, cheaper where there is little to narrow: the fixtures' blocks
-# hold at most 73 dots, n = 4096 bimodal's 1,416-4,020, and the threshold
-# only has to separate the two.
+# A dot group whose band would have a block spanning at least _WIDE dots
+# goes to the grid search. The threshold only has to separate the measured
+# sizes: fixture windows span at most 111 dots and run 2-2.5x slower on the
+# grid, while on bimodal data at the auto height the grid search is level
+# with the band at n = 640, the first size the threshold sends to it, and
+# ahead from n = 768 (see CHANGES.md).
 _WIDE = 256
-_PROBE = 64
-_CUT_STRIDE = 16
+# The grid search buckets the dots into about _CELLS_PER_DOT cells per dot,
+# each _CELL_ASPECT times as wide as tall in metric units: fewer columns mean
+# fewer (site, column) ranges, shorter rows cut each range closer to the
+# site's reach. Aspect 8 ran 10-15% faster than square-per-dot columns
+# (aspect 4) at n = 4096 and 16384 bimodal.
+_CELLS_PER_DOT = 4
+_CELL_ASPECT = 8
 
 
 @dataclass(frozen=True)
@@ -97,169 +109,295 @@ def _as_sites(sites) -> np.ndarray:
     return sites
 
 
+def _xpart(metric: MetricSpec, xd, s) -> np.ndarray:
+    """The encoding-axis term fl(w * fl|xd - s|) of the metric distance."""
+    xp = np.subtract(xd, s)
+    np.abs(xp, out=xp)
+    return np.multiply(metric.encoding_weight(xd, s), xp, out=xp)
+
+
 class _Block(NamedTuple):
-    """x-sorted sites ``s`` (a column of their y) with their stored dots
-    ``cols`` and terms ``xp`` (one row per site). A wide block stores its
-    dots in ascending order of their smallest term over the block's sites,
-    held in ``cut``; a narrow one stores them in ascending index, ``cut``
-    None."""
+    """x-sorted sites ``s`` (a column of their y) with their candidate dots
+    ``cols``, in ascending index, and terms ``xp`` (one row per site)."""
 
     s: np.ndarray
     cols: np.ndarray
     xp: np.ndarray
-    cut: np.ndarray | None
 
 
-class _SiteAssigner:
-    """Exact nearest-dot search that scores each block of sites only against
-    the dots that can own one of its sites.
+def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray):
+    """The exact nearest-dot search for dots at fixed ``x`` and these sites,
+    for any dot y within the range of ``y_range``: the band where each of
+    its blocks would span fewer than ``_WIDE`` dots, else the grid search.
 
-    Built once for fixed dot x and sites, and for a bound ``delta`` on every
-    |s_y - y| it will see: ``y_range`` holds values whose range covers every
-    dot y it is asked about. Sites are sorted by x into consecutive blocks;
-    each block stores its candidate dots together with their precomputed
-    encoding-axis terms w*|dx|.
-
-    A site's distance to dot i is fl(fl|s_y - y_i| + xp_i) with
-    xp_i = fl(w * fl|x_i - s_x|), which lies in [xp_i, fl(xp_i + delta)].
-    So a dot whose xp exceeds fl(min_j xp_j + delta) is strictly farther
-    than the dot with the smallest xp: it can neither own the site nor tie
-    for it. Because w >= 1, such dots include every dot with
+    Sites are sorted by x into consecutive blocks, each scored only against
+    its candidate window of dots. A site's distance to dot i is
+    fl(fl|s_y - y_i| + xp_i) with xp_i = fl(w * fl|x_i - s_x|), which lies in
+    [xp_i, fl(xp_i + delta)]. So a dot whose xp exceeds fl(min_j xp_j + delta)
+    is strictly farther than the dot with the smallest xp: it can neither own
+    the site nor tie for it. Because w >= 1, such dots include every dot with
     fl|x_i - s_x| > fl(xp_j + delta) for any j; the rest form a contiguous
-    x-window, found by binary search and trimmed exactly.
-
-    A narrow block stores its dots in ascending index, so ``argmin`` over
-    them gives the lowest index among tied dots. A wide block (at least
-    ``_WIDE`` stored dots) stores them by their smallest term over its
-    sites instead, and each call scores only a prefix of them. The distance
-    D from a site to any one dot under the current y, computed exactly as
-    the search computes it, bounds the site's nearest distance, and a dot
-    whose term exceeds D is strictly farther than that dot. The one dot is
-    the site's owner in ``prev`` when given (the previous iteration's), else
-    its nearest among the block's first ``_PROBE`` stored dots. So every dot
-    whose smallest term exceeds the block's largest D can be dropped, and
-    the prefix ends at the first multiple of ``_CUT_STRIDE`` past the kept
-    ones. Ties, now out of index order, go to the lowest index among the
-    dots at the row minimum. Owners and distances are the dense search's
-    bit for bit, ties going to the lowest dot index.
+    x-window, found by binary search. Its size decides the form, before
+    anything of size m*n is allocated.
     """
+    n, m = x.size, sites.shape[0]
+    # Sort order among equal keys never matters: sites are scattered back
+    # by index, and each block's dots are re-sorted.
+    order = np.argsort(sites[:, 0])
+    sx = sites[order, 0]
+    sy = sites[order, 1]
+    if m == 0:  # no sites: nothing to own
+        return _BandAssigner(order, [])
+    delta = max(float(sy.max()) - float(np.min(y_range)), float(np.max(y_range)) - float(sy.min()))
+    by_x = np.argsort(x)
+    x_sorted = x[by_x]
 
-    def __init__(self, x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray):
-        n, m = x.size, sites.shape[0]
-        self.metric = metric
-        # Sort order among equal keys never matters: sites are scattered
-        # back by index, and each block's dots are re-sorted.
-        self.order = np.argsort(sites[:, 0])
-        sx = sites[self.order, 0]
-        sy = sites[self.order, 1]
-        self.blocks: list[_Block] = []
-        self.wide = False
-        if m == 0:  # no sites: nothing to own
-            self._buf = np.empty(0)
-            return
-        delta = max(float(sy.max()) - float(np.min(y_range)), float(np.max(y_range)) - float(sy.min()))
-        by_x = np.argsort(x)
-        x_sorted = x[by_x]
+    # Bound per site from its nearest dot in x: R = fl(xp_j + delta).
+    pos = np.searchsorted(x_sorted, sx)
+    left, right = x_sorted[np.maximum(pos - 1, 0)], x_sorted[np.minimum(pos, n - 1)]
+    reach = _xpart(metric, np.where(sx - left <= right - sx, left, right), sx) + delta
+    # Covers the rounding of fl|x - s_x| and of the window ends.
+    tol = 8 * np.finfo(np.float64).eps * (
+        np.abs(x_sorted[[0, -1]]).max() + np.abs(sx[[0, -1]]).max() + reach.max()
+    )
 
-        # Bound per site from its nearest dot in x: R = fl(xp_j + delta).
-        pos = np.searchsorted(x_sorted, sx)
-        left, right = x_sorted[np.maximum(pos - 1, 0)], x_sorted[np.minimum(pos, n - 1)]
-        reach = self._xpart(np.where(sx - left <= right - sx, left, right), sx) + delta
-        # Covers the rounding of fl|x - s_x| and of the window ends.
-        tol = 8 * np.finfo(np.float64).eps * (
-            np.abs(x_sorted[[0, -1]]).max() + np.abs(sx[[0, -1]]).max() + reach.max()
-        )
+    # A block spans about a quarter of the mean window's x-width and
+    # holds at most _CHUNK_ELEMENTS terms.
+    span = float(sx[-1] - sx[0])
+    size = int(min(max(m * float(reach.mean()) / (2.0 * span) if span > 0 else m, 1), m))
+    while True:
+        starts = np.arange(0, m, size)
+        ends = np.minimum(starts + size, m)
+        r = np.maximum.reduceat(reach, starts)
+        lo = np.searchsorted(x_sorted, sx[starts] - r - tol, side="left")
+        hi = np.searchsorted(x_sorted, sx[ends - 1] + r + tol, side="right")
+        terms = int(((ends - starts) * (hi - lo)).max())
+        if size == 1 or terms <= _CHUNK_ELEMENTS:
+            break
+        size = max(1, min(size - 1, size * _CHUNK_ELEMENTS // terms))
+    if int((hi - lo).max()) >= _WIDE:
+        return _GridAssigner(x, sites, metric)
 
-        # A block spans about a quarter of the mean window's x-width and
-        # holds at most _CHUNK_ELEMENTS terms.
-        span = float(sx[-1] - sx[0])
-        size = int(min(max(m * float(reach.mean()) / (2.0 * span) if span > 0 else m, 1), m))
-        while True:
-            starts = np.arange(0, m, size)
-            ends = np.minimum(starts + size, m)
-            r = np.maximum.reduceat(reach, starts)
-            lo = np.searchsorted(x_sorted, sx[starts] - r - tol, side="left")
-            hi = np.searchsorted(x_sorted, sx[ends - 1] + r + tol, side="right")
-            terms = int(((ends - starts) * (hi - lo)).max())
-            if size == 1 or terms <= _CHUNK_ELEMENTS:
-                break
-            size = max(1, min(size - 1, size * _CHUNK_ELEMENTS // terms))
-        self.starts = starts
+    blocks = []
+    for a, b, first, last in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
+        cols = np.sort(by_x[first:last])
+        xp = _xpart(metric, x[cols], sx[a:b, None])
+        keep = np.flatnonzero((xp <= (xp.min(axis=1) + delta)[:, None]).any(axis=0))
+        if keep.size < cols.size:
+            cols, xp = cols[keep], xp.take(keep, axis=1)
+        blocks.append(_Block(sy[a:b, None], cols, xp))
+    return _BandAssigner(order, blocks)
 
-        for a, b, first, last in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
-            cols = np.sort(by_x[first:last])
-            xp = self._xpart(x[cols], sx[a:b, None])
-            keep = np.flatnonzero((xp <= (xp.min(axis=1) + delta)[:, None]).any(axis=0))
-            cut = None
-            if keep.size >= _WIDE:
-                low = xp.min(axis=0)[keep]
-                by_low = np.argsort(low)
-                keep, cut = keep[by_low], low[by_low][::_CUT_STRIDE].copy()
-            if cut is not None or keep.size < cols.size:
-                cols, xp = cols[keep], xp.take(keep, axis=1)
-            self.blocks.append(_Block(sy[a:b, None], cols, xp, cut))
-        self._buf = np.empty(max(blk.xp.size for blk in self.blocks))
-        self.wide = any(blk.cut is not None for blk in self.blocks)
-        if self.wide:  # kept for narrowing the wide blocks on every call
-            self.x, self.sx, self.sy = x, sx, sy
-            self._ties = np.empty(self._buf.size, dtype=bool)
 
-    def _xpart(self, xd, s):
-        xp = np.subtract(xd, s)
-        np.abs(xp, out=xp)
-        return np.multiply(self.metric.encoding_weight(xd, s), xp, out=xp)
+class _BandAssigner:
+    """Exact nearest-dot search over blocks of x-sorted sites, each scored
+    against its stored candidate dots and their precomputed terms (built by
+    ``_site_assigner``). Dots are stored in ascending index, so ``argmin``
+    gives the lowest index among tied dots."""
 
-    def _scores(self, s, cols, xp, y):
-        """|s_y - y| + xp for a block's rows against ``cols``, in the scratch buffer."""
-        buf = self._buf[: xp.size].reshape(xp.shape)
-        np.subtract(s, y[cols], out=buf)
-        np.abs(buf, out=buf)
-        buf += xp
-        return buf
+    def __init__(self, order: np.ndarray, blocks: list[_Block]):
+        self.order = order
+        self.blocks = blocks
+        self._buf = np.empty(max((blk.xp.size for blk in blocks), default=0))
 
-    def assign(self, y: np.ndarray, dist: np.ndarray | None = None, prev: np.ndarray | None = None) -> np.ndarray:
+    def assign(self, y: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
         """Owner of every site; ties go to the lowest dot index. If ``dist``
-        is given, the owner's metric distance is written into it. ``prev``
-        may give any dot per site, in practice its previous owner; it only
-        narrows the search, never changes its result."""
+        is given, the owner's metric distance is written into it."""
         m = self.order.size
         owner = np.empty(m, dtype=np.intp)
         best = np.empty(m) if dist is not None else None
-        bound = None
-        if self.wide and prev is not None:
-            p = prev[self.order]
-            bound = np.abs(self.sy - y[p])
-            bound += self._xpart(self.x[p], self.sx)
-            bound = np.maximum.reduceat(bound, self.starts).tolist()
         a = 0
-        for i, (s, cols, xp, cut) in enumerate(self.blocks):
+        for s, cols, xp in self.blocks:
             b = a + s.shape[0]
-            if cut is not None:
-                if bound is None:  # no owners given: the first stored dots bound the sites
-                    lim = float(self._scores(s, cols[:_PROBE], xp[:, :_PROBE], y).min(axis=1).max())
-                else:
-                    lim = bound[i]
-                k = min(_CUT_STRIDE * int(np.searchsorted(cut, lim, side="right")), cols.size)
-                cols, xp = cols[:k], xp[:, :k]
-            buf = self._scores(s, cols, xp, y)
+            buf = self._buf[: xp.size].reshape(xp.shape)
+            np.subtract(s, y[cols], out=buf)
+            np.abs(buf, out=buf)
+            buf += xp
             j = buf.argmin(axis=1)
             owner[a:b] = cols[j]
-            if best is not None or cut is not None:
-                d = buf[np.arange(b - a), j]
-                if best is not None:
-                    best[a:b] = d
-            if cut is not None:
-                # Stored out of index order: the lowest index among tied dots.
-                ties = np.equal(buf, d[:, None], out=self._ties[: buf.size].reshape(buf.shape))
-                if np.count_nonzero(ties) > b - a:
-                    tied = np.flatnonzero(np.count_nonzero(ties, axis=1) > 1)
-                    owner[a + tied] = np.where(ties[tied], cols, np.iinfo(np.intp).max).min(axis=1)
+            if best is not None:
+                best[a:b] = buf[np.arange(b - a), j]
             a = b
         out = np.empty(m, dtype=np.intp)
         out[self.order] = owner
         if dist is not None:
             dist[self.order] = best
         return out
+
+
+def _cell(v, lo: float, scale: float, count: int) -> np.ndarray:
+    """Grid index of each value along one axis, clipped to [0, count - 1].
+    Every step is monotone in ``v``, so a value between two others never
+    gets an index outside theirs."""
+    if scale == 0.0:
+        return np.zeros(np.shape(v), dtype=np.intp)
+    c = np.subtract(v, lo)
+    c *= scale
+    np.clip(c, 0, count - 1, out=c)
+    return c.astype(np.intp)
+
+
+class _Grid(NamedTuple):
+    """A uniform grid of ``nx`` columns by ``ny`` rows over a bounding box,
+    its cells square once x is scaled by the grid's weight."""
+
+    x0: float
+    x_scale: float
+    nx: int
+    y0: float
+    y_scale: float
+    ny: int
+
+    @classmethod
+    def over(cls, x: np.ndarray, y: np.ndarray, w: float, cells: int) -> _Grid:
+        """About ``cells`` cells over the bounding box of the points (x, y)."""
+        x0, y0 = float(x.min()), float(y.min())
+        ex, ey = float(x.max()) - x0, float(y.max()) - y0
+        if ex > 0 and ey > 0:
+            nx = min(max(round(math.sqrt(min(cells * w * ex / ey, float(cells) ** 2))), 1), cells)
+            ny = max(round(cells / nx), 1)
+        else:
+            nx, ny = (cells, 1) if ex > 0 else (1, cells if ey > 0 else 1)
+        return cls(x0, nx / ex if ex > 0 else 0.0, nx, y0, ny / ey if ey > 0 else 0.0, ny)
+
+    def col(self, v) -> np.ndarray:
+        return _cell(v, self.x0, self.x_scale, self.nx)
+
+    def row(self, v) -> np.ndarray:
+        return _cell(v, self.y0, self.y_scale, self.ny)
+
+
+def _ranges(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The integer ranges [first, first + len) concatenated in order."""
+    ends = np.cumsum(lens)
+    if ends.size == 0:
+        return np.empty(0, dtype=np.intp)
+    out = np.arange(ends[-1], dtype=np.intp)
+    out += np.repeat(first - (ends - lens), lens)
+    return out
+
+
+class _GridAssigner:
+    """Exact nearest-dot search over a grid of the dots, for any y.
+
+    Each call buckets the dots into a column-major grid (``_Grid``) with
+    x scaled by w_min, the smallest encoding weight: 2 for the uniform
+    metric, 1 for the warped one. Each site is scored only against the dots
+    in the grid columns within its reach in x, and in each column only
+    against the rows within what the reach leaves after the column's gap
+    in x.
+
+    Exactness. Let D be a site's distance to any one dot, computed exactly as
+    the search computes it: it bounds the site's nearest distance. A dot at
+    computed distance fl(a + b) <= D, with a = fl|s_y - y| and
+    b = fl(w * fl|x - s_x|), both non-negative, has w_min |x - s_x| +
+    |s_y - y| <= D (1 + 4 eps). The search reaches R = D + 16 eps (coordinate
+    scale + D): R / w_min in x, and R - w_min g in y in a column whose dots
+    lie at least g from the site in x. That tolerance covers the rounding
+    above and that of the reach ends, and a dot's cell index is a monotone
+    function of its coordinates that the reach ends go through too. So the
+    dots scored include every dot that can own or tie for the site. Each is
+    scored with the dense search's float operations, and among the dots at
+    the site's minimum the lowest index wins.
+
+    The known dot is the site's owner in the previous call, which the
+    assigner keeps: any dot is a valid bound, so a changed y only loosens
+    it. On the first call it is the nearer of the two dots next to the site
+    in its grid column, or of the two next to it in x where that column is
+    empty.
+    """
+
+    def __init__(self, x: np.ndarray, sites: np.ndarray, metric: MetricSpec):
+        self.x, self.metric = x, metric
+        self.sx, self.sy = sites[:, 0], sites[:, 1]
+        self.w_min = 2.0 if metric.kind is MetricKind.UNIFORM else 1.0
+        self.scale = float(np.abs(sites).max())
+        self.prev = None
+
+    def _distance(self, y: np.ndarray, dot: np.ndarray) -> np.ndarray:
+        """Each site's distance to the dot given for it, as the search computes it."""
+        d = np.subtract(self.sy, y[dot])
+        np.abs(d, out=d)
+        d += _xpart(self.metric, self.x[dot], self.sx)
+        return d
+
+    def _first_bound(self, y: np.ndarray, grid: _Grid, perm: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """Each site's distance to the nearer of two dots next to it: in its
+        grid column, or in x where that column is empty."""
+        x, n = self.x, self.x.size
+        c = grid.col(self.sx) * grid.ny
+        top, bottom = start[c], start[c + grid.ny]
+        pos = start[c + grid.row(self.sy)]
+        above = perm[np.clip(pos - 1, top, bottom - 1)]
+        below = perm[np.clip(pos, top, bottom - 1)]
+        empty = np.flatnonzero(top == bottom)
+        if empty.size:
+            by_x = np.argsort(x)
+            at = np.searchsorted(x[by_x], self.sx[empty])
+            above[empty] = by_x[np.maximum(at - 1, 0)]
+            below[empty] = by_x[np.minimum(at, n - 1)]
+        return np.minimum(self._distance(y, above), self._distance(y, below))
+
+    def assign(self, y: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
+        """Owner of every site; ties go to the lowest dot index. If ``dist``
+        is given, the owner's metric distance is written into it."""
+        x, sx, sy = self.x, self.sx, self.sy
+        grid = _Grid.over(x, y, self.w_min / _CELL_ASPECT, _CELLS_PER_DOT * x.size)
+        key = grid.col(x) * grid.ny + grid.row(y)
+        perm = np.argsort(key)
+        gx, gy = x[perm], y[perm]
+        counts = np.bincount(key, minlength=grid.nx * grid.ny)
+        start = np.zeros(counts.size + 1, dtype=np.intp)
+        np.cumsum(counts, out=start[1:])
+        # Dots in columns < c and rows < r, to count each box's candidates.
+        below = np.zeros((grid.nx + 1, grid.ny + 1), dtype=np.intp)
+        below[1:, 1:] = counts.reshape(grid.nx, grid.ny).cumsum(axis=0).cumsum(axis=1)
+
+        reach = self._first_bound(y, grid, perm, start) if self.prev is None else self._distance(y, self.prev)
+        reach += 16 * np.finfo(np.float64).eps * (self.scale + reach)
+        c0, c1 = grid.col(sx - reach / self.w_min), grid.col(sx + reach / self.w_min) + 1
+        r0, r1 = grid.row(sy - reach), grid.row(sy + reach) + 1
+        cands = below[c1, r1] - below[c0, r1] - below[c1, r0] + below[c0, r0]
+        ncols = c1 - c0
+        cuts = np.flatnonzero(np.diff((np.cumsum(cands + ncols) - 1) // _CHUNK_ELEMENTS)) + 1
+
+        # Each column's dot x extent, empty columns reaching nothing.
+        edges = start[:: grid.ny]
+        filled = np.flatnonzero(edges[:-1] < edges[1:])
+        col_lo, col_hi = np.full(grid.nx, np.inf), np.full(grid.nx, -np.inf)
+        col_lo[filled] = np.minimum.reduceat(gx, edges[filled])
+        col_hi[filled] = np.maximum.reduceat(gx, edges[filled])
+
+        m = sy.size
+        owner = np.empty(m, dtype=np.intp)
+        best = dist if dist is not None else np.empty(m)
+        for a, b in zip(np.r_[0, cuts].tolist(), np.r_[cuts, m].tolist()):
+            # One range of grid-sorted dots per column a site's box meets,
+            # its rows cut to what the reach leaves after the column's x gap.
+            cols = ncols[a:b]
+            c = _ranges(c0[a:b], cols)
+            s_x = np.repeat(sx[a:b], cols)
+            rest = np.maximum(col_lo[c] - s_x, s_x - col_hi[c])
+            np.maximum(rest, 0.0, out=rest)
+            rest *= -self.w_min
+            rest += np.repeat(reach[a:b], cols)
+            s_y = np.repeat(sy[a:b], cols)
+            c *= grid.ny
+            lo, hi = start[c + grid.row(s_y - rest)], start[c + grid.row(s_y + rest) + 1]
+            np.subtract(hi, lo, out=hi)
+            np.maximum(hi, 0, out=hi)
+            p = _ranges(lo, hi)
+            k = np.add.reduceat(hi, np.cumsum(cols) - cols)
+            d = np.subtract(np.repeat(sy[a:b], k), gy[p])
+            np.abs(d, out=d)
+            d += _xpart(self.metric, gx[p], np.repeat(sx[a:b], k))
+            first = np.cumsum(k) - k
+            low = np.minimum.reduceat(d, first)
+            best[a:b] = low
+            ties = np.where(d == np.repeat(low, k), perm[p], np.iinfo(np.intp).max)
+            owner[a:b] = np.minimum.reduceat(ties, first)
+        self.prev = owner
+        return owner
 
 
 def _draw_sites(rng: np.random.Generator, n_sites: int, n: int, height: float) -> np.ndarray:
@@ -301,7 +439,7 @@ def assign_sites(dots: DotLayout, sites, metric: MetricSpec) -> VoronoiAssignmen
     sites = _as_sites(sites)
     if len(dots) == 0:
         raise ValueError("cannot assign sites to an empty dot list")
-    owner = _SiteAssigner(dots.x, sites, metric, dots.y).assign(dots.y)
+    owner = _site_assigner(dots.x, sites, metric, dots.y).assign(dots.y)
     return VoronoiAssignment(sites=sites, owner=owner)
 
 
@@ -351,17 +489,11 @@ def _relax_groups(xs, y0, sites, groups, h: float, config: SolverConfig) -> tupl
     site_y = sites[:, 1]
     # Every y the loop sees is y0 or clamped to [0, h].
     y_range = np.append(y, [0.0, h])
-    assigners = [_SiteAssigner(xs[idx], sites, config.metric, y_range) for idx in groups]
-    # Each group's previous owners, kept where they narrow the next search
-    # (with the probe bound instead, an iteration at n = 4096 takes twice
-    # as long).
-    owners = [None] * len(groups)
+    assigners = [_site_assigner(xs[idx], sites, config.metric, y_range) for idx in groups]
     for iterations in range(1, config.max_iterations + 1):
-        for g, (idx, assigner) in enumerate(zip(groups, assigners)):
+        for idx, assigner in zip(groups, assigners):
             old = y[idx]
-            owner = assigner.assign(old, prev=owners[g])
-            if assigner.wide:
-                owners[g] = owner
+            owner = assigner.assign(old)
             new = _cell_update(owner, site_y, old, h)
             y[idx] = new
         if float(np.max(np.abs(new - old))) < config.convergence_eps * h:
@@ -445,7 +577,7 @@ def relax_unconstrained(n: int, domain: PlotDomain, config: SolverConfig) -> Dot
     iterations = 0
     for _ in range(config.max_iterations):
         # x moves too, so the encoding-axis term cannot be precomputed here.
-        owner = _SiteAssigner(x, sites, config.metric, y).assign(y)
+        owner = _site_assigner(x, sites, config.metric, y).assign(y)
         new_x = _cell_update(owner, sites[:, 0], x, 1.0)
         new_y = _cell_update(owner, sites[:, 1], y, h)
         disp = max(float(np.max(np.abs(new_x - x))), float(np.max(np.abs(new_y - y))))

@@ -136,6 +136,21 @@ class TestEstimateDensity:
         if form == "array":
             assert np.array_equal(x, np.array(queries))  # the input is not modified
 
+    @given(
+        st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])), min_size=1, max_size=300),
+        st.one_of(st.none(), st.floats(1e-3, 2.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_full_matrix_formula(self, sample, bandwidth):
+        xs = np.array(sample)
+        est = estimate_density(xs, bandwidth)
+        # The one-shot formula over the whole (grid, sources) matrix.
+        bw = est.bandwidth
+        sources = np.concatenate([xs, -xs, 2.0 - xs])
+        z = (np.linspace(0.0, 1.0, GRID_SIZE)[:, None] - sources[None, :]) / bw
+        want = np.exp(-0.5 * z * z).sum(axis=1) / (xs.size * bw * np.sqrt(2.0 * np.pi))
+        assert est.values.tobytes() == want.tobytes()
+
 
 class TestAutomaticHeight:
     def test_direct_formula(self):

@@ -29,7 +29,7 @@ from bluedots import (
     relax_unconstrained,
 )
 from bluedots import solver
-from bluedots.solver import _class_schedule, _SiteAssigner
+from bluedots.solver import _BandAssigner, _class_schedule, _GridAssigner, _site_assigner
 
 DOM = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
 
@@ -144,27 +144,33 @@ class TestBandedExactness:
     @given(assignment_inputs(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_tightened_blocks_match_oracles(self, inputs, data):
-        """Every block on the tightened path, its prefix cut finely enough
-        to bite, with no owners given or with arbitrary ones."""
+        """Every group on the grid search, with its first-call bound, with
+        arbitrary previous owners, and over further calls at moved y."""
         lay, sites, spec = inputs
         m, n = sites.shape[0], len(lay)
+        if data.draw(st.booleans()):  # every site above every dot
+            sites[:, 1] += data.draw(st.sampled_from([0.5, 1e6]))
         prev = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.intp)
-        stride = data.draw(st.sampled_from([1, 2, 16]))
-        probe = data.draw(st.sampled_from([1, 2, 64]))
-        with patch.multiple(solver, _WIDE=1, _CUT_STRIDE=stride, _PROBE=probe):
-            assigner = _SiteAssigner(lay.x, sites, spec, lay.y)
-            assert all(blk.cut is not None for blk in assigner.blocks)
-            want_owner, want_dist = dense_assign(lay.x, lay.y, sites, spec)
-            assert np.array_equal(want_owner, oracle_nearest_dot_scan(lay, sites, spec))
-            for owners in (None, prev):
-                dist = np.empty(m)
-                assert np.array_equal(assigner.assign(lay.y, dist, owners), want_owner)
-                assert dist.tobytes() == want_dist.tobytes()
+        with patch.object(solver, "_WIDE", 1):
+            assigner = _site_assigner(lay.x, sites, spec, lay.y)
+        assert isinstance(assigner, _GridAssigner)
+        want_owner, want_dist = dense_assign(lay.x, lay.y, sites, spec)
+        assert np.array_equal(want_owner, oracle_nearest_dot_scan(lay, sites, spec))
+        # First call, arbitrary owners, then the owners the last call kept.
+        for call in range(3):
+            if call == 1:
+                assigner.prev = prev
+            dist = np.empty(m)
+            assert np.array_equal(assigner.assign(lay.y, dist), want_owner)
+            assert dist.tobytes() == want_dist.tobytes()
+        moved = lay.replace_y(np.array(data.draw(st.lists(_grid.map(lambda v: v / 4), min_size=n, max_size=n))))
+        owner = assigner.assign(moved.y)
+        assert np.array_equal(owner, oracle_nearest_dot_scan(moved, sites, spec))
 
     @pytest.mark.parametrize("warped", [False, True])
     def test_relax_trajectory_with_wide_blocks_bit_equal_to_dense(self, monkeypatch, warped):
-        """Five iterations at n = 1024, where the loop passes each iteration's
-        owners to the next and both block kinds occur."""
+        """Five iterations at n = 1024, where the band's blocks would be wide,
+        so the grid search runs and bounds each call by the last owners."""
         rng = np.random.default_rng(4)
         values = np.where(rng.random(1024) < 0.5, rng.normal(55.0, 7.0, 1024), rng.normal(80.0, 7.0, 1024))
         data = DataSet(values=values)
@@ -173,16 +179,16 @@ class TestBandedExactness:
         dom = PlotDomain(x_min=lo, x_max=hi, height=automatic_height(dens.d_max, xs.size, 0.01), radius=0.01)
         spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens) if warped else MetricSpec()
         calls = []
-        assign = _SiteAssigner.assign
+        assign = _GridAssigner.assign
 
-        def recording(self, y, dist=None, prev=None):
-            assert {blk.cut is None for blk in self.blocks} == {True, False}
-            d = np.empty(self.order.size)
-            owner = assign(self, y, d, prev)
-            calls.append((y.copy(), prev is not None, owner, d))
+        def recording(self, y, dist=None):
+            d = np.empty(self.sy.size)
+            given_prev = self.prev is not None
+            owner = assign(self, y, d)
+            calls.append((y.copy(), given_prev, owner, d))
             return owner
 
-        monkeypatch.setattr(_SiteAssigner, "assign", recording)
+        monkeypatch.setattr(_GridAssigner, "assign", recording)
         config = SolverConfig(seed=2, max_iterations=5, convergence_eps=0.0, metric=spec)
         _, trace = relax_traced(data, dom, config)
         assert [given_prev for _, given_prev, _, _ in calls] == [False, True, True, True, True]
@@ -203,7 +209,7 @@ class TestBandedExactness:
         final, trace = relax_traced(data, dom, SolverConfig(seed=1, max_iterations=10, metric=spec))
         for lay in (trace.initial, final):
             dist = np.empty(trace.sites.shape[0])
-            owner = _SiteAssigner(lay.x, trace.sites, spec, lay.y).assign(lay.y, dist)
+            owner = _site_assigner(lay.x, trace.sites, spec, lay.y).assign(lay.y, dist)
             want_owner, want_dist = dense_assign(lay.x, lay.y, trace.sites, spec)
             assert np.array_equal(owner, want_owner)
             assert dist.tobytes() == want_dist.tobytes()
@@ -211,10 +217,10 @@ class TestBandedExactness:
 
 class TestSiteAssigner:
     @staticmethod
-    def warped_inputs(n, m):
+    def warped_inputs(n, m, h=DOM.height):
         rng = np.random.default_rng(9)
         x = rng.random(n)
-        sites = np.column_stack([rng.random(m), rng.random(m) * DOM.height])
+        sites = np.column_stack([rng.random(m), rng.random(m) * h])
         return x, sites, MetricSpec(kind=MetricKind.DENSITY_WARPED, density=estimate_density(x))
 
     @staticmethod
@@ -226,34 +232,50 @@ class TestSiteAssigner:
             a += blk.s.shape[0]
 
     def test_blockwise_xpart_matches_full_matrix(self):
-        x, sites, spec = self.warped_inputs(1024, 300)
+        # A low plot keeps the band's windows narrow at n = 1024.
+        x, sites, spec = self.warped_inputs(1024, 300, h=0.05)
         sx = sites[:, 0][:, None]
         full = spec.encoding_weight(x[None, :], sx) * np.abs(x[None, :] - sx)
-        assigner = _SiteAssigner(x, sites, spec, np.array([0.0, DOM.height]))
+        assigner = _site_assigner(x, sites, spec, np.array([0.0, 0.05]))
+        assert isinstance(assigner, _BandAssigner)
         assert len(assigner.blocks) > 1
-        kinds = set()
         for rows, blk in self.block_rows(assigner):
             assert np.array_equal(blk.xp, full[np.ix_(rows, blk.cols)])
-            if blk.cut is None:  # narrow: ascending dot index, so argmin ties go low
-                assert np.all(np.diff(blk.cols) > 0)
-            else:  # wide: distinct dots by ascending smallest term, sampled into cut
-                assert np.unique(blk.cols).size == blk.cols.size
-                low = blk.xp.min(axis=0)
-                assert np.all(np.diff(low) >= 0)
-                assert np.array_equal(blk.cut, low[::solver._CUT_STRIDE])
-            kinds.add(blk.cut is None)
-        assert kinds == {True, False}
+            # Ascending dot index, so argmin ties go low.
+            assert np.all(np.diff(blk.cols) > 0)
         assert sorted(np.concatenate([r for r, _ in self.block_rows(assigner)])) == list(range(300))
 
     def test_warped_build_holds_no_full_size_temporaries(self):
-        x, sites, spec = self.warped_inputs(1024, 8192)
+        x, sites, spec = self.warped_inputs(1024, 8192, h=0.05)
         tracemalloc.start()
         try:
-            assigner = _SiteAssigner(x, sites, spec, np.array([0.0, DOM.height]))
+            assigner = _site_assigner(x, sites, spec, np.array([0.0, 0.05]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert isinstance(assigner, _BandAssigner)
         assert peak < 1.5 * sum(blk.xp.nbytes for blk in assigner.blocks)
+
+    @pytest.mark.parametrize("warped", [False, True])
+    def test_grid_search_memory_stays_linear_at_n_16384(self, warped):
+        """Build and two iterations at n = 16384 and 32768 sites, where the
+        band would store terms for most of the m*n = 537 M pairs."""
+        rng = np.random.default_rng(5)
+        n = 16384
+        data = DataSet(values=np.where(rng.random(n) < 0.5, rng.normal(55.0, 7.0, n), rng.normal(80.0, 7.0, n)))
+        xs, (lo, hi) = normalize(data)
+        dens = estimate_density(xs)
+        dom = PlotDomain(x_min=lo, x_max=hi, height=automatic_height(dens.d_max, n, 0.01), radius=0.01)
+        spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens) if warped else MetricSpec()
+        config = SolverConfig(n_sites=2 * n, seed=0, max_iterations=2, convergence_eps=0.0, metric=spec)
+        tracemalloc.start()
+        try:
+            final = relax(data, dom, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert final.iterations_run == 2
+        assert peak <= 128e6
 
     def test_prunes_most_terms_on_geyser(self):
         data = load_fixture("geyser")
@@ -261,7 +283,7 @@ class TestSiteAssigner:
         h = automatic_height(estimate_density(xs).d_max, xs.size, 0.01)
         rng = np.random.default_rng(0)
         sites = np.column_stack([rng.random(8192), rng.random(8192) * h])
-        assigner = _SiteAssigner(xs, sites, MetricSpec(), np.array([0.0, h]))
+        assigner = _site_assigner(xs, sites, MetricSpec(), np.array([0.0, h]))
         assert sum(blk.xp.size for blk in assigner.blocks) <= 0.15 * sites.shape[0] * xs.size
 
 
