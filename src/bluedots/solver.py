@@ -44,10 +44,10 @@ from .density import height_profile
 _CHUNK_ELEMENTS = 131072
 # A dot group whose band would have a block spanning at least _WIDE dots
 # goes to the grid search. The threshold only has to separate the measured
-# sizes: fixture windows span at most 111 dots and run 2-2.5x slower on the
-# grid, while on bimodal data at the auto height the grid search is level
-# with the band at n = 640, the first size the threshold sends to it, and
-# ahead from n = 768 (see CHANGES.md).
+# sizes: fixture windows span at most 111 dots and run 2-3x slower on the
+# grid. On bimodal data at the auto height the band leads by 10-20% at
+# n = 640, the first size the threshold sends to the grid, the two are level
+# at 768, and the grid leads from 1024 on (see CHANGES.md).
 _WIDE = 256
 # The grid search buckets the dots into about _CELLS_PER_DOT cells per dot,
 # each _CELL_ASPECT times as wide as tall in metric units: fewer columns mean
