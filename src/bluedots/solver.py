@@ -269,11 +269,8 @@ class _Grid(NamedTuple):
 
 def _ranges(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The integer ranges [first, first + len) concatenated in order."""
-    ends = np.cumsum(lens)
-    if ends.size == 0:
-        return np.empty(0, dtype=np.intp)
-    out = np.arange(ends[-1], dtype=np.intp)
-    out += np.repeat(first - (ends - lens), lens)
+    out = np.repeat(first - np.cumsum(lens) + lens, lens)
+    out += np.arange(out.size)
     return out
 
 
@@ -328,15 +325,15 @@ class _GridAssigner:
         c = grid.col(self.sx) * grid.ny
         top, bottom = start[c], start[c + grid.ny]
         pos = start[c + grid.row(self.sy)]
-        above = perm[np.clip(pos - 1, top, bottom - 1)]
-        below = perm[np.clip(pos, top, bottom - 1)]
+        before = perm[np.clip(pos - 1, top, bottom - 1)]
+        after = perm[np.clip(pos, top, bottom - 1)]
         empty = np.flatnonzero(top == bottom)
         if empty.size:
             by_x = np.argsort(x)
             at = np.searchsorted(x[by_x], self.sx[empty])
-            above[empty] = by_x[np.maximum(at - 1, 0)]
-            below[empty] = by_x[np.minimum(at, n - 1)]
-        return np.minimum(self._distance(y, above), self._distance(y, below))
+            before[empty] = by_x[np.maximum(at - 1, 0)]
+            after[empty] = by_x[np.minimum(at, n - 1)]
+        return np.minimum(self._distance(y, before), self._distance(y, after))
 
     def assign(self, y: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
         """Owner of every site; ties go to the lowest dot index. If ``dist``
