@@ -90,6 +90,10 @@ def _make_layout(treatment: str, data: DataSet, xs, domain, config: SolverConfig
 
 
 def save_layout(layout: DotLayout, data: DataSet, metric_kind: MetricKind, path) -> None:
+    """Write the layout file: the bytes ``json.dump(doc, fh, indent=2)`` and a
+    newline give, with each dot formatted from a template instead of by the
+    pure-Python encoder. Every value is finite (``DataSet`` rejects others and
+    y lies in [0, height]), so ``repr`` spells each float as JSON does."""
     doc = {
         "version": LAYOUT_FILE_VERSION,
         "dataset_name": data.name or "",
@@ -102,19 +106,18 @@ def save_layout(layout: DotLayout, data: DataSet, metric_kind: MetricKind, path)
             "radius": layout.domain.radius,
         },
         "metric": {"kind": metric_kind.value},
-        "dots": [
-            {
-                "x_raw": float(data.values[i]),
-                "x_norm": float(layout.x[i]),
-                "y": float(layout.y[i]),
-                **({"class": layout.labels[i]} if layout.labels is not None else {}),
-            }
-            for i in range(len(layout))
-        ],
     }
+    dot = '    {\n      "x_raw": %r,\n      "x_norm": %r,\n      "y": %r'
+    columns = zip(data.values.tolist(), layout.x.tolist(), layout.y.tolist())
+    if layout.labels is None:
+        dots = [(dot + "\n    }") % row for row in columns]
+    else:
+        dot += ',\n      "class": %s\n    }'
+        dots = [dot % (*row, json.dumps(label)) for row, label in zip(columns, layout.labels)]
+    # The header's closing "\n}" reopened for the last key, "dots".
+    text = json.dumps(doc, indent=2)[:-2] + ',\n  "dots": [\n' + ",\n".join(dots) + "\n  ]\n}\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_layout(path) -> tuple[DotLayout, dict]:

@@ -23,6 +23,15 @@ n with the auto height they span most dots and the store grows as m*n, so
 there a grid search scores each site only against the dots within its
 distance to a known dot (``_GridAssigner``): a few dots per site once the
 layout settles, and nothing of size m*n is stored.
+
+Both forms are incremental, since with fixed sites a dot's cell changes only
+where dots moved, and late in a run few do. Each assigner keeps the y and the
+owners of its last call, and a later call re-scores only the sites whose
+owner can have changed: the band's blocks with a moved candidate dot, and
+the grid's sites whose owner moved or whose reach around their kept owner
+distance holds a moved dot. Every other site keeps its owner and distance
+bit for bit, because the dots that could beat or tie its owner are unmoved
+and score as before.
 """
 
 from __future__ import annotations
@@ -117,18 +126,35 @@ def _xpart(metric: MetricSpec, xd, s) -> np.ndarray:
 
 
 class _Block(NamedTuple):
-    """x-sorted sites ``s`` (a column of their y) with their candidate dots
-    ``cols``, in ascending index, and terms ``xp`` (one row per site)."""
+    """x-sorted sites, their indices ``rows`` and ``s`` (a column of their y),
+    with their candidate dots ``cols``, in ascending index, and terms ``xp``
+    (one row per site)."""
 
+    rows: np.ndarray
     s: np.ndarray
     cols: np.ndarray
     xp: np.ndarray
 
 
-def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray):
+class _Scratch:
+    """A float buffer the band assigners of one run share, grown to the
+    largest size asked of it: one assigner runs at a time."""
+
+    def __init__(self):
+        self._buf = np.empty(0)
+
+    def take(self, size: int) -> np.ndarray:
+        if self._buf.size < size:
+            self._buf = np.empty(size)
+        return self._buf[:size]
+
+
+def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray,
+                   scratch: _Scratch | None = None):
     """The exact nearest-dot search for dots at fixed ``x`` and these sites,
     for any dot y within the range of ``y_range``: the band where each of
     its blocks would span fewer than ``_WIDE`` dots, else the grid search.
+    Band assigners given one ``scratch`` share its buffer.
 
     Sites are sorted by x into consecutive blocks, each scored only against
     its candidate window of dots. A site's distance to dot i is
@@ -147,7 +173,7 @@ def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range
     sx = sites[order, 0]
     sy = sites[order, 1]
     if m == 0:  # no sites: nothing to own
-        return _BandAssigner(order, [])
+        return _BandAssigner(0, [], scratch)
     delta = max(float(sy.max()) - float(np.min(y_range)), float(np.max(y_range)) - float(sy.min()))
     by_x = np.argsort(x)
     x_sorted = x[by_x]
@@ -185,44 +211,71 @@ def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range
         keep = np.flatnonzero((xp <= (xp.min(axis=1) + delta)[:, None]).any(axis=0))
         if keep.size < cols.size:
             cols, xp = cols[keep], xp.take(keep, axis=1)
-        blocks.append(_Block(sy[a:b, None], cols, xp))
-    return _BandAssigner(order, blocks)
+        blocks.append(_Block(order[a:b], sy[a:b, None], cols, xp))
+    return _BandAssigner(m, blocks, scratch)
 
 
 class _BandAssigner:
     """Exact nearest-dot search over blocks of x-sorted sites, each scored
     against its stored candidate dots and their precomputed terms (built by
     ``_site_assigner``). Dots are stored in ascending index, so ``argmin``
-    gives the lowest index among tied dots."""
+    gives the lowest index among tied dots.
 
-    def __init__(self, order: np.ndarray, blocks: list[_Block]):
-        self.order = order
-        self.blocks = blocks
-        self._buf = np.empty(max((blk.xp.size for blk in blocks), default=0))
+    The search is incremental. The assigner keeps the y of its last call and
+    the owners it found, and later calls re-score only the blocks one of
+    whose candidate dots moved. That is exact: no dot outside a block's
+    candidates can own or tie for its sites at any y, and the distances to
+    unmoved candidates are the same floats as before, so the block's owners
+    are too. Distances are kept only while calls ask for them; a call that
+    asks after one that did not re-scores every block.
+    """
+
+    def __init__(self, m: int, blocks: list[_Block], scratch: _Scratch | None = None):
+        widths = [blk.cols.size for blk in blocks]
+        # All blocks' candidates in one array, the blocks holding views of it,
+        # so one gather and one reduceat tell which blocks have a moved dot.
+        self.cols = np.concatenate([blk.cols for blk in blocks]) if blocks else np.empty(0, dtype=np.intp)
+        self.offsets = np.cumsum(widths, dtype=np.intp) - widths
+        self.blocks = [
+            blk._replace(cols=self.cols[o : o + w]) for blk, o, w in zip(blocks, self.offsets.tolist(), widths)
+        ]
+        self.width = max((blk.xp.size for blk in blocks), default=0)
+        self.scratch = scratch if scratch is not None else _Scratch()
+        self._y = None
+        self._owner = np.empty(m, dtype=np.intp)
+        self._dist = None
+        self._view = self._owner.view()
+        self._view.flags.writeable = False
 
     def assign(self, y: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
         """Owner of every site; ties go to the lowest dot index. If ``dist``
-        is given, the owner's metric distance is written into it."""
-        m = self.order.size
-        owner = np.empty(m, dtype=np.intp)
-        best = np.empty(m) if dist is not None else None
-        a = 0
-        for s, cols, xp in self.blocks:
-            b = a + s.shape[0]
-            buf = self._buf[: xp.size].reshape(xp.shape)
+        is given, the owner's metric distance is written into it. The owners
+        are a read-only view of the assigner's own, valid until its next call."""
+        if dist is None:
+            self._dist = None
+        if self._y is None or (dist is not None and self._dist is None):
+            dirty = range(len(self.blocks))
+        else:
+            moved = y != self._y
+            dirty = np.flatnonzero(np.logical_or.reduceat(moved[self.cols], self.offsets)).tolist()
+        if dist is not None and self._dist is None:
+            self._dist = np.empty(self._owner.size)
+        owner, best = self._owner, self._dist
+        scratch = self.scratch.take(self.width)
+        for i in dirty:
+            rows, s, cols, xp = self.blocks[i]
+            buf = scratch[: xp.size].reshape(xp.shape)
             np.subtract(s, y[cols], out=buf)
             np.abs(buf, out=buf)
             buf += xp
             j = buf.argmin(axis=1)
-            owner[a:b] = cols[j]
+            owner[rows] = cols[j]
             if best is not None:
-                best[a:b] = buf[np.arange(b - a), j]
-            a = b
-        out = np.empty(m, dtype=np.intp)
-        out[self.order] = owner
+                best[rows] = buf[np.arange(rows.size), j]
+        self._y = np.array(y)
         if dist is not None:
-            dist[self.order] = best
-        return out
+            dist[:] = best
+        return self._view
 
 
 def _cell(v, lo: float, scale: float, count: int) -> np.ndarray:
@@ -274,6 +327,15 @@ def _ranges(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out
 
 
+def _prefix_counts(key: np.ndarray, grid: _Grid) -> np.ndarray:
+    """Dots in columns < c and rows < r, for each (c, r), of the dots in the
+    grid cells ``key``: any box's count in four lookups."""
+    counts = np.bincount(key, minlength=grid.nx * grid.ny).reshape(grid.nx, grid.ny)
+    below = np.zeros((grid.nx + 1, grid.ny + 1), dtype=np.intp)
+    below[1:, 1:] = counts.cumsum(axis=0).cumsum(axis=1)
+    return below
+
+
 class _GridAssigner:
     """Exact nearest-dot search over a grid of the dots, for any y.
 
@@ -297,11 +359,20 @@ class _GridAssigner:
     scored with the dense search's float operations, and among the dots at
     the site's minimum the lowest index wins.
 
-    The known dot is the site's owner in the previous call, which the
-    assigner keeps: any dot is a valid bound, so a changed y only loosens
-    it. On the first call it is the nearer of the two dots next to the site
-    in its grid column, or of the two next to it in x where that column is
-    empty.
+    The known dot is ``prev``, by default the site's owner in the previous
+    call: any dot is a valid bound, so a changed y only loosens it. On the
+    first call it is the nearer of the two dots next to the site in its grid
+    column, or of the two next to it in x where that column is empty.
+
+    The search is incremental. The assigner keeps the y, owners and owner
+    distances of its last call, and a later call re-scores only the sites
+    whose owner moved or whose box, the grid cells within reach of the kept
+    distance D, holds a moved dot (counted from prefix counts of the moved
+    dots). Any other site keeps its owner and distance: its unmoved dots
+    have the distances they had, and by the argument above a moved dot
+    outside the box is strictly farther than D, so it can neither own the
+    site nor tie for it. The first call is the case where every site is
+    re-scored.
     """
 
     def __init__(self, x: np.ndarray, sites: np.ndarray, metric: MetricSpec):
@@ -310,50 +381,85 @@ class _GridAssigner:
         self.w_min = 2.0 if metric.kind is MetricKind.UNIFORM else 1.0
         self.scale = float(np.abs(sites).max())
         self.prev = None
+        self._y = None
+        self._owner = np.empty(self.sy.size, dtype=np.intp)
+        self._dist = np.empty(self.sy.size)
+        self._view = self._owner.view()
+        self._view.flags.writeable = False
 
-    def _distance(self, y: np.ndarray, dot: np.ndarray) -> np.ndarray:
-        """Each site's distance to the dot given for it, as the search computes it."""
-        d = np.subtract(self.sy, y[dot])
+    def _distance(self, y: np.ndarray, dot: np.ndarray, sites) -> np.ndarray:
+        """Each of these sites' distance to the dot given for it, as the search computes it."""
+        d = np.subtract(self.sy[sites], y[dot])
         np.abs(d, out=d)
-        d += _xpart(self.metric, self.x[dot], self.sx)
+        d += _xpart(self.metric, self.x[dot], self.sx[sites])
         return d
 
-    def _first_bound(self, y: np.ndarray, grid: _Grid, perm: np.ndarray, start: np.ndarray) -> np.ndarray:
-        """Each site's distance to the nearer of two dots next to it: in its
-        grid column, or in x where that column is empty."""
+    def _first_bound(self, y: np.ndarray, sites, grid: _Grid, perm: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """Each of these sites' distance to the nearer of two dots next to it:
+        in its grid column, or in x where that column is empty."""
         x, n = self.x, self.x.size
-        c = grid.col(self.sx) * grid.ny
+        sx = self.sx[sites]
+        c = grid.col(sx) * grid.ny
         top, bottom = start[c], start[c + grid.ny]
-        pos = start[c + grid.row(self.sy)]
+        pos = start[c + grid.row(self.sy[sites])]
         before = perm[np.clip(pos - 1, top, bottom - 1)]
         after = perm[np.clip(pos, top, bottom - 1)]
         empty = np.flatnonzero(top == bottom)
         if empty.size:
             by_x = np.argsort(x)
-            at = np.searchsorted(x[by_x], self.sx[empty])
+            at = np.searchsorted(x[by_x], sx[empty])
             before[empty] = by_x[np.maximum(at - 1, 0)]
             after[empty] = by_x[np.minimum(at, n - 1)]
-        return np.minimum(self._distance(y, before), self._distance(y, after))
+        return np.minimum(self._distance(y, before, sites), self._distance(y, after, sites))
+
+    def _box(self, grid: _Grid, sites, reach: np.ndarray):
+        """The reach widened by its tolerance, and the grid columns [c0, c1)
+        and rows [r0, r1) it spans around each of these sites."""
+        reach = reach + 16 * np.finfo(np.float64).eps * (self.scale + reach)
+        sx, sy = self.sx[sites], self.sy[sites]
+        c0, c1 = grid.col(sx - reach / self.w_min), grid.col(sx + reach / self.w_min) + 1
+        r0, r1 = grid.row(sy - reach), grid.row(sy + reach) + 1
+        return reach, c0, c1, r0, r1
+
+    def _dirty(self, moved: np.ndarray, grid: _Grid, key: np.ndarray) -> np.ndarray:
+        """Sites whose owner moved or whose box around the kept distance holds
+        a moved dot: the sites the move can give another owner or distance."""
+        dirty = moved[self._owner]
+        if moved.any():
+            below = _prefix_counts(key[moved], grid)
+            _, c0, c1, r0, r1 = self._box(grid, slice(None), self._dist)
+            dirty |= below[c1, r1] - below[c0, r1] - below[c1, r0] + below[c0, r0] > 0
+        return np.flatnonzero(dirty)
 
     def assign(self, y: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
         """Owner of every site; ties go to the lowest dot index. If ``dist``
-        is given, the owner's metric distance is written into it."""
-        x, sx, sy = self.x, self.sx, self.sy
+        is given, the owner's metric distance is written into it. The owners
+        are a read-only view of the assigner's own, valid until its next call."""
+        x = self.x
         grid = _Grid.over(x, y, self.w_min / _CELL_ASPECT, _CELLS_PER_DOT * x.size)
         key = grid.col(x) * grid.ny + grid.row(y)
-        perm = np.argsort(key)
-        gx, gy = x[perm], y[perm]
-        counts = np.bincount(key, minlength=grid.nx * grid.ny)
-        start = np.zeros(counts.size + 1, dtype=np.intp)
-        np.cumsum(counts, out=start[1:])
-        # Dots in columns < c and rows < r, to count each box's candidates.
-        below = np.zeros((grid.nx + 1, grid.ny + 1), dtype=np.intp)
-        below[1:, 1:] = counts.reshape(grid.nx, grid.ny).cumsum(axis=0).cumsum(axis=1)
+        sites = np.arange(self.sy.size) if self._y is None else self._dirty(y != self._y, grid, key)
+        if sites.size:
+            self._search(y, sites, grid, key)
+        self._y = np.array(y)
+        self.prev = self._owner
+        if dist is not None:
+            dist[:] = self._dist
+        return self._view
 
-        reach = self._first_bound(y, grid, perm, start) if self.prev is None else self._distance(y, self.prev)
-        reach += 16 * np.finfo(np.float64).eps * (self.scale + reach)
-        c0, c1 = grid.col(sx - reach / self.w_min), grid.col(sx + reach / self.w_min) + 1
-        r0, r1 = grid.row(sy - reach), grid.row(sy + reach) + 1
+    def _search(self, y: np.ndarray, sites: np.ndarray, grid: _Grid, key: np.ndarray) -> None:
+        """Owner and distance of each of these sites, into the kept ones."""
+        perm = np.argsort(key)
+        gx, gy = self.x[perm], y[perm]
+        start = np.zeros(grid.nx * grid.ny + 1, dtype=np.intp)
+        np.cumsum(np.bincount(key, minlength=grid.nx * grid.ny), out=start[1:])
+        below = _prefix_counts(key, grid)
+
+        if self.prev is None:
+            bound = self._first_bound(y, sites, grid, perm, start)
+        else:
+            bound = self._distance(y, self.prev[sites], sites)
+        reach, c0, c1, r0, r1 = self._box(grid, sites, bound)
         cands = below[c1, r1] - below[c0, r1] - below[c1, r0] + below[c0, r0]
         ncols = c1 - c0
         cuts = np.flatnonzero(np.diff((np.cumsum(cands + ncols) - 1) // _CHUNK_ELEMENTS)) + 1
@@ -365,10 +471,8 @@ class _GridAssigner:
         col_lo[filled] = np.minimum.reduceat(gx, edges[filled])
         col_hi[filled] = np.maximum.reduceat(gx, edges[filled])
 
-        m = sy.size
-        owner = np.empty(m, dtype=np.intp)
-        best = dist if dist is not None else np.empty(m)
-        for a, b in zip(np.r_[0, cuts].tolist(), np.r_[cuts, m].tolist()):
+        sx, sy = self.sx[sites], self.sy[sites]
+        for a, b in zip(np.r_[0, cuts].tolist(), np.r_[cuts, sites.size].tolist()):
             # One range of grid-sorted dots per column a site's box meets,
             # its rows cut to what the reach leaves after the column's x gap.
             cols = ncols[a:b]
@@ -390,11 +494,9 @@ class _GridAssigner:
             d += _xpart(self.metric, gx[p], np.repeat(sx[a:b], k))
             first = np.cumsum(k) - k
             low = np.minimum.reduceat(d, first)
-            best[a:b] = low
+            self._dist[sites[a:b]] = low
             ties = np.where(d == np.repeat(low, k), perm[p], np.iinfo(np.intp).max)
-            owner[a:b] = np.minimum.reduceat(ties, first)
-        self.prev = owner
-        return owner
+            self._owner[sites[a:b]] = np.minimum.reduceat(ties, first)
 
 
 def _draw_sites(rng: np.random.Generator, n_sites: int, n: int, height: float) -> np.ndarray:
@@ -486,7 +588,8 @@ def _relax_groups(xs, y0, sites, groups, h: float, config: SolverConfig) -> tupl
     site_y = sites[:, 1]
     # Every y the loop sees is y0 or clamped to [0, h].
     y_range = np.append(y, [0.0, h])
-    assigners = [_site_assigner(xs[idx], sites, config.metric, y_range) for idx in groups]
+    scratch = _Scratch()
+    assigners = [_site_assigner(xs[idx], sites, config.metric, y_range, scratch) for idx in groups]
     for iterations in range(1, config.max_iterations + 1):
         for idx, assigner in zip(groups, assigners):
             old = y[idx]

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from bluedots import (
+    DataSet,
+    DotLayout,
+    MetricKind,
     PlotDomain,
     automatic_height,
     estimate_density,
@@ -66,6 +69,65 @@ class TestLoadCsv:
     def test_row_order_preserved(self, tmp_path):
         path = write_csv(tmp_path, "f.csv", "v\n5\n1\n9\n")
         assert load_csv(path, "v").values.tolist() == [5.0, 1.0, 9.0]
+
+
+def json_dump_layout(layout, data, metric_kind, path):
+    """The layout file as ``json.dump(doc, fh, indent=2)`` writes it: the
+    bytes ``cli.save_layout`` must reproduce."""
+    doc = {
+        "version": cli.LAYOUT_FILE_VERSION,
+        "dataset_name": data.name or "",
+        "seed": layout.seed,
+        "iterations_run": layout.iterations_run,
+        "domain": {
+            "x_min": layout.domain.x_min,
+            "x_max": layout.domain.x_max,
+            "height": layout.domain.height,
+            "radius": layout.domain.radius,
+        },
+        "metric": {"kind": metric_kind.value},
+        "dots": [
+            {
+                "x_raw": float(data.values[i]),
+                "x_norm": float(layout.x[i]),
+                "y": float(layout.y[i]),
+                **({"class": layout.labels[i]} if layout.labels is not None else {}),
+            }
+            for i in range(len(layout))
+        ],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+class TestSaveLayout:
+    @pytest.mark.parametrize("labelled", [False, True])
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_bytes_equal_json_dump(self, tmp_path, labelled, kind):
+        values = np.array([-0.0, 1e-300, 1e300, 0.1, -2.5, 7.0])
+        labels = ('say "hi"', "back\\slash", "caf\u00e9 \u65e5\u672c", "tab\there", "a", "a") if labelled else None
+        data = DataSet(values=values, labels=labels, name="g\u00e9yser \"1\"")
+        dom = PlotDomain(x_min=-2.5, x_max=1e300, height=0.2, radius=0.01)
+        layout = DotLayout(
+            x=np.array([-0.0, 1e-300, 1.0, 0.1, 0.0, 1e300]),
+            y=np.array([0.0, 1e-300, 1e300, -0.0, 0.2, 1 / 3]),
+            domain=dom, labels=labels, seed=2**40, iterations_run=17,
+        )
+        cli.save_layout(layout, data, kind, tmp_path / "new.json")
+        json_dump_layout(layout, data, kind, tmp_path / "ref.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    def test_fixture_plot_bytes_equal_json_dump(self, tmp_path):
+        data = load_csv(TIPS, "bill", "time")
+        xs, (lo, hi) = normalize(data)
+        dom = PlotDomain(x_min=lo, x_max=hi, height=0.1, radius=0.01)
+        layout = jitter_init(xs, dom, 4)
+        for labels in (None, data.labels):
+            layout = DotLayout(x=layout.x, y=layout.y, domain=dom, labels=labels, seed=4)
+            cli.save_layout(layout, data, MetricKind.UNIFORM, tmp_path / "new.json")
+            json_dump_layout(layout, data, MetricKind.UNIFORM, tmp_path / "ref.json")
+            assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 class TestCmdPlot:

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import count
 from unittest.mock import patch
 
 import numpy as np
@@ -131,6 +132,41 @@ def assignment_inputs(draw):
     return lay, np.column_stack([sx, sy]), spec
 
 
+def record_assign_calls(monkeypatch) -> list:
+    """Patch the solver's assigner constructor so that every assigner a run
+    builds records each call: (assigner, x, sites, y, prev given, owner,
+    distances or None). Distances are asked on two of every three calls of
+    an assigner, so kept, dropped and re-asked distances all occur."""
+    calls = []
+    build = solver._site_assigner
+
+    def building(x, sites, metric, y_range, scratch=None):
+        assigner = build(x, sites, metric, y_range, scratch)
+        assign, calls_made = assigner.assign, count()
+
+        def recording(y, dist=None):
+            d = np.empty(sites.shape[0]) if next(calls_made) % 3 != 1 else None
+            given_prev = getattr(assigner, "prev", None) is not None
+            owner = assign(y, d)
+            calls.append((assigner, x, sites, y.copy(), given_prev, owner.copy(), d))
+            return owner
+
+        assigner.assign = recording
+        return assigner
+
+    monkeypatch.setattr(solver, "_site_assigner", building)
+    return calls
+
+
+def assert_calls_match_dense(calls, spec):
+    for _, x, sites, y, _, owner, dist in calls:
+        # Dense reference in chunks of sites, to keep its (m, n) temporaries small.
+        chunks = [dense_assign(x, y, part, spec) for part in np.array_split(sites, 8)]
+        assert np.array_equal(owner, np.concatenate([o for o, _ in chunks]))
+        if dist is not None:
+            assert dist.tobytes() == np.concatenate([d for _, d in chunks]).tobytes()
+
+
 class TestBandedExactness:
     @given(assignment_inputs())
     @settings(max_examples=200, deadline=None)
@@ -145,27 +181,68 @@ class TestBandedExactness:
     @settings(max_examples=200, deadline=None)
     def test_tightened_blocks_match_oracles(self, inputs, data):
         """Every group on the grid search, with its first-call bound, with
-        arbitrary previous owners, and over further calls at moved y."""
+        arbitrary previous owners, and over a further call at moved y."""
         lay, sites, spec = inputs
         m, n = sites.shape[0], len(lay)
         if data.draw(st.booleans()):  # every site above every dot
             sites[:, 1] += data.draw(st.sampled_from([0.5, 1e6]))
         prev = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.intp)
-        with patch.object(solver, "_WIDE", 1):
-            assigner = _site_assigner(lay.x, sites, spec, lay.y)
-        assert isinstance(assigner, _GridAssigner)
         want_owner, want_dist = dense_assign(lay.x, lay.y, sites, spec)
         assert np.array_equal(want_owner, oracle_nearest_dot_scan(lay, sites, spec))
-        # First call, arbitrary owners, then the owners the last call kept.
-        for call in range(3):
-            if call == 1:
+        # First-call bound, then arbitrary owners as the bound of a first call.
+        for given_prev in (False, True):
+            with patch.object(solver, "_WIDE", 1):
+                assigner = _site_assigner(lay.x, sites, spec, lay.y)
+            assert isinstance(assigner, _GridAssigner)
+            if given_prev:
                 assigner.prev = prev
             dist = np.empty(m)
             assert np.array_equal(assigner.assign(lay.y, dist), want_owner)
             assert dist.tobytes() == want_dist.tobytes()
+        # The sites a move affects, re-scored from the arbitrary owners.
         moved = lay.replace_y(np.array(data.draw(st.lists(_grid.map(lambda v: v / 4), min_size=n, max_size=n))))
+        assigner.prev = prev
         owner = assigner.assign(moved.y)
         assert np.array_equal(owner, oracle_nearest_dot_scan(moved, sites, spec))
+
+    @given(assignment_inputs(), st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_incremental_calls_match_dense(self, inputs, on_grid, data):
+        """Three to five calls of one assigner, band or grid, each at y left
+        unchanged, with one dot moved, with one dot moved onto a tie for a
+        site, with every dot moved, or with arbitrary previous owners."""
+        lay, sites, spec = inputs
+        m, n = sites.shape[0], len(lay)
+        moved_y = _grid.map(lambda v: v / 4)
+        steps, ys = [], [lay.y]
+        for _ in range(data.draw(st.integers(2, 4))):
+            step = data.draw(st.sampled_from(["same", "one", "tie", "all", "prev"]))
+            y = ys[-1].copy()
+            if step == "one":
+                y[data.draw(st.integers(0, n - 1))] = data.draw(moved_y)
+            elif step == "tie" and n > 1:
+                # Dot i to where its distance to site k equals the owner's.
+                k = data.draw(st.integers(0, m - 1))
+                owner, dist = dense_assign(lay.x, y, sites[k : k + 1], spec)
+                i = data.draw(st.integers(0, n - 1).filter(lambda i: i != owner[0]))
+                rest = float(dist[0]) - float(solver._xpart(spec, lay.x[i : i + 1], sites[k : k + 1, 0])[0])
+                if rest >= 0:
+                    y[i] = sites[k, 1] + data.draw(st.sampled_from([rest, -rest]))
+            elif step == "all":
+                y = np.array(data.draw(st.lists(moved_y, min_size=n, max_size=n)))
+            steps.append(step)
+            ys.append(y)
+        with patch.object(solver, "_WIDE", 1 if on_grid else solver._WIDE):
+            assigner = _site_assigner(lay.x, sites, spec, np.concatenate(ys))
+        assert isinstance(assigner, _GridAssigner if on_grid else _BandAssigner)
+        for step, y in zip(["first"] + steps, ys):
+            if step == "prev":
+                assigner.prev = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+            dist = np.empty(m) if data.draw(st.booleans()) else None
+            want_owner, want_dist = dense_assign(lay.x, y, sites, spec)
+            assert np.array_equal(assigner.assign(y, dist), want_owner)
+            if dist is not None:
+                assert dist.tobytes() == want_dist.tobytes()
 
     @pytest.mark.parametrize("warped", [False, True])
     def test_relax_trajectory_with_wide_blocks_bit_equal_to_dense(self, monkeypatch, warped):
@@ -178,41 +255,36 @@ class TestBandedExactness:
         dens = estimate_density(xs)
         dom = PlotDomain(x_min=lo, x_max=hi, height=automatic_height(dens.d_max, xs.size, 0.01), radius=0.01)
         spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens) if warped else MetricSpec()
-        calls = []
-        assign = _GridAssigner.assign
-
-        def recording(self, y, dist=None):
-            d = np.empty(self.sy.size)
-            given_prev = self.prev is not None
-            owner = assign(self, y, d)
-            calls.append((y.copy(), given_prev, owner, d))
-            return owner
-
-        monkeypatch.setattr(_GridAssigner, "assign", recording)
+        calls = record_assign_calls(monkeypatch)
         config = SolverConfig(seed=2, max_iterations=5, convergence_eps=0.0, metric=spec)
-        _, trace = relax_traced(data, dom, config)
-        assert [given_prev for _, given_prev, _, _ in calls] == [False, True, True, True, True]
-        for y, _, owner, dist in calls:
-            # Dense reference in chunks of sites, to keep its (m, n) temporaries small.
-            chunks = [dense_assign(xs, y, part, spec) for part in np.array_split(trace.sites, 8)]
-            assert np.array_equal(owner, np.concatenate([o for o, _ in chunks]))
-            assert dist.tobytes() == np.concatenate([d for _, d in chunks]).tobytes()
+        relax_traced(data, dom, config)
+        assert all(isinstance(assigner, _GridAssigner) for assigner, *_ in calls)
+        assert [given_prev for _, _, _, _, given_prev, _, _ in calls] == [False, True, True, True, True]
+        assert_calls_match_dense(calls, spec)
 
     @pytest.mark.parametrize("name", ["geyser", "tips", "iris"])
     @pytest.mark.parametrize("warped", [False, True])
-    def test_relaxed_fixtures_bit_equal_to_dense(self, name, warped):
+    def test_relaxed_fixtures_bit_equal_to_dense(self, monkeypatch, name, warped):
+        """Every call of every group's assigner over ten iterations, then the
+        final layout from a fresh assigner."""
         data = load_fixture(name)
         xs, (lo, hi) = normalize(data)
         dens = estimate_density(xs)
         dom = PlotDomain(x_min=lo, x_max=hi, height=automatic_height(dens.d_max, xs.size, 0.01), radius=0.01)
         spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens) if warped else MetricSpec()
-        final, trace = relax_traced(data, dom, SolverConfig(seed=1, max_iterations=10, metric=spec))
-        for lay in (trace.initial, final):
-            dist = np.empty(trace.sites.shape[0])
-            owner = _site_assigner(lay.x, trace.sites, spec, lay.y).assign(lay.y, dist)
-            want_owner, want_dist = dense_assign(lay.x, lay.y, trace.sites, spec)
-            assert np.array_equal(owner, want_owner)
-            assert dist.tobytes() == want_dist.tobytes()
+        config = SolverConfig(seed=1, max_iterations=10, metric=spec)
+        calls = record_assign_calls(monkeypatch)
+        final = (relax_multiclass if data.labels is not None else relax)(data, dom, config)
+        groups = len(_class_schedule(data.labels, xs.size)) if data.labels is not None else 1
+        assert len(calls) == groups * final.iterations_run
+        assert all(isinstance(assigner, _BandAssigner) for assigner, *_ in calls)
+        assert_calls_match_dense(calls, spec)
+        sites = calls[0][2]
+        dist = np.empty(sites.shape[0])
+        owner = _site_assigner(final.x, sites, spec, final.y).assign(final.y, dist)
+        want_owner, want_dist = dense_assign(final.x, final.y, sites, spec)
+        assert np.array_equal(owner, want_owner)
+        assert dist.tobytes() == want_dist.tobytes()
 
 
 class TestSiteAssigner:
@@ -226,10 +298,8 @@ class TestSiteAssigner:
     @staticmethod
     def block_rows(assigner):
         """Original site indices of every block, with the block, in block order."""
-        a = 0
         for blk in assigner.blocks:
-            yield assigner.order[a : a + blk.s.shape[0]], blk
-            a += blk.s.shape[0]
+            yield blk.rows, blk
 
     def test_blockwise_xpart_matches_full_matrix(self):
         # A low plot keeps the band's windows narrow at n = 1024.
