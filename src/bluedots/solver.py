@@ -136,25 +136,10 @@ class _Block(NamedTuple):
     xp: np.ndarray
 
 
-class _Scratch:
-    """A float buffer the band assigners of one run share, grown to the
-    largest size asked of it: one assigner runs at a time."""
-
-    def __init__(self):
-        self._buf = np.empty(0)
-
-    def take(self, size: int) -> np.ndarray:
-        if self._buf.size < size:
-            self._buf = np.empty(size)
-        return self._buf[:size]
-
-
-def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray,
-                   scratch: _Scratch | None = None):
+def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray):
     """The exact nearest-dot search for dots at fixed ``x`` and these sites,
     for any dot y within the range of ``y_range``: the band where each of
     its blocks would span fewer than ``_WIDE`` dots, else the grid search.
-    Band assigners given one ``scratch`` share its buffer.
 
     Sites are sorted by x into consecutive blocks, each scored only against
     its candidate window of dots. A site's distance to dot i is
@@ -173,7 +158,7 @@ def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range
     sx = sites[order, 0]
     sy = sites[order, 1]
     if m == 0:  # no sites: nothing to own
-        return _BandAssigner(0, [], scratch)
+        return _BandAssigner(0, [])
     delta = max(float(sy.max()) - float(np.min(y_range)), float(np.max(y_range)) - float(sy.min()))
     by_x = np.argsort(x)
     x_sorted = x[by_x]
@@ -212,7 +197,7 @@ def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range
         if keep.size < cols.size:
             cols, xp = cols[keep], xp.take(keep, axis=1)
         blocks.append(_Block(order[a:b], sy[a:b, None], cols, xp))
-    return _BandAssigner(m, blocks, scratch)
+    return _BandAssigner(m, blocks)
 
 
 class _BandAssigner:
@@ -226,11 +211,10 @@ class _BandAssigner:
     whose candidate dots moved. That is exact: no dot outside a block's
     candidates can own or tie for its sites at any y, and the distances to
     unmoved candidates are the same floats as before, so the block's owners
-    are too. Distances are kept only while calls ask for them; a call that
-    asks after one that did not re-scores every block.
+    are too. A call that asks for distances re-scores every block.
     """
 
-    def __init__(self, m: int, blocks: list[_Block], scratch: _Scratch | None = None):
+    def __init__(self, m: int, blocks: list[_Block]):
         widths = [blk.cols.size for blk in blocks]
         # All blocks' candidates in one array, the blocks holding views of it,
         # so one gather and one reduceat tell which blocks have a moved dot.
@@ -240,10 +224,8 @@ class _BandAssigner:
             blk._replace(cols=self.cols[o : o + w]) for blk, o, w in zip(blocks, self.offsets.tolist(), widths)
         ]
         self.width = max((blk.xp.size for blk in blocks), default=0)
-        self.scratch = scratch if scratch is not None else _Scratch()
         self._y = None
         self._owner = np.empty(m, dtype=np.intp)
-        self._dist = None
         self._view = self._owner.view()
         self._view.flags.writeable = False
 
@@ -251,17 +233,13 @@ class _BandAssigner:
         """Owner of every site; ties go to the lowest dot index. If ``dist``
         is given, the owner's metric distance is written into it. The owners
         are a read-only view of the assigner's own, valid until its next call."""
-        if dist is None:
-            self._dist = None
-        if self._y is None or (dist is not None and self._dist is None):
+        if self._y is None or dist is not None:
             dirty = range(len(self.blocks))
         else:
             moved = y != self._y
             dirty = np.flatnonzero(np.logical_or.reduceat(moved[self.cols], self.offsets)).tolist()
-        if dist is not None and self._dist is None:
-            self._dist = np.empty(self._owner.size)
-        owner, best = self._owner, self._dist
-        scratch = self.scratch.take(self.width)
+        owner = self._owner
+        scratch = np.empty(self.width)
         for i in dirty:
             rows, s, cols, xp = self.blocks[i]
             buf = scratch[: xp.size].reshape(xp.shape)
@@ -270,11 +248,9 @@ class _BandAssigner:
             buf += xp
             j = buf.argmin(axis=1)
             owner[rows] = cols[j]
-            if best is not None:
-                best[rows] = buf[np.arange(rows.size), j]
+            if dist is not None:
+                dist[rows] = buf[np.arange(rows.size), j]
         self._y = np.array(y)
-        if dist is not None:
-            dist[:] = best
         return self._view
 
 
@@ -588,8 +564,7 @@ def _relax_groups(xs, y0, sites, groups, h: float, config: SolverConfig) -> tupl
     site_y = sites[:, 1]
     # Every y the loop sees is y0 or clamped to [0, h].
     y_range = np.append(y, [0.0, h])
-    scratch = _Scratch()
-    assigners = [_site_assigner(xs[idx], sites, config.metric, y_range, scratch) for idx in groups]
+    assigners = [_site_assigner(xs[idx], sites, config.metric, y_range) for idx in groups]
     for iterations in range(1, config.max_iterations + 1):
         for idx, assigner in zip(groups, assigners):
             old = y[idx]

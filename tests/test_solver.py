@@ -132,20 +132,20 @@ def assignment_inputs(draw):
     return lay, np.column_stack([sx, sy]), spec
 
 
-def record_assign_calls(monkeypatch) -> list:
+def record_assign_calls(monkeypatch, dist_every: int = 1) -> list:
     """Patch the solver's assigner constructor so that every assigner a run
     builds records each call: (assigner, x, sites, y, prev given, owner,
-    distances or None). Distances are asked on two of every three calls of
-    an assigner, so kept, dropped and re-asked distances all occur."""
+    distances or None). Distances are asked on every ``dist_every``-th call
+    of an assigner, its last of each run of ``dist_every``."""
     calls = []
     build = solver._site_assigner
 
-    def building(x, sites, metric, y_range, scratch=None):
-        assigner = build(x, sites, metric, y_range, scratch)
-        assign, calls_made = assigner.assign, count()
+    def building(x, sites, metric, y_range):
+        assigner = build(x, sites, metric, y_range)
+        assign, calls_made = assigner.assign, count(1)
 
         def recording(y, dist=None):
-            d = np.empty(sites.shape[0]) if next(calls_made) % 3 != 1 else None
+            d = np.empty(sites.shape[0]) if next(calls_made) % dist_every == 0 else None
             given_prev = getattr(assigner, "prev", None) is not None
             owner = assign(y, d)
             calls.append((assigner, x, sites, y.copy(), given_prev, owner.copy(), d))
@@ -273,7 +273,9 @@ class TestBandedExactness:
         dom = PlotDomain(x_min=lo, x_max=hi, height=automatic_height(dens.d_max, xs.size, 0.01), radius=0.01)
         spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens) if warped else MetricSpec()
         config = SolverConfig(seed=1, max_iterations=10, metric=spec)
-        calls = record_assign_calls(monkeypatch)
+        # A band call that asks distances re-scores every block, so the calls
+        # between those asks are the incremental ones.
+        calls = record_assign_calls(monkeypatch, dist_every=3)
         final = (relax_multiclass if data.labels is not None else relax)(data, dom, config)
         groups = len(_class_schedule(data.labels, xs.size)) if data.labels is not None else 1
         assert len(calls) == groups * final.iterations_run
