@@ -21,6 +21,7 @@ under ``bluedots/data/``. Regenerate with ``python -m bluedots.datasets``.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,10 @@ def load_csv(path, column: str, class_column: str | None = None) -> DataSet:
     Rows are numbered as in the file, the header being row 1. Blank or
     non-numeric cells abort with the offending location. The dataset is
     named after the file's stem.
+
+    The file reads as ``csv.DictReader`` reads it: blank lines are skipped,
+    a repeated header name reads its last column, and a missing cell reads
+    as None.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -48,28 +53,28 @@ def load_csv(path, column: str, class_column: str | None = None) -> DataSet:
     values = []
     labels = []
     with fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
+        reader = csv.reader(fh)
+        fields = next(reader, None) or []
+        last = {name: i for i, name in enumerate(fields)}  # a repeated name reads its last column
         for name in [column] + ([class_column] if class_column else []):
-            if name not in fields:
+            if name not in last:
                 raise CliError(f"{path}: column {name!r} not found (have {fields})")
+        at, label_at = last[column], last.get(class_column)
         for row in reader:
-            cell = row[column]
+            if not row:
+                continue
+            cell = row[at] if at < len(row) else None
             try:
-                value = float(cell) if cell is not None and cell.strip() != "" else None
-            except ValueError:
-                value = None
-            if value is None or not np.isfinite(value):
-                raise CliError(
-                    f"{path}: row {reader.line_num}, column {column!r}: not a number: {cell!r}"
-                )
+                value = float(cell)
+            except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
+                raise CliError(f"{path}: row {reader.line_num}, column {column!r}: not a number: {cell!r}")
             values.append(value)
             if class_column:
-                label = row[class_column]
+                label = row[label_at] if label_at < len(row) else None
                 if label is None or label.strip() == "":
-                    raise CliError(
-                        f"{path}: row {reader.line_num}, column {class_column!r}: blank class label"
-                    )
+                    raise CliError(f"{path}: row {reader.line_num}, column {class_column!r}: blank class label")
                 labels.append(label)
     if not values:
         raise CliError(f"{path}: no data rows")

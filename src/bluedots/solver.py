@@ -282,6 +282,10 @@ class _Grid(NamedTuple):
         """About ``cells`` cells over the bounding box of the points (x, y)."""
         x0, y0 = float(x.min()), float(y.min())
         ex, ey = float(x.max()) - x0, float(y.max()) - y0
+        # A span too small for a finite cell scale (a subnormal one) counts
+        # as zero: its dots share one cell along that axis, and since any
+        # monotone cell map keeps the search exact, so does that one.
+        ex, ey = (e if e > 0 and math.isfinite(cells / e) else 0.0 for e in (ex, ey))
         if ex > 0 and ey > 0:
             nx = min(max(round(math.sqrt(min(cells * w * ex / ey, float(cells) ** 2))), 1), cells)
             ny = max(round(cells / nx), 1)

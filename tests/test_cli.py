@@ -1,3 +1,4 @@
+import csv
 import json
 import xml.etree.ElementTree as ET
 
@@ -69,6 +70,73 @@ class TestLoadCsv:
     def test_row_order_preserved(self, tmp_path):
         path = write_csv(tmp_path, "f.csv", "v\n5\n1\n9\n")
         assert load_csv(path, "v").values.tolist() == [5.0, 1.0, 9.0]
+
+    @pytest.mark.parametrize("text,column,class_column", [
+        ('v,c\n"1.5","a,b"\n"2","x ""q"""\n', "v", "c"),
+        ("v,c\r\n1,a\r\n2,b\r\n", "v", "c"),
+        ("v,c\r\n1,a\r\n\r\nx,b\r\n", "v", "c"),
+        ("v\n 1.5\n2.5 \n\t3\n+4e-2\n1_000\n", "v", None),
+        ("v\n1\ninf\n", "v", None),
+        ("v\n1\n-Infinity\n", "v", None),
+        ("v\n1\nnan\n", "v", None),
+        ("v\n1\n1e999\n", "v", None),
+        ("v\n \n", "v", None),
+        ("v\n1\n\n\n2\n\n", "v", None),
+        ("v\n1\n\n\nabc\n", "v", None),
+        ("v,c\n1,a\n\n,b\n", "v", "c"),
+        ("\nv\n1\n", "v", None),
+        ("v,v,c,c\n1,2,a,b\n3,4,c,d\n", "v", "c"),
+        ("v,c\n1,a\n2\n", "v", "c"),
+        ("c,v\nx,1\ny\n", "v", "c"),
+        ("v\n1,2,3\n4\n", "v", None),
+        ('v,c\n1,"a\nb"\n2,c\nabc,x\n', "v", "c"),
+        ("v,c\n1, a \n2,\t\n", "v", "c"),
+        ("v\n1\n", "v", "v"),
+        ("v\n1\n", "w", None),
+        ("v\n1\n", "v", "w"),
+        ("\ufeffv\n1\n", "v", None),
+        ("v\n", "v", None),
+        ("", "v", None),
+    ])
+    def test_reads_as_dictreader_reads(self, tmp_path, text, column, class_column):
+        path = tmp_path / "oracle.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            data = load_csv(str(path), column, class_column)
+        except CliError as exc:
+            got = ("error", str(exc))
+        else:
+            got = (data.values.tobytes(), data.labels)
+        assert got == dictreader_load(str(path), column, class_column)
+
+
+def dictreader_load(path, column, class_column):
+    """``load_csv`` as a ``csv.DictReader`` loop: its values and labels, or
+    ("error", message)."""
+    values, labels = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        fields = reader.fieldnames or []
+        for name in [column] + ([class_column] if class_column else []):
+            if name not in fields:
+                return ("error", f"{path}: column {name!r} not found (have {fields})")
+        for row in reader:
+            cell = row[column]
+            try:
+                value = float(cell) if cell is not None and cell.strip() != "" else None
+            except ValueError:
+                value = None
+            if value is None or not np.isfinite(value):
+                return ("error", f"{path}: row {reader.line_num}, column {column!r}: not a number: {cell!r}")
+            values.append(value)
+            if class_column:
+                label = row[class_column]
+                if label is None or label.strip() == "":
+                    return ("error", f"{path}: row {reader.line_num}, column {class_column!r}: blank class label")
+                labels.append(label)
+    if not values:
+        return ("error", f"{path}: no data rows")
+    return (np.array(values).tobytes(), tuple(labels) if class_column else None)
 
 
 def json_dump_layout(layout, data, metric_kind, path):

@@ -12,7 +12,8 @@ from bluedots import (
     height_profile,
     silverman_bandwidth,
 )
-from bluedots.density import GRID_SIZE
+from bluedots import density
+from bluedots.density import GRID_SIZE, _KernelTerms
 
 
 def kde_scalar_oracle(sample, bw):
@@ -138,18 +139,141 @@ class TestEstimateDensity:
 
     @given(
         st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])), min_size=1, max_size=300),
-        st.one_of(st.none(), st.floats(1e-3, 2.0)),
+        st.one_of(st.none(), st.floats(1e-3, 2.0), st.just(1.0 / 512), st.floats(0.005, 0.05)),
     )
     @settings(max_examples=60, deadline=None)
     def test_bit_equal_to_full_matrix_formula(self, sample, bandwidth):
         xs = np.array(sample)
         est = estimate_density(xs, bandwidth)
-        # The one-shot formula over the whole (grid, sources) matrix.
-        bw = est.bandwidth
+        assert est.values.tobytes() == one_shot_density(xs, est.bandwidth).tobytes()
+
+    @pytest.mark.parametrize("bandwidth", [None, 1.0 / 512, 0.01, 0.5])
+    def test_bimodal_4096_bit_equal_to_full_matrix_formula(self, bandwidth):
+        # 0.5 N(55, 7^2) + 0.5 N(80, 7^2) to 3 decimals, normalized: about
+        # 13% of the terms at the Silverman bandwidth have a subnormal or zero
+        # np.exp, so most blocks take their slow lanes off the main call.
+        rng = np.random.default_rng(0)
+        mode = rng.random(4096) < 0.5
+        values = np.round(np.where(mode, rng.normal(55.0, 7.0, 4096), rng.normal(80.0, 7.0, 4096)), 3)
+        xs = (values - values.min()) / (values.max() - values.min())
+        est = estimate_density(xs, bandwidth)
+        assert est.values.tobytes() == one_shot_density(xs, est.bandwidth, rows=32).tobytes()
+
+
+def one_shot_density(xs, bw, rows=GRID_SIZE):
+    """The one-shot formula over the whole (grid, sources) matrix. With
+    ``rows`` < GRID_SIZE it is evaluated that many grid rows at a time, to
+    bound memory: each row's terms and sum do not depend on the rows around
+    it."""
+    sources = np.concatenate([xs, -xs, 2.0 - xs])
+    grid = np.linspace(0.0, 1.0, GRID_SIZE)
+    sums = np.concatenate([
+        np.exp(-0.5 * z * z).sum(axis=1)
+        for z in ((grid[a : a + rows, None] - sources[None, :]) / bw for a in range(0, GRID_SIZE, rows))
+    ])
+    return sums / (xs.size * bw * np.sqrt(2.0 * np.pi))
+
+
+def all_kernel_terms(grid, sources, bw, rows):
+    """Every row of ``_KernelTerms``, block by block, and the kernel."""
+    kernel = _KernelTerms(grid, sources, bw, rows)
+    blocks = [kernel.terms(a, min(a + rows, grid.size)).copy() for a in range(0, grid.size, rows)]
+    return np.concatenate(blocks), kernel
+
+
+# Distances from a grid point, in bandwidths: the fast range (k down to
+# -706.9, including k in [-706.9, -700), whose terms are about 1e-304), each
+# side of the slow bound, the subnormal band, each side of the zero bound,
+# and far zeros.
+KERNEL_DISTANCES = [
+    0.0, 0.5, 3.0, 20.0, 37.0, 37.42, 37.5, 37.59,
+    density._SLOW_Z * (1 - 1e-9), density._SLOW_Z, density._SLOW_Z * (1 + 1e-9),
+    37.65, 37.9, 38.2, 38.5, 38.6, 38.6039, 38.6057,
+    density._ZERO_Z * (1 - 1e-9), density._ZERO_Z, density._ZERO_Z * (1 + 1e-9),
+    38.7, 40.0, 100.0, 1e4,
+]
+
+
+class TestKernelTerms:
+    """``_KernelTerms`` term by term: a row sum hides a wrong 1e-304 term."""
+
+    @pytest.mark.parametrize("bw", [0.03, 0.01, 1.0 / 512, 1e-7])
+    @pytest.mark.parametrize("split_min", [1, density._SPLIT_MIN])
+    def test_terms_bit_equal_to_one_shot_formula_around_each_bound(self, monkeypatch, bw, split_min):
+        monkeypatch.setattr(density, "_SPLIT_MIN", split_min)
+        grid = np.linspace(0.0, 1.0, 23)
+        d = np.array(KERNEL_DISTANCES) * bw
+        sources = np.concatenate([(grid[:, None] - d).ravel(), (grid[:, None] + d).ravel()])
+        got, kernel = all_kernel_terms(grid, sources, bw, rows=5)
+        z = (grid[:, None] - sources[None, :]) / bw
+        want = np.exp(-0.5 * z * z)
+        assert got.tobytes() == want.tobytes()
+        # Every class of lane is there, and the zero lanes are written.
+        assert np.count_nonzero(want == 0.0) > 0
+        assert np.count_nonzero((want > 0) & (want < np.finfo(np.float64).tiny)) > 0
+        assert kernel._zeros[-1] > 0 and kernel._len[2:].sum() > 0
+
+    def test_zero_runs_only_where_exp_is_zero(self, monkeypatch):
+        # Thresholds far too low: the search would call lanes zero whose
+        # np.exp is about 1e-298. The check on each run's innermost lane
+        # must move those runs to the band, so every term stays exact.
+        monkeypatch.setattr(density, "_SPLIT_MIN", 1)
+        monkeypatch.setattr(density, "_SLOW_Z", 36.0)
+        monkeypatch.setattr(density, "_ZERO_Z", 37.0)
+        bw = 0.01
+        grid = np.linspace(0.0, 1.0, 23)
+        d = np.array(KERNEL_DISTANCES) * bw
+        sources = np.concatenate([(grid[:, None] - d).ravel(), (grid[:, None] + d).ravel()])
+        got, kernel = all_kernel_terms(grid, sources, bw, rows=4)
+        z = (grid[:, None] - sources[None, :]) / bw
+        assert got.tobytes() == np.exp(-0.5 * z * z).tobytes()
+        by_value = np.sort(sources)
+        searched = np.searchsorted(by_value, grid - 37.0 * bw, side="left")
+        assert np.any(kernel._len[0] < searched)
+
+    def test_no_set_up_where_no_term_can_be_zero(self):
+        xs = np.random.default_rng(4).random(64)
         sources = np.concatenate([xs, -xs, 2.0 - xs])
-        z = (np.linspace(0.0, 1.0, GRID_SIZE)[:, None] - sources[None, :]) / bw
-        want = np.exp(-0.5 * z * z).sum(axis=1) / (xs.size * bw * np.sqrt(2.0 * np.pi))
-        assert est.values.tobytes() == want.tobytes()
+        kernel = _KernelTerms(np.linspace(0.0, 1.0, GRID_SIZE), sources, 0.1, 32)
+        assert kernel._zeros == [0] * (GRID_SIZE + 1)
+
+
+class TestNumpyExp:
+    """The two facts about np.exp that ``_KernelTerms`` relies on: if numpy
+    changes either, these fail before any density silently does."""
+
+    def test_zero_at_and_below_exp_zero(self):
+        k = np.concatenate([
+            np.linspace(density._EXP_ZERO, -800.0, 1_000_001),
+            [-1e3, -1e10, -1e300, -np.finfo(np.float64).max, -np.inf],
+        ])
+        assert np.exp(k).tobytes() == np.zeros(k.size).tobytes()  # +0.0, not -0.0
+        # The zero bound lies below _EXP_ZERO, and the slow bound above the
+        # first subnormal result.
+        assert (-0.5 * density._ZERO_Z) * density._ZERO_Z < density._EXP_ZERO
+        assert np.exp((-0.5 * density._SLOW_Z) * density._SLOW_Z) >= np.finfo(np.float64).tiny
+
+    def test_lane_bits_do_not_depend_on_neighbours(self):
+        rng = np.random.default_rng(0)
+        n = 50_000
+        slow = rng.uniform(-750.0, -706.0, n)
+        fast = np.concatenate([rng.uniform(-706.0, 0.0, n - 3), [-1.0, -0.0, 0.0]])
+        alone = {"slow": np.exp(slow), "fast": np.exp(fast)}
+        for share in (0.01, 0.13, 0.5, 0.9):
+            is_slow = rng.random(n) < share
+            count = int(is_slow.sum())
+            mixed = np.empty(n)
+            mixed[is_slow] = slow[:count]
+            mixed[~is_slow] = fast[: n - count]
+            out = np.exp(mixed)
+            assert out[is_slow].tobytes() == alone["slow"][:count].tobytes()
+            assert out[~is_slow].tobytes() == alone["fast"][: n - count].tobytes()
+            for stride in (2, 3, 7):
+                assert np.exp(mixed[::stride]).tobytes() == out[::stride].tobytes()
+            buf = np.empty(mixed.size + 8)
+            for offset in range(8):
+                buf[offset : offset + mixed.size] = mixed
+                assert np.exp(buf[offset : offset + mixed.size]).tobytes() == out.tobytes()
 
 
 class TestAutomaticHeight:

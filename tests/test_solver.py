@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from itertools import count
 from unittest.mock import patch
 
@@ -204,6 +205,26 @@ class TestBandedExactness:
         assigner.prev = prev
         owner = assigner.assign(moved.y)
         assert np.array_equal(owner, oracle_nearest_dot_scan(moved, sites, spec))
+
+    @pytest.mark.parametrize("x,y", [
+        ([0.0, 5e-324], [0.25, 0.25]),  # a subnormal x span
+        ([0.3, 0.6], [0.0, 5e-324]),  # a subnormal y span
+        ([0.0, 5e-324, 1e-310], [0.0, 5e-324, 0.1]),
+    ])
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_grid_over_subnormal_span_matches_dense(self, x, y, kind):
+        x, y = np.array(x), np.array(y)
+        spec = MetricSpec(kind=kind, density=estimate_density(np.random.default_rng(1).random(64)))
+        sites = np.random.default_rng(2).random((64, 2)) * [1.0, 0.5]
+        want_owner, want_dist = dense_assign(x, y, sites, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with patch.object(solver, "_WIDE", 1):
+                assigner = _site_assigner(x, sites, spec, y)
+            assert isinstance(assigner, _GridAssigner)
+            dist = np.empty(len(sites))
+            assert np.array_equal(assigner.assign(y, dist), want_owner)
+            assert dist.tobytes() == want_dist.tobytes()
 
     @given(assignment_inputs(), st.booleans(), st.data())
     @settings(max_examples=200, deadline=None)
