@@ -132,8 +132,11 @@ class _KernelTerms:
         hi = np.searchsorted(by_value, grid + reach, side="right")
         edge = np.concatenate([lo[0] - 1, hi[0]])
         np.clip(edge, 0, m - 1, out=edge)
-        z = (grid - by_value[edge].reshape(2, -1)) / bw
-        zero = (-0.5 * z) * z <= _EXP_ZERO
+        # A bandwidth far below the sources' spacing overflows z to +-inf
+        # or k to -inf, and np.exp(-inf) is the 0 the term is.
+        with np.errstate(over="ignore"):
+            z = (grid - by_value[edge].reshape(2, -1)) / bw
+            zero = (-0.5 * z) * z <= _EXP_ZERO
         lo[0] *= zero[0]
         hi[0] = np.where(zero[1], hi[0], m)
         # Per grid row, four runs of sorted positions: the zero lanes below
@@ -151,9 +154,10 @@ class _KernelTerms:
         r = b - a
         z, k = self._z[:r], self._k[:r]
         np.subtract(self.grid[a:b, None], self.sources, out=z)
-        z /= self.bw
-        np.multiply(-0.5, z, out=k)
-        k *= z
+        with np.errstate(over="ignore"):  # as in __init__
+            z /= self.bw
+            np.multiply(-0.5, z, out=k)
+            k *= z
         nz = self._zeros[b] - self._zeros[a]
         if nz < _SPLIT_MIN:
             return np.exp(k, out=k)
@@ -224,7 +228,14 @@ def estimate_density(xs, bandwidth: Optional[float] = None) -> DensityEstimate:
     for a in range(0, GRID_SIZE, rows):
         b = min(a + rows, GRID_SIZE)
         kernel.terms(a, b).sum(axis=1, out=sums[a:b])
-    values = sums / (xs.size * bw * np.sqrt(2.0 * np.pi))
+    with np.errstate(over="ignore"):
+        values = sums / (xs.size * bw * np.sqrt(2.0 * np.pi))
+    if not np.any(values > 0):
+        raise ValueError(
+            f"bandwidth {bw!r} is too small for the data: the density is 0 at every grid point"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"bandwidth {bw!r} is too small for the data: the density overflows")
     return DensityEstimate(
         grid=grid,
         values=values,

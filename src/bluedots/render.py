@@ -62,14 +62,21 @@ def _check_palette(style: RenderStyle, class_idx: np.ndarray) -> None:
         )
 
 
-def _pixel_map(layout: DotLayout, style: RenderStyle):
+def _canvas(layout: DotLayout, style: RenderStyle) -> tuple[float, float]:
+    """Canvas width and height in pixels."""
     w = float(style.canvas_width_px)
-    canvas_h = w * layout.domain.height
+    return w, w * layout.domain.height
 
-    def to_px(x: float, y: float) -> tuple[float, float]:
-        return x * w, canvas_h - y * w
 
-    return to_px, w, canvas_h
+def _to_px(x, y, w: float, canvas_h: float) -> tuple[list, list]:
+    """Pixel coordinates (x * w, canvas_h - y * w) of each point, y flipped
+    so that y = 0 sits on the bottom edge."""
+    return (np.asarray(x, dtype=np.float64) * w).tolist(), (canvas_h - np.asarray(y, dtype=np.float64) * w).tolist()
+
+
+def _literal(text: str) -> str:
+    """Text that a %-format template writes as it is."""
+    return text.replace("%", "%%")
 
 
 def _document(width: float, height: float, body: list[str]) -> str:
@@ -85,7 +92,7 @@ def _document(width: float, height: float, body: list[str]) -> str:
 
 def _base_elements(layout: DotLayout, style: RenderStyle,
                    envelope_profile: Optional[Callable] = None) -> tuple[list[str], float, float]:
-    to_px, w, canvas_h = _pixel_map(layout, style)
+    w, canvas_h = _canvas(layout, style)
     body = [
         f'<rect x="0" y="0" width="{_fmt(w)}" height="{_fmt(canvas_h)}" '
         f'fill="{style.background}"/>',
@@ -98,9 +105,10 @@ def _base_elements(layout: DotLayout, style: RenderStyle,
         band = np.minimum(np.asarray(envelope_profile(xs), dtype=np.float64),
                           layout.domain.height)
         half = layout.domain.height / 2.0
-        top = [to_px(x, half + b / 2.0) for x, b in zip(xs, band)]
-        bottom = [to_px(x, half - b / 2.0) for x, b in zip(xs[::-1], band[::-1])]
-        points = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in top + bottom)
+        # The top trace left to right, then the bottom one back.
+        px, py = _to_px(np.concatenate([xs, xs[::-1]]),
+                        np.concatenate([half + band / 2.0, (half - band / 2.0)[::-1]]), w, canvas_h)
+        points = " ".join(["%.6f,%.6f"] * len(px)) % tuple(v for xy in zip(px, py) for v in xy)
         body.append(
             f'<polygon points="{points}" fill="none" '
             f'stroke="{style.envelope.color}" '
@@ -121,13 +129,13 @@ def render_svg(layout: DotLayout, style: RenderStyle,
     class_idx = _class_indices(layout)
     _check_palette(style, class_idx)
     body, w, canvas_h = _base_elements(layout, style, envelope_profile)
-    to_px, _, _ = _pixel_map(layout, style)
-    for i in range(len(layout)):
-        px, py = to_px(float(layout.x[i]), float(layout.y[i]))
-        body.append(
-            f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(style.dot_radius_px)}" '
-            f'fill="{style.palette[class_idx[i]]}"/>'
-        )
+    # One template per class, its radius and fill written once; '%.6f' is _fmt.
+    circle = [
+        f'<circle cx="%.6f" cy="%.6f" r="{_fmt(style.dot_radius_px)}" fill="{_literal(format(color))}"/>'
+        for color in style.palette
+    ]
+    px, py = _to_px(layout.x, layout.y, w, canvas_h)
+    body += [circle[c] % xy for c, xy in zip(class_idx.tolist(), zip(px, py))]
     return _document(w, canvas_h, body)
 
 
@@ -142,7 +150,6 @@ def render_icons(layout: DotLayout, icons: Sequence[str], style: RenderStyle,
     if len(icons) != len(layout):
         raise ValueError(f"{len(icons)} icons for {len(layout)} dots")
     body, w, canvas_h = _base_elements(layout, style, envelope_profile)
-    to_px, _, _ = _pixel_map(layout, style)
     edge = 2.0 * style.dot_radius_px
 
     unique: dict[str, str] = {}
@@ -158,10 +165,8 @@ def render_icons(layout: DotLayout, icons: Sequence[str], style: RenderStyle,
     defs.append("</defs>")
     body = defs + body
 
-    for i in range(len(layout)):
-        px, py = to_px(float(layout.x[i]), float(layout.y[i]))
-        body.append(
-            f'<use xlink:href="#{unique[icons[i]]}" '
-            f'x="{_fmt(px - style.dot_radius_px)}" y="{_fmt(py - style.dot_radius_px)}"/>'
-        )
+    use = {href: f'<use xlink:href="#{ident}" x="%.6f" y="%.6f"/>' for href, ident in unique.items()}
+    px, py = _to_px(layout.x, layout.y, w, canvas_h)
+    r = style.dot_radius_px
+    body += [use[href] % (x - r, y - r) for href, x, y in zip(icons, px, py)]
     return _document(w, canvas_h, body)

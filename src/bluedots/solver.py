@@ -22,16 +22,18 @@ x-sorted sites store their windows' terms once (``_BandAssigner``). At large
 n with the auto height they span most dots and the store grows as m*n, so
 there a grid search scores each site only against the dots within its
 distance to a known dot (``_GridAssigner``): a few dots per site once the
-layout settles, and nothing of size m*n is stored.
+layout settles, and nothing of size m*n is stored. Its grid is fixed for the
+run, built once over x and the y range, so only the dots' rows change.
 
 Both forms are incremental, since with fixed sites a dot's cell changes only
 where dots moved, and late in a run few do. Each assigner keeps the y and the
 owners of its last call, and a later call re-scores only the sites whose
 owner can have changed: the band's blocks with a moved candidate dot, and
-the grid's sites whose owner moved or whose reach around their kept owner
-distance holds a moved dot. Every other site keeps its owner and distance
-bit for bit, because the dots that could beat or tie its owner are unmoved
-and score as before.
+the grid's sites whose owner moved farther or whose box, the grid cells
+within reach of their kept owner distance (stored per site), holds a moved
+dot other than an owner that moved no farther. Every other site keeps its
+owner bit for bit, because the dots that could beat or tie it are unmoved
+and score as before; its distance is the owner's new one.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DataSet, DotLayout, MetricKind, MetricSpec, PlotDomain, _class_order, _readonly
-from .density import height_profile
+from .density import GRID_SIZE, height_profile
 
 # Most distance terms one band block stores, and about the most (site, dot)
 # pairs and (site, column) ranges the grid search holds at once; keeps each
@@ -187,7 +190,7 @@ def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range
             break
         size = max(1, min(size - 1, size * _CHUNK_ELEMENTS // terms))
     if int((hi - lo).max()) >= _WIDE:
-        return _GridAssigner(x, sites, metric)
+        return _GridAssigner(x, sites, metric, y_range)
 
     blocks = []
     for a, b, first, last in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
@@ -262,7 +265,8 @@ def _cell(v, lo: float, scale: float, count: int) -> np.ndarray:
         return np.zeros(np.shape(v), dtype=np.intp)
     c = np.subtract(v, lo)
     c *= scale
-    np.clip(c, 0, count - 1, out=c)
+    np.maximum(c, 0, out=c)
+    np.minimum(c, count - 1, out=c)
     return c.astype(np.intp)
 
 
@@ -307,63 +311,95 @@ def _ranges(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prefix_counts(key: np.ndarray, grid: _Grid) -> np.ndarray:
-    """Dots in columns < c and rows < r, for each (c, r), of the dots in the
-    grid cells ``key``: any box's count in four lookups."""
-    counts = np.bincount(key, minlength=grid.nx * grid.ny).reshape(grid.nx, grid.ny)
-    below = np.zeros((grid.nx + 1, grid.ny + 1), dtype=np.intp)
-    below[1:, 1:] = counts.cumsum(axis=0).cumsum(axis=1)
-    return below
-
-
 class _GridAssigner:
     """Exact nearest-dot search over a grid of the dots, for any y.
 
-    Each call buckets the dots into a column-major grid (``_Grid``) with
-    x scaled by w_min, the smallest encoding weight: 2 for the uniform
-    metric, 1 for the warped one. Each site is scored only against the dots
-    in the grid columns within its reach in x, and in each column only
-    against the rows within what the reach leaves after the column's gap
-    in x.
+    The grid (``_Grid``) is built once, over the dots' x and the y range the
+    assigner is built for, with x scaled by w_min, the smallest encoding
+    weight: 2 for the uniform metric, 1 for the warped one. Its cells are
+    column-major, so each dot's column and each column's dot x extent are
+    fixed for the run, and a call only re-buckets the dots by row. A y
+    outside the range goes to the first or last row. Each site is scored
+    only against the dots in the grid columns within its reach in x, and in
+    each column only against the rows within what the reach leaves after the
+    column's gap in x.
 
     Exactness. Let D be a site's distance to any one dot, computed exactly as
     the search computes it: it bounds the site's nearest distance. A dot at
     computed distance fl(a + b) <= D, with a = fl|s_y - y| and
-    b = fl(w * fl|x - s_x|), both non-negative, has w_min |x - s_x| +
-    |s_y - y| <= D (1 + 4 eps). The search reaches R = D + 16 eps (coordinate
-    scale + D): R / w_min in x, and R - w_min g in y in a column whose dots
-    lie at least g from the site in x. That tolerance covers the rounding
-    above and that of the reach ends, and a dot's cell index is a monotone
-    function of its coordinates that the reach ends go through too. So the
-    dots scored include every dot that can own or tie for the site. Each is
-    scored with the dense search's float operations, and among the dots at
-    the site's minimum the lowest index wins.
+    b = fl(w * fl|x - s_x|), both non-negative, has W |x - s_x| +
+    |s_y - y| <= D (1 + 4 eps) for any W <= w. The search reaches
+    R = D + 16 eps (coordinate scale + D): R / W in x, and R - W g in y in a
+    column whose dots lie at least g from the site in x. That tolerance
+    covers the rounding above and that of the reach ends, and a dot's cell
+    index is a monotone function of its coordinates that the reach ends go
+    through too (clipping to the grid keeps it monotone). So the dots scored
+    include every dot that can own or tie for the site. Each is scored with
+    the dense search's float operations, and among the dots at the site's
+    minimum the lowest index wins.
+
+    W is per site (``_weight``). For the uniform metric it is 2. For the
+    warped one, w = 1 + d(m)/d_max at the midpoint m of the dot and the site,
+    and every dot within R has |x - s_x| <= R (w >= 1), so its m lies within
+    R/2 of s_x. Since d interpolates linearly between grid values, W is 1 +
+    the smallest grid value it can interpolate between there, over d_max,
+    less a margin for the rounding of w. Where the data is dense that nearly
+    halves the reach in x against w_min = 1.
 
     The known dot is ``prev``, by default the site's owner in the previous
     call: any dot is a valid bound, so a changed y only loosens it. On the
     first call it is the nearer of the two dots next to the site in its grid
-    column, or of the two next to it in x where that column is empty.
+    column, or of the two next to it in x where that column is empty. The
+    dots in each site's box are counted from prefix counts first: where the
+    known dot is the only one, it is the owner, with no dot scored.
 
     The search is incremental. The assigner keeps the y, owners and owner
-    distances of its last call, and a later call re-scores only the sites
-    whose owner moved or whose box, the grid cells within reach of the kept
-    distance D, holds a moved dot (counted from prefix counts of the moved
-    dots). Any other site keeps its owner and distance: its unmoved dots
-    have the distances they had, and by the argument above a moved dot
-    outside the box is strictly farther than D, so it can neither own the
-    site nor tie for it. The first call is the case where every site is
-    re-scored.
+    distances of its last call, and for each site its box: the grid cells
+    within reach of its kept distance D (or of a larger one, which only
+    widens it), stored as the four corners' flat indices into the prefix
+    counts (``_prefix_counts``), so that counting the moved dots in every
+    box takes four gathers. A search stores the box it searched where the
+    known dot's distance is the new D, else the box around the new D. A
+    later call re-scores only the sites whose owner moved or whose box
+    holds a moved dot. Any other site keeps its owner and distance: its
+    unmoved dots have the distances they had, and by the argument above a
+    moved dot outside the box is strictly farther than D, so it can neither
+    own the site nor tie for it. One more case keeps its owner without a
+    search: the owner moved to a distance D' <= D, and the box holds no
+    other moved dot. Every unmoved dot still scores at least D >= D', and
+    one tied at D' = D loses the tie, since the owner was the lowest index
+    at D; every other moved dot lies outside the box, strictly farther than
+    D. So the owner stays, at D'. The first call is the case where every
+    site is re-scored.
     """
 
-    def __init__(self, x: np.ndarray, sites: np.ndarray, metric: MetricSpec):
+    def __init__(self, x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray):
         self.x, self.metric = x, metric
         self.sx, self.sy = sites[:, 0], sites[:, 1]
         self.w_min = 2.0 if metric.kind is MetricKind.UNIFORM else 1.0
+        if metric.kind is MetricKind.DENSITY_WARPED:
+            # Row k holds the minimum of the density values i..i + 2^k - 1 at i.
+            v = metric.density.values
+            self._mins = np.full((int(v.size).bit_length(), v.size), np.inf)
+            self._mins[0] = v
+            for k in range(1, self._mins.shape[0]):
+                h = 1 << (k - 1)
+                np.minimum(self._mins[k - 1, :-h], self._mins[k - 1, h:], out=self._mins[k, :-h])
         self.scale = float(np.abs(sites).max())
+        self.grid = grid = _Grid.over(x, y_range, self.w_min / _CELL_ASPECT, _CELLS_PER_DOT * x.size)
+        col = grid.col(x)
+        self.col_key = col * grid.ny
+        # Each column's dot x extent, empty columns reaching nothing.
+        self.col_lo, self.col_hi = np.full(grid.nx, np.inf), np.full(grid.nx, -np.inf)
+        np.minimum.at(self.col_lo, col, x)
+        np.maximum.at(self.col_hi, col, x)
+        m = self.sy.size
         self.prev = None
         self._y = None
-        self._owner = np.empty(self.sy.size, dtype=np.intp)
-        self._dist = np.empty(self.sy.size)
+        self._owner = np.empty(m, dtype=np.intp)
+        self._dist = np.empty(m)
+        # The corners of each site's box (``_corners``).
+        self._boxes = np.empty((4, m), dtype=np.int32 if (grid.nx + 1) * (grid.ny + 1) < 2**31 else np.intp)
         self._view = self._owner.view()
         self._view.flags.writeable = False
 
@@ -374,10 +410,10 @@ class _GridAssigner:
         d += _xpart(self.metric, self.x[dot], self.sx[sites])
         return d
 
-    def _first_bound(self, y: np.ndarray, sites, grid: _Grid, perm: np.ndarray, start: np.ndarray) -> np.ndarray:
-        """Each of these sites' distance to the nearer of two dots next to it:
-        in its grid column, or in x where that column is empty."""
-        x, n = self.x, self.x.size
+    def _first_bound(self, y: np.ndarray, sites, perm: np.ndarray, start: np.ndarray):
+        """Each of these sites' nearer of two dots next to it, in its grid
+        column or in x where that column is empty, and its distance."""
+        x, n, grid = self.x, self.x.size, self.grid
         sx = self.sx[sites]
         c = grid.col(sx) * grid.ny
         top, bottom = start[c], start[c + grid.ny]
@@ -390,78 +426,135 @@ class _GridAssigner:
             at = np.searchsorted(x[by_x], sx[empty])
             before[empty] = by_x[np.maximum(at - 1, 0)]
             after[empty] = by_x[np.minimum(at, n - 1)]
-        return np.minimum(self._distance(y, before, sites), self._distance(y, after, sites))
+        d_before, d_after = self._distance(y, before, sites), self._distance(y, after, sites)
+        nearer = d_after < d_before
+        return np.where(nearer, after, before), np.where(nearer, d_after, d_before)
 
-    def _box(self, grid: _Grid, sites, reach: np.ndarray):
-        """The reach widened by its tolerance, and the grid columns [c0, c1)
-        and rows [r0, r1) it spans around each of these sites."""
+    def _weight(self, sx: np.ndarray, reach: np.ndarray):
+        """A lower bound on the encoding weight of each of these sites to
+        every dot within ``reach`` of it: w_min for the uniform metric; for
+        the warped one, 1 + the smallest density value at the grid points
+        the weight can interpolate between, over d_max, less a rounding margin."""
+        if self.metric.kind is MetricKind.UNIFORM:
+            return np.full(sx.shape, self.w_min)
+        # The midpoints of those dots lie within reach / 2 of the site; the
+        # grid points around them, one more on each side for rounding.
+        g, half = GRID_SIZE - 1, reach / 2.0
+        lo = np.clip(np.floor((sx - half) * g) - 1.0, 0, g - 1).astype(np.intp)
+        hi = np.clip(np.floor((sx + half) * g) + 2.0, 1, g).astype(np.intp)
+        # The minimum over [lo, hi] from two overlapping power-of-two runs.
+        k = np.frexp(hi - lo + 1)[1] - 1
+        w = np.minimum(self._mins[k, lo], self._mins[k, hi - (1 << k) + 1])
+        w /= self.metric.density.d_max
+        w += 1.0
+        w *= 1.0 - 16 * np.finfo(np.float64).eps
+        return w
+
+    def _box(self, sites, reach: np.ndarray):
+        """The reach widened by its tolerance, the weight bound (``_weight``),
+        and the grid columns [c0, c1) and rows [r0, r1) the reach spans
+        around each of these sites."""
+        grid = self.grid
         reach = reach + 16 * np.finfo(np.float64).eps * (self.scale + reach)
         sx, sy = self.sx[sites], self.sy[sites]
-        c0, c1 = grid.col(sx - reach / self.w_min), grid.col(sx + reach / self.w_min) + 1
+        w = self._weight(sx, reach)
+        c0, c1 = grid.col(sx - reach / w), grid.col(sx + reach / w) + 1
         r0, r1 = grid.row(sy - reach), grid.row(sy + reach) + 1
-        return reach, c0, c1, r0, r1
+        return reach, w, c0, c1, r0, r1
 
-    def _dirty(self, moved: np.ndarray, grid: _Grid, key: np.ndarray) -> np.ndarray:
-        """Sites whose owner moved or whose box around the kept distance holds
-        a moved dot: the sites the move can give another owner or distance."""
-        dirty = moved[self._owner]
-        if moved.any():
-            below = _prefix_counts(key[moved], grid)
-            _, c0, c1, r0, r1 = self._box(grid, slice(None), self._dist)
-            dirty |= below[c1, r1] - below[c0, r1] - below[c1, r0] + below[c0, r0] > 0
-        return np.flatnonzero(dirty)
+    def _prefix_counts(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For the dots in the grid cells ``key``: the dots in cells before
+        each cell in key order (and all of them, last), and flattened their
+        prefix counts, the dots in columns < c and rows < r at (c, r), so
+        that any box's count takes four lookups."""
+        nx, ny = self.grid.nx, self.grid.ny
+        start = np.zeros(nx * ny + 1, dtype=np.intp)
+        np.cumsum(np.bincount(key, minlength=nx * ny), out=start[1:])
+        # Column c's counts below each row, cumulated over the columns.
+        below = np.zeros((nx + 1, ny + 1), dtype=np.intp)
+        np.subtract(sliding_window_view(start, ny + 1)[::ny], start[:-1:ny, None], out=below[1:])
+        np.cumsum(below[1:], axis=0, out=below[1:])
+        return start, below.reshape(-1)
+
+    def _corners(self, c0: np.ndarray, c1: np.ndarray, r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
+        """Flat indices into the prefix counts of the corners (c0, r0),
+        (c0, r1), (c1, r0) and (c1, r1) of boxes, one row each."""
+        stride = self.grid.ny + 1
+        c0, c1 = c0 * stride, c1 * stride
+        return np.stack([c0 + r0, c0 + r1, c1 + r0, c1 + r1])
+
+    @staticmethod
+    def _count(below: np.ndarray, corners: np.ndarray) -> np.ndarray:
+        """The dots in each box, from the flat prefix counts and its corners."""
+        c00, c01, c10, c11 = corners
+        n = below.take(c11)
+        n -= below.take(c01)
+        n -= below.take(c10)
+        n += below.take(c00)
+        return n
 
     def assign(self, y: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
         """Owner of every site; ties go to the lowest dot index. If ``dist``
         is given, the owner's metric distance is written into it. The owners
         are a read-only view of the assigner's own, valid until its next call."""
-        x = self.x
-        grid = _Grid.over(x, y, self.w_min / _CELL_ASPECT, _CELLS_PER_DOT * x.size)
-        key = grid.col(x) * grid.ny + grid.row(y)
-        sites = np.arange(self.sy.size) if self._y is None else self._dirty(y != self._y, grid, key)
+        key = self.col_key + self.grid.row(y)
+        sites = np.arange(self.sy.size) if self._y is None else self._dirty(y, key)
         if sites.size:
-            self._search(y, sites, grid, key)
+            self._search(y, sites, key)
         self._y = np.array(y)
         self.prev = self._owner
         if dist is not None:
             dist[:] = self._dist
         return self._view
 
-    def _search(self, y: np.ndarray, sites: np.ndarray, grid: _Grid, key: np.ndarray) -> None:
-        """Owner and distance of each of these sites, into the kept ones."""
+    def _dirty(self, y: np.ndarray, key: np.ndarray) -> np.ndarray:
+        """Sites the move can give another owner or distance: those whose
+        box holds a moved dot, or whose owner moved, except the sites whose
+        owner moved no farther and is the only moved dot in the box; those
+        keep their owner and take its new distance here."""
+        moved = y != self._y
+        if not moved.any():
+            return np.empty(0, dtype=np.intp)
+        inbox = self._count(self._prefix_counts(key[moved])[1], self._boxes)
+        owner_moved = moved[self._owner]
+        closer = np.flatnonzero(owner_moved & (inbox == 1))
+        d = self._distance(y, self._owner[closer], closer)
+        keep = d <= self._dist[closer]
+        closer = closer[keep]
+        self._dist[closer] = d[keep]
+        owner_moved[closer] = False
+        inbox[closer] = 0
+        return np.flatnonzero(owner_moved | (inbox > 0))
+
+    def _search(self, y: np.ndarray, sites: np.ndarray, key: np.ndarray) -> None:
+        """Owner, distance and box of each of these sites, into the kept ones."""
+        grid = self.grid
         perm = np.argsort(key)
         gx, gy = self.x[perm], y[perm]
-        start = np.zeros(grid.nx * grid.ny + 1, dtype=np.intp)
-        np.cumsum(np.bincount(key, minlength=grid.nx * grid.ny), out=start[1:])
-        below = _prefix_counts(key, grid)
-
+        start, below = self._prefix_counts(key)
+        # The known dot, the owner where it is the only dot in reach.
         if self.prev is None:
-            bound = self._first_bound(y, sites, grid, perm, start)
+            self._owner[sites], bound = self._first_bound(y, sites, perm, start)
         else:
-            bound = self._distance(y, self.prev[sites], sites)
-        reach, c0, c1, r0, r1 = self._box(grid, sites, bound)
-        cands = below[c1, r1] - below[c0, r1] - below[c1, r0] + below[c0, r0]
-        ncols = c1 - c0
+            self._owner[sites] = self.prev[sites]
+            bound = self._distance(y, self._owner[sites], sites)
+        self._dist[sites] = bound
+        reach, w, c0, ncols, cands = self._reach(sites, bound, below)
+        scan = np.flatnonzero(cands > 1)  # the rest hold only the known dot
+        at, bound, reach, w, c0, ncols, cands = (v[scan] for v in (sites, bound, reach, w, c0, ncols, cands))
         cuts = np.flatnonzero(np.diff((np.cumsum(cands + ncols) - 1) // _CHUNK_ELEMENTS)) + 1
 
-        # Each column's dot x extent, empty columns reaching nothing.
-        edges = start[:: grid.ny]
-        filled = np.flatnonzero(edges[:-1] < edges[1:])
-        col_lo, col_hi = np.full(grid.nx, np.inf), np.full(grid.nx, -np.inf)
-        col_lo[filled] = np.minimum.reduceat(gx, edges[filled])
-        col_hi[filled] = np.maximum.reduceat(gx, edges[filled])
-
-        sx, sy = self.sx[sites], self.sy[sites]
-        for a, b in zip(np.r_[0, cuts].tolist(), np.r_[cuts, sites.size].tolist()):
+        sx, sy = self.sx[at], self.sy[at]
+        for a, b in zip(np.r_[0, cuts].tolist(), np.r_[cuts, at.size].tolist()):
             # One range of grid-sorted dots per column a site's box meets,
             # its rows cut to what the reach leaves after the column's x gap.
             cols = ncols[a:b]
             c = _ranges(c0[a:b], cols)
             s_x = np.repeat(sx[a:b], cols)
-            rest = np.maximum(col_lo[c] - s_x, s_x - col_hi[c])
+            rest = np.maximum(self.col_lo[c] - s_x, s_x - self.col_hi[c])
             np.maximum(rest, 0.0, out=rest)
-            rest *= -self.w_min
-            rest += np.repeat(reach[a:b], cols)
+            rest *= np.repeat(w[a:b], cols)
+            np.subtract(np.repeat(reach[a:b], cols), rest, out=rest)
             s_y = np.repeat(sy[a:b], cols)
             c *= grid.ny
             lo, hi = start[c + grid.row(s_y - rest)], start[c + grid.row(s_y + rest) + 1]
@@ -474,9 +567,22 @@ class _GridAssigner:
             d += _xpart(self.metric, gx[p], np.repeat(sx[a:b], k))
             first = np.cumsum(k) - k
             low = np.minimum.reduceat(d, first)
-            self._dist[sites[a:b]] = low
+            self._dist[at[a:b]] = low
             ties = np.where(d == np.repeat(low, k), perm[p], np.iinfo(np.intp).max)
-            self._owner[sites[a:b]] = np.minimum.reduceat(ties, first)
+            self._owner[at[a:b]] = np.minimum.reduceat(ties, first)
+        # The box kept is the one searched where the bound was the distance.
+        low = self._dist[at]
+        closer = np.flatnonzero(low < bound)
+        self._boxes[:, at[closer]] = self._corners(*self._box(at[closer], low[closer])[2:])
+
+    def _reach(self, sites, bound: np.ndarray, below: np.ndarray):
+        """The widened reach around each of these sites, its weight bound,
+        the first column and the number of columns of its box, and the dots
+        in the box; the box is kept as the site's."""
+        reach, w, c0, c1, r0, r1 = self._box(sites, bound)
+        corners = self._corners(c0, c1, r0, r1)
+        self._boxes[:, sites] = corners
+        return reach, w, c0, c1 - c0, self._count(below, corners)
 
 
 def _draw_sites(rng: np.random.Generator, n_sites: int, n: int, height: float) -> np.ndarray:
@@ -569,11 +675,18 @@ def _relax_groups(xs, y0, sites, groups, h: float, config: SolverConfig) -> tupl
     # Every y the loop sees is y0 or clamped to [0, h].
     y_range = np.append(y, [0.0, h])
     assigners = [_site_assigner(xs[idx], sites, config.metric, y_range) for idx in groups]
+    # Each group's input y at its last cell update, as bits, and its output:
+    # a group whose dots are all where they were gets the same owners, so
+    # the same update.
+    last = [(None, None)] * len(groups)
     for iterations in range(1, config.max_iterations + 1):
-        for idx, assigner in zip(groups, assigners):
+        for g, (idx, assigner) in enumerate(zip(groups, assigners)):
             old = y[idx]
             owner = assigner.assign(old)
-            new = _cell_update(owner, site_y, old, h)
+            bits, new = last[g]
+            if bits is None or not np.array_equal(bits, old.view(np.int64)):
+                new = _cell_update(owner, site_y, old, h)
+                last[g] = (old.view(np.int64), new)
             y[idx] = new
         if float(np.max(np.abs(new - old))) < config.convergence_eps * h:
             break

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,36 @@ class TestEstimateDensity:
         xs = (values - values.min()) / (values.max() - values.min())
         est = estimate_density(xs, bandwidth)
         assert est.values.tobytes() == one_shot_density(xs, est.bandwidth, rows=32).tobytes()
+
+    @pytest.mark.parametrize("bandwidth", [1e-300, 1e-200, 1e-20])
+    def test_tiny_bandwidth_warns_nothing(self, bandwidth):
+        # Sources on grid points keep a nonzero density; the others are far
+        # enough away, in bandwidths, for z or k to overflow.
+        xs = np.concatenate([[0.0, 1.0, 10.0 / 511.0], np.random.default_rng(1).random(40)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_density(xs, bandwidth)
+        with np.errstate(over="ignore"):
+            want = one_shot_density(xs, bandwidth)
+        assert est.values.tobytes() == want.tobytes()
+        assert est.values[0] > 0 and est.values[10] > 0
+
+    @pytest.mark.parametrize("xs,bandwidth", [
+        ([0.2, 0.5, 0.7], 1e-5),  # every source between grid points
+        ([0.3], 1e-300),
+    ])
+    def test_bandwidth_below_grid_spacing_named_in_error(self, xs, bandwidth):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"bandwidth {bandwidth!r} .*density is 0 at every grid point"):
+                estimate_density(np.array(xs), bandwidth=bandwidth)
+
+    def test_overflowing_density_rejected(self):
+        # A source on a grid point at a subnormal bandwidth: 1 / (n bw sqrt(2 pi)) overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="bandwidth 5e-324 .*overflows"):
+                estimate_density(np.array([0.0, 0.5]), bandwidth=5e-324)
 
 
 def one_shot_density(xs, bw, rows=GRID_SIZE):

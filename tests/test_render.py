@@ -144,3 +144,127 @@ class TestRenderIcons:
         a = render_icons(lay, ["x.png", "y.png"], RenderStyle())
         b = render_icons(lay, ["x.png", "y.png"], RenderStyle())
         assert a == b
+
+
+def _oracle_fmt(v: float) -> str:
+    return f"{v:.6f}"
+
+
+def _oracle_base(layout, style, envelope_profile):
+    """The per-point loop the renderer's base elements must match byte for byte."""
+    w = float(style.canvas_width_px)
+    canvas_h = w * layout.domain.height
+
+    def to_px(x, y):
+        return x * w, canvas_h - y * w
+
+    body = [
+        f'<rect x="0" y="0" width="{_oracle_fmt(w)}" height="{_oracle_fmt(canvas_h)}" '
+        f'fill="{style.background}"/>',
+        f'<line x1="0" y1="{_oracle_fmt(canvas_h)}" x2="{_oracle_fmt(w)}" y2="{_oracle_fmt(canvas_h)}" '
+        f'stroke="#888888" stroke-width="1"/>',
+    ]
+    if envelope_profile is not None and style.envelope is not None:
+        xs = np.linspace(0.0, 1.0, 512)
+        band = np.minimum(np.asarray(envelope_profile(xs), dtype=np.float64), layout.domain.height)
+        half = layout.domain.height / 2.0
+        top = [to_px(x, half + b / 2.0) for x, b in zip(xs, band)]
+        bottom = [to_px(x, half - b / 2.0) for x, b in zip(xs[::-1], band[::-1])]
+        points = " ".join(f"{_oracle_fmt(px)},{_oracle_fmt(py)}" for px, py in top + bottom)
+        body.append(
+            f'<polygon points="{points}" fill="none" stroke="{style.envelope.color}" '
+            f'stroke-width="{_oracle_fmt(style.envelope.width_px)}"/>'
+        )
+    return body, to_px, w, canvas_h
+
+
+def _oracle_document(w, canvas_h, body):
+    head = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        'xmlns:xlink="http://www.w3.org/1999/xlink" version="1.1" '
+        f'width="{_oracle_fmt(w)}" height="{_oracle_fmt(canvas_h)}" '
+        f'viewBox="0 0 {_oracle_fmt(w)} {_oracle_fmt(canvas_h)}">'
+    )
+    return "\n".join([head] + body + ["</svg>"]) + "\n"
+
+
+def oracle_render_svg(layout, style, envelope_profile=None):
+    """One circle at a time, each coordinate formatted on its own."""
+    if layout.labels is None:
+        class_idx = [0] * len(layout)
+    else:
+        rank = {c: i for i, c in enumerate(sorted(set(layout.labels)))}
+        class_idx = [rank[lab] for lab in layout.labels]
+    body, to_px, w, canvas_h = _oracle_base(layout, style, envelope_profile)
+    for i in range(len(layout)):
+        px, py = to_px(float(layout.x[i]), float(layout.y[i]))
+        body.append(
+            f'<circle cx="{_oracle_fmt(px)}" cy="{_oracle_fmt(py)}" r="{_oracle_fmt(style.dot_radius_px)}" '
+            f'fill="{style.palette[class_idx[i]]}"/>'
+        )
+    return _oracle_document(w, canvas_h, body)
+
+
+def oracle_render_icons(layout, icons, style, envelope_profile=None):
+    body, to_px, w, canvas_h = _oracle_base(layout, style, envelope_profile)
+    edge = 2.0 * style.dot_radius_px
+    unique = {}
+    for href in icons:
+        unique.setdefault(href, f"icon{len(unique)}")
+    defs = ["<defs>"] + [
+        f'<image id="{ident}" xlink:href="{href}" width="{_oracle_fmt(edge)}" height="{_oracle_fmt(edge)}"/>'
+        for href, ident in unique.items()
+    ] + ["</defs>"]
+    body = defs + body
+    for i in range(len(layout)):
+        px, py = to_px(float(layout.x[i]), float(layout.y[i]))
+        body.append(
+            f'<use xlink:href="#{unique[icons[i]]}" '
+            f'x="{_oracle_fmt(px - style.dot_radius_px)}" y="{_oracle_fmt(py - style.dot_radius_px)}"/>'
+        )
+    return _oracle_document(w, canvas_h, body)
+
+
+class TestBytesMatchPerDotLoop:
+    """The vectorized templates write the bytes the per-dot loop writes."""
+
+    @staticmethod
+    def layout(n, seed, labels=None, height=DOM.height):
+        rng = np.random.default_rng(seed)
+        x, y = rng.random(n), rng.random(n) * height
+        # Dots on the bottom and top edges, at x = 0 and 1, and a tiny y.
+        x[:4], y[:4] = [0.0, 1.0, 0.5, 0.25], [0.0, height, 5e-324, height * (1 - 2**-52)]
+        dom = PlotDomain(x_min=0.0, x_max=1.0, height=height, radius=0.01)
+        return DotLayout(x=x, y=y, domain=dom, labels=labels)
+
+    @pytest.mark.parametrize("height", [DOM.height, 0.7637258617922691, 1.0 / 3.0])
+    @pytest.mark.parametrize("width", [800, 333])
+    def test_single_class(self, height, width):
+        lay = self.layout(300, 1, height=height)
+        style = RenderStyle(canvas_width_px=width, dot_radius_px=3.3)
+        assert render_svg(lay, style) == oracle_render_svg(lay, style)
+
+    def test_classes_and_percent_in_colors(self):
+        labels = tuple(np.random.default_rng(2).choice(["setosa", "versicolor", "virginica"], 200))
+        lay = self.layout(200, 3, labels=labels)
+        for palette in (("#111111", "#222222", "#333333"), ("rgb(10%,20%,30%)", "%s", "%%d")):
+            style = RenderStyle(palette=palette)
+            assert render_svg(lay, style) == oracle_render_svg(lay, style)
+
+    @pytest.mark.parametrize("n", [4, 64, 4096])
+    def test_envelope(self, n):
+        lay = self.layout(n, 4)
+        profile = height_profile(estimate_density(lay.x), n, 0.01)
+        style = RenderStyle(envelope=StrokeStyle(color="#ff0000", width_px=1.5))
+        assert render_svg(lay, style, profile) == oracle_render_svg(lay, style, profile)
+        # A band taller than the plot is cut to its height.
+        tall = lambda xs: np.full_like(xs, 5.0)  # noqa: E731
+        assert render_svg(lay, style, tall) == oracle_render_svg(lay, style, tall)
+
+    def test_icons(self):
+        lay = self.layout(50, 5)
+        icons = [f"icon-{i % 3}%d.png" for i in range(50)]
+        profile = height_profile(estimate_density(lay.x), 50, 0.01)
+        for style in (RenderStyle(dot_radius_px=5), RenderStyle(dot_radius_px=2.5, envelope=StrokeStyle())):
+            assert render_icons(lay, icons, style, profile) == oracle_render_icons(lay, icons, style, profile)

@@ -227,17 +227,21 @@ class TestBandedExactness:
             assert dist.tobytes() == want_dist.tobytes()
 
     @given(assignment_inputs(), st.booleans(), st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_incremental_calls_match_dense(self, inputs, on_grid, data):
         """Three to five calls of one assigner, band or grid, each at y left
         unchanged, with one dot moved, with one dot moved onto a tie for a
-        site, with every dot moved, or with arbitrary previous owners."""
+        site, with every dot moved, with arbitrary previous owners, with a
+        site's owner moved toward it (alone, or with a lower-index rival
+        moved to the owner's new distance), or with dots moved outside the y
+        range the grid search was built for."""
         lay, sites, spec = inputs
         m, n = sites.shape[0], len(lay)
         moved_y = _grid.map(lambda v: v / 4)
         steps, ys = [], [lay.y]
+        kinds = ["same", "one", "tie", "all", "prev", "closer", "closer+rival", "outside"]
         for _ in range(data.draw(st.integers(2, 4))):
-            step = data.draw(st.sampled_from(["same", "one", "tie", "all", "prev"]))
+            step = data.draw(st.sampled_from(kinds))
             y = ys[-1].copy()
             if step == "one":
                 y[data.draw(st.integers(0, n - 1))] = data.draw(moved_y)
@@ -246,15 +250,27 @@ class TestBandedExactness:
                 k = data.draw(st.integers(0, m - 1))
                 owner, dist = dense_assign(lay.x, y, sites[k : k + 1], spec)
                 i = data.draw(st.integers(0, n - 1).filter(lambda i: i != owner[0]))
-                rest = float(dist[0]) - float(solver._xpart(spec, lay.x[i : i + 1], sites[k : k + 1, 0])[0])
-                if rest >= 0:
-                    y[i] = sites[k, 1] + data.draw(st.sampled_from([rest, -rest]))
+                self.move_to_distance(y, lay.x, sites[k], spec, i, float(dist[0]), data)
             elif step == "all":
                 y = np.array(data.draw(st.lists(moved_y, min_size=n, max_size=n)))
+            elif step.startswith("closer"):
+                # Site k's owner toward it in y: its distance shrinks or stays.
+                k = data.draw(st.integers(0, m - 1))
+                o = int(dense_assign(lay.x, y, sites[k : k + 1], spec)[0][0])
+                y[o] += (sites[k, 1] - y[o]) * data.draw(st.sampled_from([1.0, 0.5, 0.25, 2**-40]))
+                if step == "closer+rival" and o > 0:
+                    d = float(dense_assign(lay.x[o : o + 1], y[o : o + 1], sites[k : k + 1], spec)[1][0])
+                    self.move_to_distance(y, lay.x, sites[k], spec, data.draw(st.integers(0, o - 1)), d, data)
+            elif step == "outside":
+                # Past either end of the range, by up to twice its span.
+                for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)):
+                    y[i] = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.sampled_from([0.3, 0.7, 1.0, 5.0]))
             steps.append(step)
             ys.append(y)
+        # The band is exact only within its range; the grid clips to its cells.
+        y_range = np.concatenate([y for step, y in zip(["first"] + steps, ys) if step != "outside" or not on_grid])
         with patch.object(solver, "_WIDE", 1 if on_grid else solver._WIDE):
-            assigner = _site_assigner(lay.x, sites, spec, np.concatenate(ys))
+            assigner = _site_assigner(lay.x, sites, spec, y_range)
         assert isinstance(assigner, _GridAssigner if on_grid else _BandAssigner)
         for step, y in zip(["first"] + steps, ys):
             if step == "prev":
@@ -264,6 +280,61 @@ class TestBandedExactness:
             assert np.array_equal(assigner.assign(y, dist), want_owner)
             if dist is not None:
                 assert dist.tobytes() == want_dist.tobytes()
+
+    @staticmethod
+    def move_to_distance(y, x, site, spec, i, d, data):
+        """Dot i to a y at which its distance to the site is d, up to rounding."""
+        rest = d - float(solver._xpart(spec, x[i : i + 1], site[None, :1])[0, 0])
+        if rest >= 0:
+            y[i] = site[1] + data.draw(st.sampled_from([rest, -rest]))
+
+    @given(
+        st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.3, 1.0])), min_size=1, max_size=60),
+        st.sampled_from([None, 1.0 / 512, 0.003, 0.05]),
+        st.lists(st.one_of(st.floats(-0.1, 1.1), st.sampled_from([0.0, 1.0])), min_size=1, max_size=32),
+        st.lists(st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, 1e-300, 1 / 511])), min_size=1, max_size=32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_warped_weight_bound_holds_within_reach(self, sample, bandwidth, sx, reach):
+        """The grid's per-site weight bound is at most the encoding weight of
+        the site to every x within its reach, on sharp and flat densities."""
+        xs = np.array(sample)
+        spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=estimate_density(xs, bandwidth))
+        m = min(len(sx), len(reach))
+        sx, reach = np.array(sx[:m]), np.array(reach[:m])
+        with patch.object(solver, "_WIDE", 1):
+            assigner = _site_assigner(xs, np.column_stack([sx, np.zeros(m)]), spec, np.array([0.0, 0.2]))
+        w = assigner._weight(sx, reach)
+        # Dots across each reach, its ends, and the sample itself.
+        x = np.concatenate([np.linspace(-1.0, 1.0, 401)[:, None] * reach + sx, (sx - reach)[None], xs[:, None] + 0 * sx])
+        x = np.clip(x, 0.0, 1.0)
+        within = np.abs(x - sx) <= reach
+        assert np.all(spec.encoding_weight(x, sx)[within] >= np.broadcast_to(w, x.shape)[within])
+
+    @pytest.mark.parametrize("second", [
+        # Dot 0 to just below a row edge, at the owner's distance 0.75 after
+        # rounding: only the kept box's tolerance reaches its row.
+        [0.25 - 2**-55, 1.75, 3.0],
+        # The owner 1 closer, to 0.5, and dot 0 to a tie with it there.
+        [0.5, 1.5, 3.0],
+    ])
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_moved_dot_takes_over_at_the_box_edge(self, second, kind):
+        """A site at (0.5, 1) owned by dot 1 at distance 0.75; the next call
+        moves dot 0 onto a tie for it, which the lower index wins."""
+        x = np.full(3, 0.5)
+        sites = np.array([[0.5, 1.0]])
+        spec = MetricSpec(kind=kind, density=estimate_density(np.random.default_rng(1).random(64)))
+        with patch.object(solver, "_WIDE", 1):
+            assigner = _site_assigner(x, sites, spec, np.array([0.0, 3.0]))
+        # One column of 12 rows, each 0.25 tall.
+        assert (assigner.grid.nx, assigner.grid.y_scale) == (1, 4.0)
+        for y in (np.array([3.0, 1.75, 3.0]), np.array(second)):
+            dist = np.empty(1)
+            want_owner, want_dist = dense_assign(x, y, sites, spec)
+            assert np.array_equal(assigner.assign(y, dist), want_owner)
+            assert dist.tobytes() == want_dist.tobytes()
+        assert want_owner[0] == 0
 
     @pytest.mark.parametrize("warped", [False, True])
     def test_relax_trajectory_with_wide_blocks_bit_equal_to_dense(self, monkeypatch, warped):
