@@ -578,7 +578,9 @@ class _GridAssigner:
     def _reach(self, sites, bound: np.ndarray, below: np.ndarray):
         """The widened reach around each of these sites, its weight bound,
         the first column and the number of columns of its box, and the dots
-        in the box; the box is kept as the site's."""
+        in the box; the box is kept as the site's. (A method of its own so
+        that the box's temporaries are freed before the search loop, whose
+        chunks set the assigner's peak memory.)"""
         reach, w, c0, c1, r0, r1 = self._box(sites, bound)
         corners = self._corners(c0, c1, r0, r1)
         self._boxes[:, sites] = corners
