@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DotLayout, MetricSpec, _readonly
-from .solver import _as_sites, _cell_means, _site_assigner
+from .solver import _cell_means, assign_sites
 
 # Smallest frequency cutoff a spectrum is computed for.
 MIN_KMAX = 8
@@ -149,9 +149,9 @@ def overlap_metric(layout: DotLayout) -> float:
 def cost_estimate(layout: DotLayout, sites, metric: MetricSpec) -> float:
     """Monte Carlo layout cost: sum over dots of the mean metric distance
     from the dot to the sites in its cell. Empty cells contribute zero."""
-    sites = _as_sites(sites)
-    dist = np.empty(sites.shape[0])
-    owner = _site_assigner(layout.x, sites, metric, layout.y).assign(layout.y, dist)
+    cells = assign_sites(layout, sites, metric)
+    owner, sites = cells.owner, cells.sites
+    dist = metric.distance(layout.x[owner], layout.y[owner], sites[:, 0], sites[:, 1])
     counts, means = _cell_means(owner, dist, len(layout))
     return float(means[counts > 0].sum())
 

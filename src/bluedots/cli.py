@@ -62,8 +62,6 @@ def _resolve_setup(data: DataSet, radius: float, height_arg: str):
             height = float(height_arg)
         except ValueError:
             raise CliError(f"--height must be 'auto' or a number, got {height_arg!r}")
-        if height <= 0:
-            raise CliError("--height must be positive")
     domain = PlotDomain(x_min=x_min, x_max=x_max, height=height, radius=radius)
     return xs, domain, dens
 
@@ -148,16 +146,17 @@ def cmd_plot(args) -> int:
         metric, profile = MetricSpec(), None
     config = _solver_config(args, len(data), metric)
     layout = _make_layout(args.treatment, data, xs, domain, config, profile)
-
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_layout(layout, data, metric.kind, f"{out}.json")
     style = RenderStyle(
         dot_radius_px=args.radius * 800,
         canvas_width_px=800,
         envelope=StrokeStyle() if args.centrality else None,
     )
+    # Rendered before either file is written, so that a failure writes neither.
     svg = render_svg(layout, style, profile)
+
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_layout(layout, data, metric.kind, f"{out}.json")
     with open(f"{out}.svg", "w", encoding="utf-8") as fh:
         fh.write(svg)
     print(f"wrote {out}.json and {out}.svg ({layout.iterations_run} iterations)")

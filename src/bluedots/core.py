@@ -82,10 +82,10 @@ class PlotDomain:
 
     def __post_init__(self):
         _check_range(self.x_min, self.x_max)
-        if not (self.height > 0):
-            raise ValueError(f"height must be positive, got {self.height}")
-        if not (self.radius > 0):
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not (0 < self.radius < math.inf):
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
+        if not (0 < self.height < math.inf):
+            raise ValueError(f"height must be finite and positive, got {self.height}")
 
     def normalize_x(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
@@ -157,6 +157,9 @@ class MetricSpec:
     coordinates, so the warped metric agrees with the uniform one where the
     data is densest and relaxes toward plain L1 where it is sparse (exactly
     L1 where the density is 0).
+
+    Every distance has one float order, fl(fl|sy - y| + fl(w * fl|x - sx|))
+    (``distance``); the solver's searches are exact because they keep to it.
     """
 
     kind: MetricKind = MetricKind.UNIFORM
@@ -176,6 +179,20 @@ class MetricSpec:
         w /= self.density.d_max
         w += 1.0
         return w
+
+    def encoding_term(self, x, sx) -> np.ndarray:
+        """The encoding-axis term fl(w * fl|x - sx|) of the distance, elementwise."""
+        xp = np.asarray(np.subtract(x, sx))
+        np.abs(xp, out=xp)
+        return np.multiply(self.encoding_weight(x, sx), xp, out=xp)
+
+    def distance(self, x, y, sx, sy) -> np.ndarray:
+        """Distance fl(fl|sy - y| + encoding_term(x, sx)) between the points
+        (x, y) and (sx, sy), elementwise; exactly symmetric in the two."""
+        d = np.asarray(np.subtract(sy, y))
+        np.abs(d, out=d)
+        d += self.encoding_term(x, sx)
+        return d
 
 
 def _check_range(x_min: float, x_max: float) -> None:
@@ -219,12 +236,6 @@ def normalize(data: DataSet) -> tuple[np.ndarray, tuple[float, float]]:
 
 
 def metric_distance(spec: MetricSpec, p1: Sequence[float], p2: Sequence[float]) -> float:
-    """Distance between two normalized points under the active metric.
-
-    Weighted L1: weight * |x1 - x2| + |y1 - y2|, with the weight from
-    ``spec.encoding_weight``.
-    """
-    x1, y1 = float(p1[0]), float(p1[1])
-    x2, y2 = float(p2[0]), float(p2[1])
-    w = float(spec.encoding_weight(np.float64(x1), np.float64(x2)))
-    return w * abs(x1 - x2) + abs(y1 - y2)
+    """Distance between two normalized points under the active metric, the
+    weighted L1 weight * |x1 - x2| + |y1 - y2| of ``spec.distance``."""
+    return float(spec.distance(float(p1[0]), float(p1[1]), float(p2[0]), float(p2[1])))

@@ -63,9 +63,12 @@ def _check_palette(style: RenderStyle, class_idx: np.ndarray) -> None:
 
 
 def _canvas(layout: DotLayout, style: RenderStyle) -> tuple[float, float]:
-    """Canvas width and height in pixels."""
+    """Canvas width and height in pixels; the height must be finite."""
     w = float(style.canvas_width_px)
-    return w, w * layout.domain.height
+    h = w * layout.domain.height
+    if not np.isfinite(h):
+        raise ValueError(f"canvas height {w:g} px * {layout.domain.height:g} overflows")
+    return w, h
 
 
 def _to_px(x, y, w: float, canvas_h: float) -> tuple[list, list]:

@@ -10,20 +10,22 @@ index groups: ``[all dots]`` for one class, every class and class union for
 several. Sites are drawn once per run, so the Monte Carlo cost estimate has a
 fixed objective across iterations.
 
-The nearest-dot search is exact: its owners and distances are the dense
-(m, n) search's bit for bit, ties going to the lowest dot index. It comes in
-two forms, and ``_site_assigner`` picks one per dot group. Because x is
-frozen, the encoding-axis term w*|dx| of every dot-to-site distance is
-constant for the whole run, and so is which dots can own which sites: with
-every |dy| at most delta (the height, or the initial y's span), a dot whose
-term exceeds the smallest one by more than delta is strictly farther than
-that dot whatever the y. Where those candidate windows are narrow, blocks of
-x-sorted sites store their windows' terms once (``_BandAssigner``). At large
-n with the auto height they span most dots and the store grows as m*n, so
-there a grid search scores each site only against the dots within its
-distance to a known dot (``_GridAssigner``): a few dots per site once the
-layout settles, and nothing of size m*n is stored. Its grid is fixed for the
-run, built once over x and the y range, so only the dots' rows change.
+The nearest-dot search is exact: its owners are the dense (m, n) search's bit
+for bit, ties going to the lowest dot index, since every distance keeps the
+metric's float order (``core.MetricSpec.distance``, which also gives callers
+the owners' distances). It comes in two forms, and ``_site_assigner`` picks
+one per dot group. Because x is frozen, the encoding-axis term w*|dx| of every
+dot-to-site distance is constant for the whole run, and so is which dots can
+own which sites: with every |dy| at most delta (the height, or the initial y's
+span), a dot whose term exceeds the smallest one by more than delta is
+strictly farther than that dot whatever the y. Where those candidate windows
+are narrow, blocks of x-sorted sites store their windows' terms once
+(``_BandAssigner``). At large n with the auto height they span most dots and
+the store grows as m*n, so there a grid search scores each site only against
+the dots within its distance to a known dot (``_GridAssigner``): a few dots
+per site once the layout settles, and nothing of size m*n is stored. Its grid
+is fixed for the run, built once over x and the y range, so only the dots'
+rows change.
 
 Both forms are incremental, since with fixed sites a dot's cell changes only
 where dots moved, and late in a run few do. Each assigner keeps the y and the
@@ -121,13 +123,6 @@ def _as_sites(sites) -> np.ndarray:
     return sites
 
 
-def _xpart(metric: MetricSpec, xd, s) -> np.ndarray:
-    """The encoding-axis term fl(w * fl|xd - s|) of the metric distance."""
-    xp = np.subtract(xd, s)
-    np.abs(xp, out=xp)
-    return np.multiply(metric.encoding_weight(xd, s), xp, out=xp)
-
-
 class _Block(NamedTuple):
     """x-sorted sites, their indices ``rows`` and ``s`` (a column of their y),
     with their candidate dots ``cols``, in ascending index, and terms ``xp``
@@ -169,16 +164,19 @@ def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range
     # Bound per site from its nearest dot in x: R = fl(xp_j + delta).
     pos = np.searchsorted(x_sorted, sx)
     left, right = x_sorted[np.maximum(pos - 1, 0)], x_sorted[np.minimum(pos, n - 1)]
-    reach = _xpart(metric, np.where(sx - left <= right - sx, left, right), sx) + delta
+    reach = metric.encoding_term(np.where(sx - left <= right - sx, left, right), sx) + delta
     # Covers the rounding of fl|x - s_x| and of the window ends.
     tol = 8 * np.finfo(np.float64).eps * (
         np.abs(x_sorted[[0, -1]]).max() + np.abs(sx[[0, -1]]).max() + reach.max()
     )
 
     # A block spans about a quarter of the mean window's x-width and
-    # holds at most _CHUNK_ELEMENTS terms.
+    # holds at most _CHUNK_ELEMENTS terms. A mean that overflows (a height
+    # near the largest float) starts the size at m, as any wide window does.
     span = float(sx[-1] - sx[0])
-    size = int(min(max(m * float(reach.mean()) / (2.0 * span) if span > 0 else m, 1), m))
+    with np.errstate(over="ignore"):
+        mean = float(reach.mean())
+    size = int(min(max(m * mean / (2.0 * span) if span > 0 else m, 1), m))
     while True:
         starts = np.arange(0, m, size)
         ends = np.minimum(starts + size, m)
@@ -195,7 +193,7 @@ def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range
     blocks = []
     for a, b, first, last in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
         cols = np.sort(by_x[first:last])
-        xp = _xpart(metric, x[cols], sx[a:b, None])
+        xp = metric.encoding_term(x[cols], sx[a:b, None])
         keep = np.flatnonzero((xp <= (xp.min(axis=1) + delta)[:, None]).any(axis=0))
         if keep.size < cols.size:
             cols, xp = cols[keep], xp.take(keep, axis=1)
@@ -207,14 +205,15 @@ class _BandAssigner:
     """Exact nearest-dot search over blocks of x-sorted sites, each scored
     against its stored candidate dots and their precomputed terms (built by
     ``_site_assigner``). Dots are stored in ascending index, so ``argmin``
-    gives the lowest index among tied dots.
+    gives the lowest index among tied dots. A block's distances
+    fl(fl|s - y| + xp) keep the metric's float order (``MetricSpec.distance``).
 
     The search is incremental. The assigner keeps the y of its last call and
     the owners it found, and later calls re-score only the blocks one of
     whose candidate dots moved. That is exact: no dot outside a block's
     candidates can own or tie for its sites at any y, and the distances to
     unmoved candidates are the same floats as before, so the block's owners
-    are too. A call that asks for distances re-scores every block.
+    are too.
     """
 
     def __init__(self, m: int, blocks: list[_Block]):
@@ -232,11 +231,10 @@ class _BandAssigner:
         self._view = self._owner.view()
         self._view.flags.writeable = False
 
-    def assign(self, y: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
-        """Owner of every site; ties go to the lowest dot index. If ``dist``
-        is given, the owner's metric distance is written into it. The owners
+    def assign(self, y: np.ndarray) -> np.ndarray:
+        """Owner of every site; ties go to the lowest dot index. The owners
         are a read-only view of the assigner's own, valid until its next call."""
-        if self._y is None or dist is not None:
+        if self._y is None:
             dirty = range(len(self.blocks))
         else:
             moved = y != self._y
@@ -249,10 +247,7 @@ class _BandAssigner:
             np.subtract(s, y[cols], out=buf)
             np.abs(buf, out=buf)
             buf += xp
-            j = buf.argmin(axis=1)
-            owner[rows] = cols[j]
-            if dist is not None:
-                dist[rows] = buf[np.arange(rows.size), j]
+            owner[rows] = cols[buf.argmin(axis=1)]
         self._y = np.array(y)
         return self._view
 
@@ -324,19 +319,19 @@ class _GridAssigner:
     each column only against the rows within what the reach leaves after the
     column's gap in x.
 
-    Exactness. Let D be a site's distance to any one dot, computed exactly as
-    the search computes it: it bounds the site's nearest distance. A dot at
-    computed distance fl(a + b) <= D, with a = fl|s_y - y| and
-    b = fl(w * fl|x - s_x|), both non-negative, has W |x - s_x| +
-    |s_y - y| <= D (1 + 4 eps) for any W <= w. The search reaches
-    R = D + 16 eps (coordinate scale + D): R / W in x, and R - W g in y in a
-    column whose dots lie at least g from the site in x. That tolerance
+    Exactness. Let D be a site's distance to any one dot, in the metric's
+    float order (``MetricSpec.distance``): it bounds the site's nearest
+    distance. A dot at computed distance fl(a + b) <= D, with a = fl|s_y - y|
+    and b = fl(w * fl|x - s_x|), both non-negative, has
+    W |x - s_x| + |s_y - y| <= D (1 + 4 eps) for any W <= w. The search
+    reaches R = D + 16 eps (coordinate scale + D): R / W in x, and R - W g in
+    y in a column whose dots lie at least g from the site in x. That tolerance
     covers the rounding above and that of the reach ends, and a dot's cell
     index is a monotone function of its coordinates that the reach ends go
     through too (clipping to the grid keeps it monotone). So the dots scored
-    include every dot that can own or tie for the site. Each is scored with
-    the dense search's float operations, and among the dots at the site's
-    minimum the lowest index wins.
+    include every dot that can own or tie for the site. Each is scored in that
+    float order, the dense search's, and among the dots at the site's minimum
+    the lowest index wins.
 
     W is per site (``_weight``). For the uniform metric it is 2. For the
     warped one, w = 1 + d(m)/d_max at the midpoint m of the dot and the site,
@@ -346,10 +341,10 @@ class _GridAssigner:
     less a margin for the rounding of w. Where the data is dense that nearly
     halves the reach in x against w_min = 1.
 
-    The known dot is ``prev``, by default the site's owner in the previous
-    call: any dot is a valid bound, so a changed y only loosens it. On the
-    first call it is the nearer of the two dots next to the site in its grid
-    column, or of the two next to it in x where that column is empty. The
+    The known dot is the site's owner in the previous call: any dot is a
+    valid bound, so a changed y only loosens it. On the first call it is the
+    nearer of the two dots next to the site in its grid column, or of the
+    two next to it in x where that column is empty (``_first_bound``). The
     dots in each site's box are counted from prefix counts first: where the
     known dot is the only one, it is the owner, with no dot scored.
 
@@ -394,7 +389,6 @@ class _GridAssigner:
         np.minimum.at(self.col_lo, col, x)
         np.maximum.at(self.col_hi, col, x)
         m = self.sy.size
-        self.prev = None
         self._y = None
         self._owner = np.empty(m, dtype=np.intp)
         self._dist = np.empty(m)
@@ -403,21 +397,14 @@ class _GridAssigner:
         self._view = self._owner.view()
         self._view.flags.writeable = False
 
-    def _distance(self, y: np.ndarray, dot: np.ndarray, sites) -> np.ndarray:
-        """Each of these sites' distance to the dot given for it, as the search computes it."""
-        d = np.subtract(self.sy[sites], y[dot])
-        np.abs(d, out=d)
-        d += _xpart(self.metric, self.x[dot], self.sx[sites])
-        return d
-
     def _first_bound(self, y: np.ndarray, sites, perm: np.ndarray, start: np.ndarray):
         """Each of these sites' nearer of two dots next to it, in its grid
         column or in x where that column is empty, and its distance."""
         x, n, grid = self.x, self.x.size, self.grid
-        sx = self.sx[sites]
+        sx, sy = self.sx[sites], self.sy[sites]
         c = grid.col(sx) * grid.ny
         top, bottom = start[c], start[c + grid.ny]
-        pos = start[c + grid.row(self.sy[sites])]
+        pos = start[c + grid.row(sy)]
         before = perm[np.clip(pos - 1, top, bottom - 1)]
         after = perm[np.clip(pos, top, bottom - 1)]
         empty = np.flatnonzero(top == bottom)
@@ -426,7 +413,7 @@ class _GridAssigner:
             at = np.searchsorted(x[by_x], sx[empty])
             before[empty] = by_x[np.maximum(at - 1, 0)]
             after[empty] = by_x[np.minimum(at, n - 1)]
-        d_before, d_after = self._distance(y, before, sites), self._distance(y, after, sites)
+        d_before, d_after = (self.metric.distance(x[i], y[i], sx, sy) for i in (before, after))
         nearer = d_after < d_before
         return np.where(nearer, after, before), np.where(nearer, d_after, d_before)
 
@@ -493,18 +480,14 @@ class _GridAssigner:
         n += below.take(c00)
         return n
 
-    def assign(self, y: np.ndarray, dist: np.ndarray | None = None) -> np.ndarray:
-        """Owner of every site; ties go to the lowest dot index. If ``dist``
-        is given, the owner's metric distance is written into it. The owners
+    def assign(self, y: np.ndarray) -> np.ndarray:
+        """Owner of every site; ties go to the lowest dot index. The owners
         are a read-only view of the assigner's own, valid until its next call."""
         key = self.col_key + self.grid.row(y)
         sites = np.arange(self.sy.size) if self._y is None else self._dirty(y, key)
         if sites.size:
             self._search(y, sites, key)
         self._y = np.array(y)
-        self.prev = self._owner
-        if dist is not None:
-            dist[:] = self._dist
         return self._view
 
     def _dirty(self, y: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -518,7 +501,8 @@ class _GridAssigner:
         inbox = self._count(self._prefix_counts(key[moved])[1], self._boxes)
         owner_moved = moved[self._owner]
         closer = np.flatnonzero(owner_moved & (inbox == 1))
-        d = self._distance(y, self._owner[closer], closer)
+        o = self._owner[closer]
+        d = self.metric.distance(self.x[o], y[o], self.sx[closer], self.sy[closer])
         keep = d <= self._dist[closer]
         closer = closer[keep]
         self._dist[closer] = d[keep]
@@ -533,11 +517,12 @@ class _GridAssigner:
         gx, gy = self.x[perm], y[perm]
         start, below = self._prefix_counts(key)
         # The known dot, the owner where it is the only dot in reach.
-        if self.prev is None:
+        if self._y is None:
             self._owner[sites], bound = self._first_bound(y, sites, perm, start)
         else:
-            self._owner[sites] = self.prev[sites]
-            bound = self._distance(y, self._owner[sites], sites)
+            o = self._owner[sites]
+            bound = self.metric.distance(self.x[o], y[o], self.sx[sites], self.sy[sites])
+            del o  # not held through the search loop, which sets the peak memory
         self._dist[sites] = bound
         reach, w, c0, ncols, cands = self._reach(sites, bound, below)
         scan = np.flatnonzero(cands > 1)  # the rest hold only the known dot
@@ -562,9 +547,10 @@ class _GridAssigner:
             np.maximum(hi, 0, out=hi)
             p = _ranges(lo, hi)
             k = np.add.reduceat(hi, np.cumsum(cols) - cols)
+            # MetricSpec.distance's float order, the y half inline (fewer temporaries).
             d = np.subtract(np.repeat(sy[a:b], k), gy[p])
             np.abs(d, out=d)
-            d += _xpart(self.metric, gx[p], np.repeat(sx[a:b], k))
+            d += self.metric.encoding_term(gx[p], np.repeat(sx[a:b], k))
             first = np.cumsum(k) - k
             low = np.minimum.reduceat(d, first)
             self._dist[at[a:b]] = low
@@ -624,8 +610,6 @@ def jitter_init(xs, domain: PlotDomain, seed: int, profile=None) -> DotLayout:
 def assign_sites(dots: DotLayout, sites, metric: MetricSpec) -> VoronoiAssignment:
     """Map each site to its nearest dot; ties go to the lowest dot index."""
     sites = _as_sites(sites)
-    if len(dots) == 0:
-        raise ValueError("cannot assign sites to an empty dot list")
     owner = _site_assigner(dots.x, sites, metric, dots.y).assign(dots.y)
     return VoronoiAssignment(sites=sites, owner=owner)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import oracle_overlap
+from conftest import dense_assign, oracle_overlap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,17 +9,23 @@ from bluedots import (
     MetricKind,
     MetricSpec,
     PlotDomain,
+    SolverConfig,
     assign_sites,
+    automatic_height,
     cost_estimate,
     estimate_density,
     high_band_mean,
     low_band_mean,
     mean_power,
+    load_fixture,
+    normalize,
     overlap_metric,
     power_spectrum,
+    relax_traced,
     spectrum_to_csv,
     spectrum_to_pgm,
 )
+from bluedots.solver import _cell_means
 
 DOM = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
 
@@ -180,6 +186,22 @@ class TestCostEstimate:
         lay = layout_of(rng.random(20), rng.random(20) * 0.2)
         sites = np.column_stack([rng.random(300), rng.random(300) * 0.2])
         assert cost_estimate(lay, sites, MetricSpec()) >= 0.0
+
+    @pytest.mark.parametrize("name", ["geyser", "tips", "iris"])
+    @pytest.mark.parametrize("warped", [False, True])
+    def test_equals_cell_means_of_dense_distances(self, name, warped):
+        """Bit for bit, on a relaxed fixture layout and its run's sites."""
+        data = load_fixture(name)
+        xs, (lo, hi) = normalize(data)
+        dens = estimate_density(xs)
+        dom = PlotDomain(x_min=lo, x_max=hi, height=automatic_height(dens.d_max, xs.size, 0.01), radius=0.01)
+        spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens) if warped else MetricSpec()
+        lay, trace = relax_traced(data, dom, SolverConfig(seed=3, max_iterations=5, metric=spec))
+        # Dense reference in chunks of sites, to keep its (m, n) temporaries small.
+        chunks = [dense_assign(lay.x, lay.y, part, spec) for part in np.array_split(trace.sites, 8)]
+        owner, dist = (np.concatenate(parts) for parts in zip(*chunks))
+        counts, means = _cell_means(owner, dist, len(lay))
+        assert cost_estimate(lay, trace.sites, spec) == float(means[counts > 0].sum())
 
     def test_warped_metric_supported(self):
         rng = np.random.default_rng(9)

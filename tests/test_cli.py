@@ -298,6 +298,22 @@ class TestCmdPlot:
                          "--height", "zero", "--out", str(tmp_path / "x")])
         assert code != 0
 
+    @pytest.mark.parametrize("arg,message", [
+        (["--height", "inf"], "height must be finite"),
+        (["--radius", "inf"], "radius must be finite"),
+        # The layout's arithmetic stays finite; the canvas's pixel height,
+        # 800 * 1e306, does not.
+        (["--height", "1e306", "--iterations", "1", "--sites", "1024"], "canvas height"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_unusable_geometry_one_error_line_no_files(self, tmp_path, capsys, arg, message):
+        code = self.run(["plot", "--input", GEYSER, "--column", "waiting", *arg,
+                         "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCmdAnalyze:
     def test_overlap_one_row_per_treatment_count(self, tmp_path):

@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import dense_assign, oracle_metric
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,6 +111,13 @@ class TestPlotDomain:
         with pytest.raises(ValueError):
             PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=-0.01)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_height_and_radius_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="height must be finite"):
+            PlotDomain(x_min=0.0, x_max=1.0, height=bad, radius=0.01)
+        with pytest.raises(ValueError, match="radius must be finite"):
+            PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=bad)
+
     def test_radius_larger_than_height_allowed(self):
         PlotDomain(x_min=0.0, x_max=1.0, height=0.01, radius=0.05)
 
@@ -171,9 +179,20 @@ class TestMetricDistance:
     @settings(max_examples=25)
     def test_symmetry_warped_midpoint(self, x1, y1, x2, y2):
         spec = make_warped_spec()
-        assert metric_distance(spec, (x1, y1), (x2, y2)) == pytest.approx(
-            metric_distance(spec, (x2, y2), (x1, y1)), abs=1e-15
-        )
+        assert metric_distance(spec, (x1, y1), (x2, y2)) == metric_distance(spec, (x2, y2), (x1, y1))
+
+    @pytest.mark.parametrize("warped", [False, True])
+    @given(unit_floats, st.floats(-1.0, 1.0), unit_floats, st.floats(-1.0, 1.0))
+    def test_distance_is_the_oracles_bit_for_bit(self, warped, x, y, sx, sy):
+        """The kernel is the scalar oracle's and the dense search's formula
+        to the bit, and exactly symmetric in its two points."""
+        spec = make_warped_spec() if warped else MetricSpec()
+        d = spec.distance(x, y, sx, sy)
+        assert d.tobytes() == np.float64(oracle_metric(spec, (x, y), (sx, sy))).tobytes()
+        dense = dense_assign(np.array([x]), np.array([y]), np.array([[sx, sy]]), spec)[1]
+        assert d.tobytes() == dense.tobytes()
+        assert d.tobytes() == spec.distance(sx, sy, x, y).tobytes()
+        assert metric_distance(spec, (x, y), (sx, sy)) == float(d)
 
     @given(unit_floats, st.floats(0, 0.5), unit_floats, st.floats(0, 0.5))
     def test_positive_for_distinct(self, x1, y1, x2, y2):

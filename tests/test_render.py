@@ -104,6 +104,15 @@ class TestRenderSvg:
         assert float(root.get("height")) == pytest.approx(500 * 0.2)
 
 
+    def test_overflowing_canvas_rejected(self):
+        dom = PlotDomain(x_min=0.0, x_max=1.0, height=1e308, radius=0.01)
+        lay = DotLayout(x=np.array([0.5]), y=np.array([1e307]), domain=dom)
+        with pytest.raises(ValueError, match="overflows"):
+            render_svg(lay, RenderStyle())
+        with pytest.raises(ValueError, match="overflows"):
+            render_icons(lay, ["a.png"], RenderStyle())
+
+
 class TestRenderIcons:
     def test_one_image_use_per_dot(self):
         lay = layout_of([0.2, 0.8], [0.05, 0.15])

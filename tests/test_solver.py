@@ -1,6 +1,5 @@
 import tracemalloc
 import warnings
-from itertools import count
 from unittest.mock import patch
 
 import numpy as np
@@ -133,23 +132,26 @@ def assignment_inputs(draw):
     return lay, np.column_stack([sx, sy]), spec
 
 
-def record_assign_calls(monkeypatch, dist_every: int = 1) -> list:
+def kept_distances(assigner):
+    """The owner distances the grid search keeps, or None for the band."""
+    return assigner._dist.copy() if isinstance(assigner, _GridAssigner) else None
+
+
+def record_assign_calls(monkeypatch) -> list:
     """Patch the solver's assigner constructor so that every assigner a run
-    builds records each call: (assigner, x, sites, y, prev given, owner,
-    distances or None). Distances are asked on every ``dist_every``-th call
-    of an assigner, its last of each run of ``dist_every``."""
+    builds records each call: (assigner, x, sites, y, whether the call was
+    incremental, owner, the grid search's kept distances or None)."""
     calls = []
     build = solver._site_assigner
 
     def building(x, sites, metric, y_range):
         assigner = build(x, sites, metric, y_range)
-        assign, calls_made = assigner.assign, count(1)
+        assign = assigner.assign
 
-        def recording(y, dist=None):
-            d = np.empty(sites.shape[0]) if next(calls_made) % dist_every == 0 else None
-            given_prev = getattr(assigner, "prev", None) is not None
-            owner = assign(y, d)
-            calls.append((assigner, x, sites, y.copy(), given_prev, owner.copy(), d))
+        def recording(y):
+            incremental = assigner._y is not None
+            owner = assign(y)
+            calls.append((assigner, x, sites, y.copy(), incremental, owner.copy(), kept_distances(assigner)))
             return owner
 
         assigner.assign = recording
@@ -159,13 +161,39 @@ def record_assign_calls(monkeypatch, dist_every: int = 1) -> list:
     return calls
 
 
+def assert_owners_match_dense(owner, kept, x, y, sites, spec):
+    """The owners are the dense search's, and so, bit for bit, are their
+    distances, from the metric and (grid search) as kept."""
+    # Dense reference in chunks of sites, to keep its (m, n) temporaries small.
+    chunks = [dense_assign(x, y, part, spec) for part in np.array_split(sites, 8)]
+    assert np.array_equal(owner, np.concatenate([o for o, _ in chunks]))
+    want = np.concatenate([d for _, d in chunks]).tobytes()
+    assert spec.distance(x[owner], y[owner], sites[:, 0], sites[:, 1]).tobytes() == want
+    if kept is not None:
+        assert kept.tobytes() == want
+
+
 def assert_calls_match_dense(calls, spec):
-    for _, x, sites, y, _, owner, dist in calls:
-        # Dense reference in chunks of sites, to keep its (m, n) temporaries small.
-        chunks = [dense_assign(x, y, part, spec) for part in np.array_split(sites, 8)]
-        assert np.array_equal(owner, np.concatenate([o for o, _ in chunks]))
-        if dist is not None:
-            assert dist.tobytes() == np.concatenate([d for _, d in chunks]).tobytes()
+    for _, x, sites, y, _, owner, kept in calls:
+        assert_owners_match_dense(owner, kept, x, y, sites, spec)
+
+
+def assign_checked(assigner, x, y, sites, spec) -> np.ndarray:
+    """One call of the assigner, checked against the dense search."""
+    owner = assigner.assign(y)
+    assert_owners_match_dense(owner, kept_distances(assigner), x, y, sites, spec)
+    return owner
+
+
+def bound_by(assigner, owners):
+    """A stand-in for the grid search's first-call bound: the given owners
+    (any dot is a valid bound) and their distances."""
+
+    def first_bound(y, sites, perm, start):
+        o = owners[sites]
+        return o, assigner.metric.distance(assigner.x[o], y[o], assigner.sx[sites], assigner.sy[sites])
+
+    return first_bound
 
 
 class TestBandedExactness:
@@ -181,28 +209,24 @@ class TestBandedExactness:
     @given(assignment_inputs(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_tightened_blocks_match_oracles(self, inputs, data):
-        """Every group on the grid search, with its first-call bound, with
-        arbitrary previous owners, and over a further call at moved y."""
+        """Every group on the grid search, with its first-call bound or
+        arbitrary owners as that bound, and over a further call at moved y."""
         lay, sites, spec = inputs
         m, n = sites.shape[0], len(lay)
         if data.draw(st.booleans()):  # every site above every dot
             sites[:, 1] += data.draw(st.sampled_from([0.5, 1e6]))
-        prev = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.intp)
-        want_owner, want_dist = dense_assign(lay.x, lay.y, sites, spec)
+        arbitrary = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.intp)
+        want_owner = dense_assign(lay.x, lay.y, sites, spec)[0]
         assert np.array_equal(want_owner, oracle_nearest_dot_scan(lay, sites, spec))
-        # First-call bound, then arbitrary owners as the bound of a first call.
-        for given_prev in (False, True):
+        for arbitrary_bound in (False, True):
             with patch.object(solver, "_WIDE", 1):
                 assigner = _site_assigner(lay.x, sites, spec, lay.y)
             assert isinstance(assigner, _GridAssigner)
-            if given_prev:
-                assigner.prev = prev
-            dist = np.empty(m)
-            assert np.array_equal(assigner.assign(lay.y, dist), want_owner)
-            assert dist.tobytes() == want_dist.tobytes()
-        # The sites a move affects, re-scored from the arbitrary owners.
+            if arbitrary_bound:
+                assigner._first_bound = bound_by(assigner, arbitrary)
+            assign_checked(assigner, lay.x, lay.y, sites, spec)
+        # The sites a move affects, re-scored after the arbitrary bound.
         moved = lay.replace_y(np.array(data.draw(st.lists(_grid.map(lambda v: v / 4), min_size=n, max_size=n))))
-        assigner.prev = prev
         owner = assigner.assign(moved.y)
         assert np.array_equal(owner, oracle_nearest_dot_scan(moved, sites, spec))
 
@@ -216,30 +240,28 @@ class TestBandedExactness:
         x, y = np.array(x), np.array(y)
         spec = MetricSpec(kind=kind, density=estimate_density(np.random.default_rng(1).random(64)))
         sites = np.random.default_rng(2).random((64, 2)) * [1.0, 0.5]
-        want_owner, want_dist = dense_assign(x, y, sites, spec)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with patch.object(solver, "_WIDE", 1):
                 assigner = _site_assigner(x, sites, spec, y)
             assert isinstance(assigner, _GridAssigner)
-            dist = np.empty(len(sites))
-            assert np.array_equal(assigner.assign(y, dist), want_owner)
-            assert dist.tobytes() == want_dist.tobytes()
+            assign_checked(assigner, x, y, sites, spec)
 
     @given(assignment_inputs(), st.booleans(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_incremental_calls_match_dense(self, inputs, on_grid, data):
-        """Three to five calls of one assigner, band or grid, each at y left
+        """Three to five calls of one assigner, band or grid (its first call
+        bounded by its own rule or by arbitrary owners), each at y left
         unchanged, with one dot moved, with one dot moved onto a tie for a
-        site, with every dot moved, with arbitrary previous owners, with a
-        site's owner moved toward it (alone, or with a lower-index rival
-        moved to the owner's new distance), or with dots moved outside the y
-        range the grid search was built for."""
+        site, with every dot moved, with a site's owner moved toward it
+        (alone, or with a lower-index rival moved to the owner's new
+        distance), or with dots moved outside the y range the grid search
+        was built for."""
         lay, sites, spec = inputs
         m, n = sites.shape[0], len(lay)
         moved_y = _grid.map(lambda v: v / 4)
         steps, ys = [], [lay.y]
-        kinds = ["same", "one", "tie", "all", "prev", "closer", "closer+rival", "outside"]
+        kinds = ["same", "one", "tie", "all", "closer", "closer+rival", "outside"]
         for _ in range(data.draw(st.integers(2, 4))):
             step = data.draw(st.sampled_from(kinds))
             y = ys[-1].copy()
@@ -272,19 +294,16 @@ class TestBandedExactness:
         with patch.object(solver, "_WIDE", 1 if on_grid else solver._WIDE):
             assigner = _site_assigner(lay.x, sites, spec, y_range)
         assert isinstance(assigner, _GridAssigner if on_grid else _BandAssigner)
-        for step, y in zip(["first"] + steps, ys):
-            if step == "prev":
-                assigner.prev = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
-            dist = np.empty(m) if data.draw(st.booleans()) else None
-            want_owner, want_dist = dense_assign(lay.x, y, sites, spec)
-            assert np.array_equal(assigner.assign(y, dist), want_owner)
-            if dist is not None:
-                assert dist.tobytes() == want_dist.tobytes()
+        if on_grid and data.draw(st.booleans()):
+            arbitrary = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.intp)
+            assigner._first_bound = bound_by(assigner, arbitrary)
+        for y in ys:
+            assign_checked(assigner, lay.x, y, sites, spec)
 
     @staticmethod
     def move_to_distance(y, x, site, spec, i, d, data):
         """Dot i to a y at which its distance to the site is d, up to rounding."""
-        rest = d - float(solver._xpart(spec, x[i : i + 1], site[None, :1])[0, 0])
+        rest = d - float(spec.encoding_term(x[i], site[0]))
         if rest >= 0:
             y[i] = site[1] + data.draw(st.sampled_from([rest, -rest]))
 
@@ -330,11 +349,8 @@ class TestBandedExactness:
         # One column of 12 rows, each 0.25 tall.
         assert (assigner.grid.nx, assigner.grid.y_scale) == (1, 4.0)
         for y in (np.array([3.0, 1.75, 3.0]), np.array(second)):
-            dist = np.empty(1)
-            want_owner, want_dist = dense_assign(x, y, sites, spec)
-            assert np.array_equal(assigner.assign(y, dist), want_owner)
-            assert dist.tobytes() == want_dist.tobytes()
-        assert want_owner[0] == 0
+            owner = assign_checked(assigner, x, y, sites, spec)
+        assert owner[0] == 0
 
     @pytest.mark.parametrize("warped", [False, True])
     def test_relax_trajectory_with_wide_blocks_bit_equal_to_dense(self, monkeypatch, warped):
@@ -351,7 +367,7 @@ class TestBandedExactness:
         config = SolverConfig(seed=2, max_iterations=5, convergence_eps=0.0, metric=spec)
         relax_traced(data, dom, config)
         assert all(isinstance(assigner, _GridAssigner) for assigner, *_ in calls)
-        assert [given_prev for _, _, _, _, given_prev, _, _ in calls] == [False, True, True, True, True]
+        assert [incremental for _, _, _, _, incremental, _, _ in calls] == [False, True, True, True, True]
         assert_calls_match_dense(calls, spec)
 
     @pytest.mark.parametrize("name", ["geyser", "tips", "iris"])
@@ -365,20 +381,14 @@ class TestBandedExactness:
         dom = PlotDomain(x_min=lo, x_max=hi, height=automatic_height(dens.d_max, xs.size, 0.01), radius=0.01)
         spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens) if warped else MetricSpec()
         config = SolverConfig(seed=1, max_iterations=10, metric=spec)
-        # A band call that asks distances re-scores every block, so the calls
-        # between those asks are the incremental ones.
-        calls = record_assign_calls(monkeypatch, dist_every=3)
+        calls = record_assign_calls(monkeypatch)
         final = (relax_multiclass if data.labels is not None else relax)(data, dom, config)
         groups = len(_class_schedule(data.labels, xs.size)) if data.labels is not None else 1
         assert len(calls) == groups * final.iterations_run
         assert all(isinstance(assigner, _BandAssigner) for assigner, *_ in calls)
         assert_calls_match_dense(calls, spec)
         sites = calls[0][2]
-        dist = np.empty(sites.shape[0])
-        owner = _site_assigner(final.x, sites, spec, final.y).assign(final.y, dist)
-        want_owner, want_dist = dense_assign(final.x, final.y, sites, spec)
-        assert np.array_equal(owner, want_owner)
-        assert dist.tobytes() == want_dist.tobytes()
+        assign_checked(_site_assigner(final.x, sites, spec, final.y), final.x, final.y, sites, spec)
 
 
 class TestSiteAssigner:
