@@ -11,7 +11,6 @@ from .core import (
     MetricKind,
     MetricSpec,
     PlotDomain,
-    metric_distance,
     normalize,
 )
 from .density import (
@@ -27,11 +26,9 @@ from .solver import (
     VoronoiAssignment,
     assign_sites,
     jitter_init,
-    lloyd_step,
     relax,
     relax_multiclass,
     relax_traced,
-    relax_unconstrained,
 )
 from .analysis import (
     SpectrumGrid,
@@ -55,7 +52,6 @@ __all__ = [
     "MetricKind",
     "MetricSpec",
     "PlotDomain",
-    "metric_distance",
     "normalize",
     "DensityEstimate",
     "automatic_height",
@@ -67,11 +63,9 @@ __all__ = [
     "VoronoiAssignment",
     "assign_sites",
     "jitter_init",
-    "lloyd_step",
     "relax",
     "relax_multiclass",
     "relax_traced",
-    "relax_unconstrained",
     "SpectrumGrid",
     "cost_estimate",
     "high_band_mean",

@@ -3,8 +3,12 @@
 Input CSVs are read by ``bluedots.datasets.load_csv``, the same reader the
 bundled fixtures go through; its ``CliError`` and every ``ValueError`` from
 the library end the command with a one-line diagnostic and exit status 1.
-The written layout file records the seed, iteration count, domain and
-metric; the site count and iteration cap come from the command line.
+Every layout comes from one of two treatments (``_make_layout``): ``blue``,
+the data-constrained relaxation (``relax``, or ``relax_multiclass`` for two
+or more classes), or ``jitter``, its seeded initialization. ``plot`` checks
+its canvas before the layout runs. The written layout file records the seed,
+iteration count, domain and metric; the site count and iteration cap come
+from the command line.
 """
 
 from __future__ import annotations
@@ -27,13 +31,7 @@ from .core import (
     normalize,
 )
 from .density import automatic_height, estimate_density, height_profile
-from .solver import (
-    SolverConfig,
-    jitter_init,
-    relax,
-    relax_multiclass,
-    relax_unconstrained,
-)
+from .solver import SolverConfig, jitter_init, relax, relax_multiclass
 from .analysis import (
     MIN_KMAX,
     high_band_mean,
@@ -45,7 +43,7 @@ from .analysis import (
     spectrum_to_pgm,
 )
 from .datasets import CliError, load_csv
-from .render import RenderStyle, StrokeStyle, render_svg
+from .render import RenderStyle, StrokeStyle, canvas_size, render_svg
 
 LAYOUT_FILE_VERSION = 1
 DEFAULT_SITES = 8192
@@ -80,8 +78,6 @@ def _make_layout(treatment: str, data: DataSet, xs, domain, config: SolverConfig
     if treatment == "jitter":
         # The solver carries labels through; jitter has to be given them.
         return replace(jitter_init(xs, domain, config.seed, profile), labels=data.labels)
-    if treatment == "lloyd2d":
-        return relax_unconstrained(len(data), domain, config)
     if data.labels is not None and data.n_classes >= 2:
         return relax_multiclass(data, domain, config)
     return relax(data, domain, config)
@@ -144,13 +140,14 @@ def cmd_plot(args) -> int:
         profile = height_profile(dens, len(data), domain.radius)
     else:
         metric, profile = MetricSpec(), None
-    config = _solver_config(args, len(data), metric)
-    layout = _make_layout(args.treatment, data, xs, domain, config, profile)
     style = RenderStyle(
         dot_radius_px=args.radius * 800,
         canvas_width_px=800,
         envelope=StrokeStyle() if args.centrality else None,
     )
+    canvas_size(domain, style)  # an unusable canvas fails before the layout runs
+    config = _solver_config(args, len(data), metric)
+    layout = _make_layout(args.treatment, data, xs, domain, config, profile)
     # Rendered before either file is written, so that a failure writes neither.
     svg = render_svg(layout, style, profile)
 
@@ -308,9 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_input(spectrum)
     spectrum.add_argument("--realizations", type=int, default=100)
     spectrum.add_argument("--kmax", type=int, default=16)
-    spectrum.add_argument(
-        "--treatment", choices=["blue", "jitter", "lloyd2d"], default="blue"
-    )
+    spectrum.add_argument("--treatment", choices=["blue", "jitter"], default="blue")
     spectrum.set_defaults(func=cmd_analyze_spectrum)
 
     overlap = asub.add_parser("overlap", help="overlap benchmark across seeds and counts")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -132,16 +132,6 @@ class DotLayout:
         """Dots as an (n, 2) array in normalized coordinates."""
         return np.column_stack([self.x, self.y])
 
-    def replace_y(self, y: np.ndarray, iterations_run: Optional[int] = None) -> "DotLayout":
-        return DotLayout(
-            x=self.x,
-            y=y,
-            domain=self.domain,
-            labels=self.labels,
-            seed=self.seed,
-            iterations_run=self.iterations_run if iterations_run is None else iterations_run,
-        )
-
 
 class MetricKind(Enum):
     UNIFORM = "uniform"
@@ -234,8 +224,3 @@ def normalize(data: DataSet) -> tuple[np.ndarray, tuple[float, float]]:
     _check_range(x_min, x_max)
     return (values - x_min) / (x_max - x_min), (x_min, x_max)
 
-
-def metric_distance(spec: MetricSpec, p1: Sequence[float], p2: Sequence[float]) -> float:
-    """Distance between two normalized points under the active metric, the
-    weighted L1 weight * |x1 - x2| + |y1 - y2| of ``spec.distance``."""
-    return float(spec.distance(float(p1[0]), float(p1[1]), float(p2[0]), float(p2[1])))

@@ -248,11 +248,19 @@ def automatic_height(d_max: float, n: int, r: float) -> float:
     """Plot height that fits the dots stacked at the densest coordinate.
 
     r^2 * d_max * n, floored at 2r so at least one dot diameter of vertical
-    room always exists.
+    room always exists; a product that overflows is an error.
     """
-    if not (d_max > 0 and n > 0 and r > 0):
-        raise ValueError("d_max, n and r must all be positive")
-    return max(r * r * d_max * n, 2.0 * r)
+    if not (d_max > 0 and n > 0):
+        raise ValueError("d_max and n must be positive")
+    if not (0 < r < np.inf):
+        raise ValueError(f"radius must be finite and positive, got {r}")
+    with np.errstate(over="ignore"):
+        height = r * r * d_max * n
+    if not np.isfinite(height):
+        raise ValueError(
+            f"automatic height r^2 * d_max * n overflows: r = {float(r)!r}, d_max = {float(d_max)!r}, n = {int(n)}"
+        )
+    return max(height, 2.0 * r)
 
 
 def height_profile(d: DensityEstimate, n: int, r: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DotLayout, _class_order
+from .core import DotLayout, PlotDomain, _class_order
 from .density import GRID_SIZE
 
 DEFAULT_PALETTE = (
@@ -62,12 +62,13 @@ def _check_palette(style: RenderStyle, class_idx: np.ndarray) -> None:
         )
 
 
-def _canvas(layout: DotLayout, style: RenderStyle) -> tuple[float, float]:
-    """Canvas width and height in pixels; the height must be finite."""
+def canvas_size(domain: PlotDomain, style: RenderStyle) -> tuple[float, float]:
+    """Canvas width and height in pixels; the height must be finite. It
+    depends only on the domain, so a caller can check it before a layout."""
     w = float(style.canvas_width_px)
-    h = w * layout.domain.height
+    h = w * domain.height
     if not np.isfinite(h):
-        raise ValueError(f"canvas height {w:g} px * {layout.domain.height:g} overflows")
+        raise ValueError(f"canvas height {w:g} px * {domain.height:g} overflows")
     return w, h
 
 
@@ -95,7 +96,7 @@ def _document(width: float, height: float, body: list[str]) -> str:
 
 def _base_elements(layout: DotLayout, style: RenderStyle,
                    envelope_profile: Optional[Callable] = None) -> tuple[list[str], float, float]:
-    w, canvas_h = _canvas(layout, style)
+    w, canvas_h = canvas_size(layout.domain, style)
     body = [
         f'<rect x="0" y="0" width="{_fmt(w)}" height="{_fmt(canvas_h)}" '
         f'fill="{style.background}"/>',

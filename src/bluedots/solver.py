@@ -5,10 +5,13 @@ assign every domain site to its nearest dot under the active metric, move
 each dot to the mean of its sites, and re-impose the encoding coordinate.
 Only the vertical coordinate ever changes; the horizontal one is the data.
 
-Single-class and multiclass relaxation are one loop over a schedule of dot
-index groups: ``[all dots]`` for one class, every class and class union for
-several. Sites are drawn once per run, so the Monte Carlo cost estimate has a
-fixed objective across iterations.
+There is one relaxation loop (``_relax_groups``), and its step, the cell
+mean of each dot's sites, is ``_cell_update``. Single-class and multiclass
+relaxation run it over a schedule of dot index groups: ``[all dots]`` for
+one class, every class and class union for several. Sites are drawn once per
+run, so the Monte Carlo cost estimate has a fixed objective across
+iterations; ``_draw_sites`` rejects a height at which a cell's sum of site y
+could overflow.
 
 The nearest-dot search is exact: its owners are the dense (m, n) search's bit
 for bit, ties going to the lowest dot index, since every distance keeps the
@@ -574,9 +577,26 @@ class _GridAssigner:
 
 
 def _draw_sites(rng: np.random.Generator, n_sites: int, n: int, height: float) -> np.ndarray:
-    """The run's fixed sites, uniform on [0, 1] x [0, height]; at least one per dot."""
+    """The run's fixed sites, uniform on [0, 1] x [0, height]; at least one per dot.
+
+    The height must keep 2 * n_sites * height finite, which keeps every cell
+    sum of site y (``_cell_means``) finite. Proof: each site y is
+    fl(u * height) <= height, as u < 1 and rounding is monotone, and a cell
+    holds k <= m = n_sites sites. ``np.bincount`` adds them one at a time from
+    0; each addition of non-negative terms rounds up by a factor of at most
+    1 + 2^-53, so every partial sum is at most (1 + 2^-53)^m * m * height <=
+    e^(1/4) * m * height < 0.65 * (2 * m * height) for m < 2^51, below the
+    largest float. A sum that overflowed would be inf with no warning, and
+    the clip to [0, height] would send the dot to the top.
+    """
     if n_sites < n:
         raise ValueError(f"n_sites {n_sites} < number of dots {n}")
+    with np.errstate(over="ignore"):
+        bound = 2.0 * n_sites * height
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"height {height!r} is too large for {n_sites} sites: 2 * n_sites * height overflows"
+        )
     return np.column_stack([rng.random(n_sites), rng.random(n_sites) * height])
 
 
@@ -620,22 +640,13 @@ def _cell_means(owner: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndar
     return counts, np.bincount(owner, weights=weights, minlength=n) / np.maximum(counts, 1)
 
 
-def _cell_update(owner: np.ndarray, site_coord: np.ndarray, current: np.ndarray, upper: float) -> np.ndarray:
-    """Each dot's coordinate moved to the mean of its cell's sites, clamped
-    to [0, upper]; dots whose cell is empty keep ``current``."""
-    counts, means = _cell_means(owner, site_coord, current.size)
-    new = np.where(counts > 0, means, current)
-    np.clip(new, 0.0, upper, out=new)
+def _cell_update(owner: np.ndarray, site_y: np.ndarray, y: np.ndarray, height: float) -> np.ndarray:
+    """The Lloyd step: each dot's y moved to the mean y of its cell's sites,
+    clamped to [0, height]; dots whose cell is empty keep their y."""
+    counts, means = _cell_means(owner, site_y, y.size)
+    new = np.where(counts > 0, means, y)
+    np.clip(new, 0.0, height, out=new)
     return new
-
-
-def lloyd_step(dots: DotLayout, assignment: VoronoiAssignment) -> DotLayout:
-    """One relaxation step: dot -> average of its cell's sites, x re-imposed.
-
-    Dots whose cell is empty are left unchanged. y is clamped to [0, h].
-    """
-    new_y = _cell_update(assignment.owner, assignment.sites[:, 1], dots.y, dots.domain.height)
-    return dots.replace_y(new_y)
 
 
 def _setup(data: DataSet, domain: PlotDomain, config: SolverConfig):
@@ -736,31 +747,3 @@ def relax_multiclass(data: DataSet, domain: PlotDomain, config: SolverConfig) ->
         x=xs, y=y, domain=domain, labels=data.labels, seed=config.seed, iterations_run=iterations
     )
 
-
-def relax_unconstrained(n: int, domain: PlotDomain, config: SolverConfig) -> DotLayout:
-    """Plain 2D Lloyd relaxation with no data constraint.
-
-    Both coordinates start uniform and both are updated, so the result is not
-    a plot of anything; it serves as an upper-bound comparator for spectral
-    quality.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    rng = np.random.default_rng(config.seed)
-    h = domain.height
-    x = rng.random(n)
-    y = rng.random(n) * h
-    sites = _draw_sites(rng, config.n_sites, n, h)
-
-    iterations = 0
-    for _ in range(config.max_iterations):
-        # x moves too, so the encoding-axis term cannot be precomputed here.
-        owner = _site_assigner(x, sites, config.metric, y).assign(y)
-        new_x = _cell_update(owner, sites[:, 0], x, 1.0)
-        new_y = _cell_update(owner, sites[:, 1], y, h)
-        disp = max(float(np.max(np.abs(new_x - x))), float(np.max(np.abs(new_y - y))))
-        x, y = new_x, new_y
-        iterations += 1
-        if disp < config.convergence_eps * h:
-            break
-    return DotLayout(x=x, y=y, domain=domain, seed=config.seed, iterations_run=iterations)

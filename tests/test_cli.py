@@ -301,9 +301,11 @@ class TestCmdPlot:
     @pytest.mark.parametrize("arg,message", [
         (["--height", "inf"], "height must be finite"),
         (["--radius", "inf"], "radius must be finite"),
-        # The layout's arithmetic stays finite; the canvas's pixel height,
-        # 800 * 1e306, does not.
+        # The canvas's pixel height, 800 * 1e306, overflows; plot checks it
+        # before the layout runs.
         (["--height", "1e306", "--iterations", "1", "--sites", "1024"], "canvas height"),
+        (["--height", "1e308", "--centrality"], "canvas height"),
+        (["--radius", "1e200"], "automatic height"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unusable_geometry_one_error_line_no_files(self, tmp_path, capsys, arg, message):
@@ -312,6 +314,17 @@ class TestCmdPlot:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_canvas_rejected_before_any_relaxation(self, tmp_path, capsys, monkeypatch):
+        def no_relax(*_args, **_kwargs):
+            raise AssertionError("the relaxation started before the canvas was checked")
+
+        monkeypatch.setattr(cli, "relax", no_relax)
+        code = self.run(["plot", "--input", GEYSER, "--column", "waiting", "--height", "1e308",
+                         "--centrality", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "canvas height" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -397,14 +410,14 @@ class TestCmdAnalyze:
         pgm = (tmp_path / "pg_spectrum.pgm").read_text()
         assert pgm.startswith("P2\n17 17\n255\n")
 
-    def test_lloyd2d_treatment_runs(self, tmp_path):
-        out = tmp_path / "l2"
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_spectrum_height_whose_cell_sums_overflow_rejected(self, tmp_path, capsys):
         code = main(["analyze", "spectrum", "--input", GEYSER, "--column", "waiting",
-                     "--height", "0.2", "--realizations", "2", "--treatment", "lloyd2d",
-                     "--iterations", "5", "--sites", "1024", "--out", str(out)])
-        assert code == 0
-        header, row = (tmp_path / "l2_summary.csv").read_text().strip().split("\n")
-        assert "lloyd2d" in row
+                     "--height", "1e307", "--realizations", "1", "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "too large for 8192 sites" in err[0]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args, message", [
         (["--kmax", "4", "--realizations", "20"], "--kmax must be at least 8"),

@@ -13,7 +13,6 @@ from bluedots import (
     MetricSpec,
     PlotDomain,
     estimate_density,
-    metric_distance,
     normalize,
 )
 
@@ -130,13 +129,13 @@ class TestPlotDomain:
 
 class TestMetricDistance:
     def test_uniform_unit_square_diagonal(self):
-        assert metric_distance(MetricSpec(), (0.0, 0.0), (1.0, 1.0)) == 3.0
+        assert MetricSpec().distance(0.0, 0.0, 1.0, 1.0) == 3.0
 
     def test_identity(self):
-        assert metric_distance(MetricSpec(), (0.3, 0.1), (0.3, 0.1)) == 0.0
+        assert MetricSpec().distance(0.3, 0.1, 0.3, 0.1) == 0.0
 
     def test_pure_vertical(self):
-        assert metric_distance(MetricSpec(), (0.5, 0.2), (0.5, 0.0)) == pytest.approx(0.2)
+        assert MetricSpec().distance(0.5, 0.2, 0.5, 0.0) == pytest.approx(0.2)
 
     def test_warped_requires_density(self):
         with pytest.raises(ValueError):
@@ -154,7 +153,7 @@ class TestMetricDistance:
         assert dens.values[0] == 0.0 and dens.evaluate(0.2) == 0.0
         spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens)
         assert float(spec.encoding_weight(0.1, 0.3)) == 1.0
-        assert metric_distance(spec, (0.1, 0.0), (0.3, 0.05)) == pytest.approx(0.2 + 0.05)
+        assert spec.distance(0.1, 0.0, 0.3, 0.05) == pytest.approx(0.2 + 0.05)
 
     def test_warped_weight_is_two_at_peak(self):
         spec = make_warped_spec()
@@ -166,20 +165,18 @@ class TestMetricDistance:
         p1, p2 = (0.2, 0.0), (0.8, 0.0)
         # the warped metric samples the density at the midpoint, d(0.5)
         d_mid = mid.density.evaluate(0.5)
-        assert metric_distance(mid, p1, p2) == pytest.approx((1 + d_mid / mid.density.d_max) * 0.6)
+        assert mid.distance(*p1, *p2) == pytest.approx((1 + d_mid / mid.density.d_max) * 0.6)
 
     @given(unit_floats, st.floats(0, 0.5), unit_floats, st.floats(0, 0.5))
     def test_symmetry_uniform(self, x1, y1, x2, y2):
         spec = MetricSpec()
-        assert metric_distance(spec, (x1, y1), (x2, y2)) == metric_distance(
-            spec, (x2, y2), (x1, y1)
-        )
+        assert spec.distance(x1, y1, x2, y2) == spec.distance(x2, y2, x1, y1)
 
     @given(unit_floats, st.floats(0, 0.5), unit_floats, st.floats(0, 0.5))
     @settings(max_examples=25)
     def test_symmetry_warped_midpoint(self, x1, y1, x2, y2):
         spec = make_warped_spec()
-        assert metric_distance(spec, (x1, y1), (x2, y2)) == metric_distance(spec, (x2, y2), (x1, y1))
+        assert spec.distance(x1, y1, x2, y2) == spec.distance(x2, y2, x1, y1)
 
     @pytest.mark.parametrize("warped", [False, True])
     @given(unit_floats, st.floats(-1.0, 1.0), unit_floats, st.floats(-1.0, 1.0))
@@ -192,12 +189,11 @@ class TestMetricDistance:
         dense = dense_assign(np.array([x]), np.array([y]), np.array([[sx, sy]]), spec)[1]
         assert d.tobytes() == dense.tobytes()
         assert d.tobytes() == spec.distance(sx, sy, x, y).tobytes()
-        assert metric_distance(spec, (x, y), (sx, sy)) == float(d)
 
     @given(unit_floats, st.floats(0, 0.5), unit_floats, st.floats(0, 0.5))
     def test_positive_for_distinct(self, x1, y1, x2, y2):
         if (x1, y1) != (x2, y2):
-            assert metric_distance(MetricSpec(), (x1, y1), (x2, y2)) > 0.0
+            assert MetricSpec().distance(x1, y1, x2, y2) > 0.0
 
     @given(
         st.tuples(unit_floats, unit_floats),
@@ -206,8 +202,8 @@ class TestMetricDistance:
     )
     def test_triangle_inequality_uniform(self, a, b, c):
         spec = MetricSpec()
-        ac = metric_distance(spec, a, c)
-        detour = metric_distance(spec, a, b) + metric_distance(spec, b, c)
+        ac = spec.distance(*a, *c)
+        detour = spec.distance(*a, *b) + spec.distance(*b, *c)
         assert ac <= detour + 1e-12
 
 
@@ -218,11 +214,3 @@ class TestDotLayout:
             DotLayout(x=np.array([0.1, 0.2]), y=np.array([0.1]), domain=dom)
         with pytest.raises(ValueError):
             DotLayout(x=np.array([0.1]), y=np.array([0.1]), domain=dom, labels=("a", "b"))
-
-    def test_replace_y_keeps_x_object_semantics(self):
-        dom = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
-        lay = DotLayout(x=np.array([0.1, 0.9]), y=np.array([0.0, 0.1]), domain=dom)
-        moved = lay.replace_y(np.array([0.05, 0.15]), iterations_run=3)
-        assert np.array_equal(moved.x, lay.x)
-        assert moved.iterations_run == 3
-        assert lay.iterations_run == 0

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -321,6 +322,20 @@ class TestAutomaticHeight:
             automatic_height(0.0, 10, 0.01)
         with pytest.raises(ValueError):
             automatic_height(1.0, 0, 0.01)
+        for r in (0.0, np.inf):
+            with pytest.raises(ValueError, match="radius must be finite and positive"):
+                automatic_height(1.0, 10, r)
+
+    @pytest.mark.parametrize("d_max, n, r", [(1.5, 272, 1e200), (2.0, 100_000, 1e153)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_names_the_product_and_its_factors(self, d_max, n, r):
+        """r^2 alone overflows in the first case, only the whole product in
+        the second; either way the error names r, d_max and n."""
+        want = re.escape(f"automatic height r^2 * d_max * n overflows: r = {r!r}, d_max = {d_max!r}, n = {n}")
+        with pytest.raises(ValueError, match=want):
+            automatic_height(d_max, n, r)
+        with pytest.raises(ValueError, match=want):
+            automatic_height(np.float64(d_max), np.int64(n), np.float64(r))
 
     @given(
         st.floats(0.1, 10.0),

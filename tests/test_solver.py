@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -15,22 +16,19 @@ from bluedots import (
     MetricSpec,
     PlotDomain,
     SolverConfig,
-    VoronoiAssignment,
     assign_sites,
     automatic_height,
     cost_estimate,
     estimate_density,
     jitter_init,
-    lloyd_step,
     load_fixture,
     normalize,
     relax,
     relax_multiclass,
     relax_traced,
-    relax_unconstrained,
 )
 from bluedots import solver
-from bluedots.solver import _BandAssigner, _class_schedule, _GridAssigner, _site_assigner
+from bluedots.solver import _BandAssigner, _cell_update, _class_schedule, _GridAssigner, _site_assigner
 
 DOM = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
 
@@ -226,7 +224,7 @@ class TestBandedExactness:
                 assigner._first_bound = bound_by(assigner, arbitrary)
             assign_checked(assigner, lay.x, lay.y, sites, spec)
         # The sites a move affects, re-scored after the arbitrary bound.
-        moved = lay.replace_y(np.array(data.draw(st.lists(_grid.map(lambda v: v / 4), min_size=n, max_size=n))))
+        moved = replace(lay, y=np.array(data.draw(st.lists(_grid.map(lambda v: v / 4), min_size=n, max_size=n))))
         owner = assigner.assign(moved.y)
         assert np.array_equal(owner, oracle_nearest_dot_scan(moved, sites, spec))
 
@@ -462,20 +460,24 @@ class TestSiteAssigner:
 
 
 class TestLloydStep:
+    """The Lloyd step, ``_cell_update``, on the owners ``assign_sites`` gives."""
+
+    @staticmethod
+    def step(lay, sites):
+        owner = assign_sites(lay, sites, MetricSpec()).owner
+        return _cell_update(owner, sites[:, 1], lay.y, lay.domain.height)
+
     def test_single_dot_moves_to_site_mean(self):
         rng = np.random.default_rng(4)
         lay = DotLayout(x=np.array([0.5]), y=np.array([0.02]), domain=DOM)
         sites = np.column_stack([rng.random(100), rng.random(100) * DOM.height])
-        stepped = lloyd_step(lay, assign_sites(lay, sites, MetricSpec()))
-        assert float(stepped.y[0]) == pytest.approx(float(sites[:, 1].mean()), abs=1e-12)
-        assert np.array_equal(stepped.x, lay.x)
+        assert float(self.step(lay, sites)[0]) == pytest.approx(float(sites[:, 1].mean()), abs=1e-12)
 
     def test_empty_cell_keeps_dot(self):
         lay = DotLayout(x=np.array([0.1, 0.9]), y=np.array([0.05, 0.17]), domain=DOM)
-        assignment = VoronoiAssignment(sites=np.array([[0.1, 0.06]]), owner=np.array([0]))
-        stepped = lloyd_step(lay, assignment)
-        assert float(stepped.y[1]) == 0.17
-        assert float(stepped.y[0]) == 0.06
+        y = self.step(lay, np.array([[0.1, 0.06]]))
+        assert float(y[1]) == 0.17
+        assert float(y[0]) == 0.06
 
     def test_two_stacked_dots_split_the_column(self):
         # dense regular-grid discretization as the step oracle
@@ -486,7 +488,7 @@ class TestLloydStep:
         sites = np.column_stack([gx.ravel(), gy.ravel()])
         lay = DotLayout(x=np.array([0.5, 0.5]), y=np.array([0.02, 0.03]), domain=DOM)
         for _ in range(60):
-            lay = lloyd_step(lay, assign_sites(lay, sites, MetricSpec()))
+            lay = replace(lay, y=self.step(lay, sites))
         h = DOM.height
         assert abs(float(lay.y[0]) - h / 4) <= 0.02 * h
         assert abs(float(lay.y[1]) - 3 * h / 4) <= 0.02 * h
@@ -495,9 +497,12 @@ class TestLloydStep:
         rng = np.random.default_rng(6)
         lay = DotLayout(x=rng.random(32), y=rng.random(32) * DOM.height, domain=DOM)
         sites = np.column_stack([rng.random(300), rng.random(300) * DOM.height])
-        stepped = lloyd_step(lay, assign_sites(lay, sites, MetricSpec()))
-        assert len(stepped) == 32
-        assert np.array_equal(stepped.x, lay.x)
+        owner = assign_sites(lay, sites, MetricSpec()).owner
+        y = self.step(lay, sites)
+        assert y.shape == (32,)
+        # Dot i's y is the mean of dot i's own cell, or its old y.
+        want = [sites[owner == i, 1].mean() if np.any(owner == i) else lay.y[i] for i in range(32)]
+        assert y == pytest.approx(want, rel=1e-12)
 
 
 class TestRelax:
@@ -509,6 +514,26 @@ class TestRelax:
         ref = jitter_init(dom.normalize_x(data.values), dom, seed=3)
         assert np.array_equal(out.y, ref.y)
         assert out.iterations_run == 0
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_height_bounded_by_the_cell_sums(self, kind):
+        """The largest height that keeps 2 * n_sites * height finite lays out
+        as any other (no dot pushed to the top by an overflowed cell sum);
+        the next float up is rejected before the loop, as are the heights
+        at which the cell sums overflowed (1e307 and 1e308)."""
+        data = load_fixture("geyser")
+        xs, (lo, hi) = normalize(data)
+        config = SolverConfig(n_sites=1024, seed=0, metric=MetricSpec(kind=kind, density=estimate_density(xs)))
+        h = float(np.finfo(np.float64).max) / 2048
+        while not np.isfinite(2.0 * 1024 * h):
+            h = float(np.nextafter(h, 0.0))
+        out = relax(data, PlotDomain(x_min=lo, x_max=hi, height=h, radius=0.01), config)
+        assert np.all(out.y < h) and 0.4 < float(np.mean(out.y)) / h < 0.6
+        for too_tall in (float(np.nextafter(h, np.inf)), 1e307, 1e308):
+            dom = PlotDomain(x_min=lo, x_max=hi, height=too_tall, radius=0.01)
+            with pytest.raises(ValueError, match="too large for 1024 sites"):
+                relax(data, dom, config)
 
     def test_encoding_dimension_fixed_bit_exact(self):
         data = load_fixture("geyser")
@@ -679,26 +704,3 @@ class TestRelaxEngineProperties:
         assert 0 <= out.iterations_run <= config.max_iterations
         assert out.y.tobytes() == again.y.tobytes()
         assert out.iterations_run == again.iterations_run
-
-
-class TestRelaxUnconstrained:
-    def test_runs_and_bounds(self):
-        dom = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
-        out = relax_unconstrained(64, dom, SolverConfig(seed=0, n_sites=2048, max_iterations=20))
-        assert len(out) == 64
-        assert np.all((out.x >= 0) & (out.x <= 1))
-        assert np.all((out.y >= 0) & (out.y <= dom.height))
-
-    def test_deterministic(self):
-        dom = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
-        cfg = SolverConfig(seed=4, n_sites=1024, max_iterations=10)
-        a = relax_unconstrained(32, dom, cfg)
-        b = relax_unconstrained(32, dom, cfg)
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-
-    def test_spreads_points_apart(self):
-        dom = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
-        out = relax_unconstrained(64, dom, SolverConfig(seed=1, n_sites=4096))
-        rng = np.random.default_rng(1)
-        rand = DotLayout(x=rng.random(64), y=rng.random(64) * 0.2, domain=dom)
-        assert oracle_pairwise_min_distance(out) > oracle_pairwise_min_distance(rand)
