@@ -9,7 +9,7 @@ summary statistic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -57,39 +57,42 @@ class SpectrumGrid:
         return mask
 
 
-def power_spectrum(realizations: Sequence[DotLayout], k_max: int) -> SpectrumGrid:
+def power_spectrum(realizations: Iterable[DotLayout], k_max: int) -> SpectrumGrid:
     """Mean power spectrum of the realizations over the valid lattice.
 
-    Per realization, P(k) = |sum_j exp(-2*pi*i * k . p_j)|^2 / n.
+    Per realization, P(k) = |sum_j exp(-2*pi*i * k . p_j)|^2 / n. The
+    realizations are read once, in order, so a generator of layouts is
+    summed one layout at a time; each must share the first's dot count and
+    height.
     """
     if k_max < MIN_KMAX:
         raise ValueError(f"k_max must be at least {MIN_KMAX}")
-    if not realizations:
-        raise ValueError("need at least one realization")
-    n = len(realizations[0])
-    h = realizations[0].domain.height
-    for lay in realizations:
-        if len(lay) != n:
-            raise ValueError("realizations must share the same dot count")
-        if lay.domain.height != h:
-            raise ValueError("realizations must share the same height")
-
     kx = np.arange(-k_max, k_max + 1)
     ky_mult = np.arange(-k_max, k_max + 1)
-    ky = ky_mult / h
-    total = np.zeros((ky.size, kx.size))
+    count = 0
     for lay in realizations:
+        if count == 0:
+            n, h = len(lay), lay.domain.height
+            ky = ky_mult / h
+            total = np.zeros((ky.size, kx.size))
+        elif len(lay) != n:
+            raise ValueError("realizations must share the same dot count")
+        elif lay.domain.height != h:
+            raise ValueError("realizations must share the same height")
         ex = np.exp(-2j * np.pi * np.outer(kx, lay.x))
         ey = np.exp(-2j * np.pi * np.outer(ky, lay.y))
         f = ey @ ex.T
         total += (f.real * f.real + f.imag * f.imag) / n
+        count += 1
+    if count == 0:
+        raise ValueError("need at least one realization")
     return SpectrumGrid(
         kx=kx,
         ky_multiples=ky_mult,
-        power=total / len(realizations),
+        power=total / count,
         height=h,
         n_points=n,
-        n_realizations=len(realizations),
+        n_realizations=count,
     )
 
 
@@ -134,13 +137,17 @@ def overlap_metric(layout: DotLayout) -> float:
     # A pair further apart along x adds exactly 0; the margin covers the
     # rounding of the computed distance.
     last = np.searchsorted(x, x + two_r * (1.0 + 1e-9), side="right") - 1
+    # Faster than np.hypot and as exact, unless a square can overflow (a gap
+    # beyond 1e150) or underflow where it shows: distances below 1e-150 have
+    # a hinge term of 1 unless 2r is below 1e-100.
+    squares = x[-1] - x[0] < 1e150 and y.max() - y.min() < 1e150 and two_r > 1e-100
     i = np.arange(n)
     total = 0.0
     offset = 1
     while (i := i[last[i] >= i + offset]).size:
         dx = x[i + offset] - x[i]
         dy = y[i + offset] - y[i]
-        d = np.sqrt(dx * dx + dy * dy)
+        d = np.sqrt(dx * dx + dy * dy) if squares else np.hypot(dx, dy)
         total += float(np.maximum(0.0, 1.0 - d / two_r).sum())
         offset += 1
     return total / n

@@ -3,12 +3,15 @@
 Input CSVs are read by ``bluedots.datasets.load_csv``, the same reader the
 bundled fixtures go through; its ``CliError`` and every ``ValueError`` from
 the library end the command with a one-line diagnostic and exit status 1.
-Every layout comes from one of two treatments (``_make_layout``): ``blue``,
-the data-constrained relaxation (``relax``, or ``relax_multiclass`` for two
-or more classes), or ``jitter``, its seeded initialization. ``plot`` checks
-its canvas before the layout runs. The written layout file records the seed,
-iteration count, domain and metric; the site count and iteration cap come
-from the command line.
+Every layout comes from one of the ``TREATMENTS`` through one call,
+``_make_layout(treatment, data, domain, config)``: ``blue``, the
+data-constrained relaxation (``relax``, or ``relax_multiclass`` for two or
+more classes), or ``jitter``, its seeded start (``jitter_init``). The solver
+derives x, the centrality band and the labels; ``--centrality`` only picks
+the warped metric and the SVG envelope. ``plot`` checks its canvas before
+the layout runs, and ``analyze spectrum`` sums its realizations one layout
+at a time. The written layout file records the seed, iteration count, domain
+and metric; the site count and iteration cap come from the command line.
 """
 
 from __future__ import annotations
@@ -47,10 +50,11 @@ from .render import RenderStyle, StrokeStyle, canvas_size, render_svg
 
 LAYOUT_FILE_VERSION = 1
 DEFAULT_SITES = 8192
+TREATMENTS = ("blue", "jitter")
 
 
-def _resolve_setup(data: DataSet, radius: float, height_arg: str):
-    """Normalize the data and fix the plot domain (auto height if asked)."""
+def _resolve_domain(data: DataSet, radius: float, height_arg: str):
+    """The plot domain (auto height if asked) and the data's density."""
     xs, (x_min, x_max) = normalize(data)
     dens = estimate_density(xs)
     if height_arg == "auto":
@@ -61,7 +65,7 @@ def _resolve_setup(data: DataSet, radius: float, height_arg: str):
         except ValueError:
             raise CliError(f"--height must be 'auto' or a number, got {height_arg!r}")
     domain = PlotDomain(x_min=x_min, x_max=x_max, height=height, radius=radius)
-    return xs, domain, dens
+    return domain, dens
 
 
 def _solver_config(args, n: int, metric: MetricSpec = MetricSpec()) -> SolverConfig:
@@ -72,13 +76,11 @@ def _solver_config(args, n: int, metric: MetricSpec = MetricSpec()) -> SolverCon
     )
 
 
-def _make_layout(treatment: str, data: DataSet, xs, domain, config: SolverConfig,
-                 profile=None) -> DotLayout:
+def _make_layout(treatment: str, data: DataSet, domain: PlotDomain, config: SolverConfig) -> DotLayout:
     """The one path from a treatment to a layout, seeded by ``config.seed``."""
     if treatment == "jitter":
-        # The solver carries labels through; jitter has to be given them.
-        return replace(jitter_init(xs, domain, config.seed, profile), labels=data.labels)
-    if data.labels is not None and data.n_classes >= 2:
+        return jitter_init(data, domain, config)
+    if data.n_classes >= 2:
         return relax_multiclass(data, domain, config)
     return relax(data, domain, config)
 
@@ -134,12 +136,12 @@ def load_layout(path) -> tuple[DotLayout, dict]:
 
 def cmd_plot(args) -> int:
     data = load_csv(args.input, args.column, args.class_column)
-    xs, domain, dens = _resolve_setup(data, args.radius, args.height)
+    domain, dens = _resolve_domain(data, args.radius, args.height)
     if args.centrality:
         metric = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens)
-        profile = height_profile(dens, len(data), domain.radius)
+        envelope = height_profile(dens, len(data), domain.radius)
     else:
-        metric, profile = MetricSpec(), None
+        metric, envelope = MetricSpec(), None
     style = RenderStyle(
         dot_radius_px=args.radius * 800,
         canvas_width_px=800,
@@ -147,9 +149,9 @@ def cmd_plot(args) -> int:
     )
     canvas_size(domain, style)  # an unusable canvas fails before the layout runs
     config = _solver_config(args, len(data), metric)
-    layout = _make_layout(args.treatment, data, xs, domain, config, profile)
+    layout = _make_layout(args.treatment, data, domain, config)
     # Rendered before either file is written, so that a failure writes neither.
-    svg = render_svg(layout, style, profile)
+    svg = render_svg(layout, style, envelope)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -166,12 +168,13 @@ def cmd_analyze_spectrum(args) -> int:
     if args.realizations < 1:
         raise CliError(f"--realizations must be at least 1, got {args.realizations}")
     data = load_csv(args.input, args.column, None)
-    xs, domain, dens = _resolve_setup(data, args.radius, args.height)
+    domain, _ = _resolve_domain(data, args.radius, args.height)
     config = _solver_config(args, len(data))
-    layouts = [
-        _make_layout(args.treatment, data, xs, domain, replace(config, seed=args.seed + i))
+    # One layout at a time: memory does not grow with the realizations.
+    layouts = (
+        _make_layout(args.treatment, data, domain, replace(config, seed=args.seed + i))
         for i in range(args.realizations)
-    ]
+    )
     grid = power_spectrum(layouts, args.kmax)
 
     out = Path(args.out)
@@ -218,22 +221,19 @@ def cmd_analyze_overlap(args) -> int:
         raise CliError("--seeds must be positive")
 
     config = _solver_config(args, len(data))
-    treatments = ("blue", "jitter")
     values = {}
     for count in counts:
         subset = DataSet(values=data.values[:count], name=data.name)
-        xs, domain, _ = _resolve_setup(subset, args.radius, args.height)
-        for treatment in treatments:
+        domain, _ = _resolve_domain(subset, args.radius, args.height)
+        for treatment in TREATMENTS:
             values[treatment, count] = [
-                overlap_metric(
-                    _make_layout(treatment, subset, xs, domain, replace(config, seed=seed))
-                )
+                overlap_metric(_make_layout(treatment, subset, domain, replace(config, seed=seed)))
                 for seed in range(args.seeds)
             ]
     dataset = data.name or ""
     rows = [
         {"dataset": dataset, "treatment": t, "seed": seed, "n": c, "value": v}
-        for t in treatments
+        for t in TREATMENTS
         for c in counts
         for seed, v in enumerate(values[t, c])
     ]
@@ -248,7 +248,7 @@ def cmd_analyze_overlap(args) -> int:
     with open(f"{out}_summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=["dataset", "treatment", "n", "median", "iqr"])
         writer.writeheader()
-        for t in treatments:
+        for t in TREATMENTS:
             for c in counts:
                 q75, q25 = np.percentile(values[t, c], [75, 25])
                 writer.writerow(
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     plot = sub.add_parser("plot", help="lay out a dataset and write layout JSON + SVG")
     _add_common_input(plot)
     plot.add_argument("--class-column", default=None, help="optional class column")
-    plot.add_argument("--treatment", choices=["blue", "jitter"], default="blue")
+    plot.add_argument("--treatment", choices=TREATMENTS, default="blue")
     plot.add_argument(
         "--centrality",
         action="store_true",
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_input(spectrum)
     spectrum.add_argument("--realizations", type=int, default=100)
     spectrum.add_argument("--kmax", type=int, default=16)
-    spectrum.add_argument("--treatment", choices=["blue", "jitter"], default="blue")
+    spectrum.add_argument("--treatment", choices=TREATMENTS, default="blue")
     spectrum.set_defaults(func=cmd_analyze_spectrum)
 
     overlap = asub.add_parser("overlap", help="overlap benchmark across seeds and counts")

@@ -91,10 +91,6 @@ class PlotDomain:
         values = np.asarray(values, dtype=np.float64)
         return (values - self.x_min) / (self.x_max - self.x_min)
 
-    def denormalize_x(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        return self.x_min + xs * (self.x_max - self.x_min)
-
 
 @dataclass(frozen=True)
 class DotLayout:

@@ -269,6 +269,10 @@ def height_profile(d: DensityEstimate, n: int, r: float) -> Callable[[np.ndarray
         raise ValueError("n and r must be positive")
 
     def profile(x):
-        return np.maximum(2.0 * r, r * r * d.evaluate(x) * n)
+        density = d.evaluate(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = r * r * density * n
+        # From r ~ 1.3e154 on r * r is inf, and inf * 0 is NaN where d(x) = 0.
+        return np.maximum(2.0 * r, np.where(density > 0, stacked, 0.0))
 
     return profile

@@ -5,13 +5,18 @@ assign every domain site to its nearest dot under the active metric, move
 each dot to the mean of its sites, and re-impose the encoding coordinate.
 Only the vertical coordinate ever changes; the horizontal one is the data.
 
-There is one relaxation loop (``_relax_groups``), and its step, the cell
-mean of each dot's sites, is ``_cell_update``. Single-class and multiclass
-relaxation run it over a schedule of dot index groups: ``[all dots]`` for
-one class, every class and class union for several. Sites are drawn once per
-run, so the Monte Carlo cost estimate has a fixed objective across
-iterations; ``_draw_sites`` rejects a height at which a cell's sum of site y
-could overflow.
+Every entry point takes ``(data, domain, config)``, and one path turns that
+into a layout that carries ``data.labels``. ``_start`` derives x
+(``domain.normalize_x``) and the initial y: uniform on [0, h], or with the
+warped metric on the centered band of the centrality variant.
+``jitter_init`` is that start, so the jitter plot is the relaxation at
+iteration 0. ``_run`` draws the sites from the same generator and runs the
+one relaxation loop (``_relax_groups``, whose step, the cell mean of each
+dot's sites, is ``_cell_update``) over a schedule of dot index groups:
+``[all dots]`` for ``relax``, every class and class union for
+``relax_multiclass``. Sites are drawn once per run, so the Monte Carlo cost
+estimate has a fixed objective across iterations; ``_draw_sites`` rejects a
+height at which a cell's sum of site y could overflow.
 
 The nearest-dot search is exact: its owners are the dense (m, n) search's bit
 for bit, ties going to the lowest dot index, since every distance keeps the
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
@@ -600,31 +605,26 @@ def _draw_sites(rng: np.random.Generator, n_sites: int, n: int, height: float) -
     return np.column_stack([rng.random(n_sites), rng.random(n_sites) * height])
 
 
-def _initial_y(rng: np.random.Generator, xs: np.ndarray, domain: PlotDomain, profile=None) -> np.ndarray:
+def _start(data: DataSet, domain: PlotDomain, config: SolverConfig):
+    """Normalized x, the initial y, and the generator the run draws its sites
+    from next. The initial y is uniform on [0, h], or with the warped metric
+    on the vertically centered band of height min(h, height_profile(x)),
+    the centrality variant's start."""
+    xs = domain.normalize_x(data.values)
+    rng = np.random.default_rng(config.seed)
     u = rng.random(xs.size)
     h = domain.height
-    if profile is None:
-        return u * h
-    band = np.minimum(np.asarray(profile(xs), dtype=np.float64), h)
-    return (h - band) / 2.0 + u * band
+    if config.metric.kind is not MetricKind.DENSITY_WARPED:
+        return xs, u * h, rng
+    band = np.minimum(height_profile(config.metric.density, xs.size, domain.radius)(xs), h)
+    return xs, (h - band) / 2.0 + u * band, rng
 
 
-def _centrality_profile(config: SolverConfig, n: int, domain: PlotDomain):
-    if config.metric.kind is MetricKind.DENSITY_WARPED:
-        return height_profile(config.metric.density, n, domain.radius)
-    return None
-
-
-def jitter_init(xs, domain: PlotDomain, seed: int, profile=None) -> DotLayout:
-    """Random jitter baseline: y i.i.d. uniform on [0, h], x untouched.
-
-    With a height ``profile`` the draw is confined to the vertically centered
-    band [h/2 - profile(x)/2, h/2 + profile(x)/2] instead.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    y = _initial_y(rng, xs, domain, profile)
-    return DotLayout(x=xs, y=y, domain=domain, seed=seed, iterations_run=0)
+def jitter_init(data: DataSet, domain: PlotDomain, config: SolverConfig) -> DotLayout:
+    """The jitter plot: x pinned to the data, y as the relaxation starts it
+    (``relax`` at zero iterations). No sites are drawn."""
+    xs, y0, _ = _start(data, domain, config)
+    return DotLayout(x=xs, y=y0, domain=domain, labels=data.labels, seed=config.seed)
 
 
 def assign_sites(dots: DotLayout, sites, metric: MetricSpec) -> VoronoiAssignment:
@@ -647,15 +647,6 @@ def _cell_update(owner: np.ndarray, site_y: np.ndarray, y: np.ndarray, height: f
     new = np.where(counts > 0, means, y)
     np.clip(new, 0.0, height, out=new)
     return new
-
-
-def _setup(data: DataSet, domain: PlotDomain, config: SolverConfig):
-    """Normalized x, initial y and the run's fixed sites, in RNG draw order."""
-    xs = domain.normalize_x(data.values)
-    rng = np.random.default_rng(config.seed)
-    y0 = _initial_y(rng, xs, domain, _centrality_profile(config, xs.size, domain))
-    sites = _draw_sites(rng, config.n_sites, xs.size, domain.height)
-    return xs, y0, sites
 
 
 def _relax_groups(xs, y0, sites, groups, h: float, config: SolverConfig) -> tuple[np.ndarray, int]:
@@ -690,15 +681,19 @@ def _relax_groups(xs, y0, sites, groups, h: float, config: SolverConfig) -> tupl
     return y, iterations
 
 
+def _run(data: DataSet, domain: PlotDomain, config: SolverConfig, groups) -> tuple[DotLayout, RelaxTrace]:
+    """The one relaxation run: the jitter start, then the run's sites from the
+    same generator, then the loop over the index ``groups``."""
+    xs, y0, rng = _start(data, domain, config)
+    sites = _draw_sites(rng, config.n_sites, xs.size, domain.height)
+    y, iterations = _relax_groups(xs, y0, sites, groups, domain.height, config)
+    initial = DotLayout(x=xs, y=y0, domain=domain, labels=data.labels, seed=config.seed)
+    return replace(initial, y=y, iterations_run=iterations), RelaxTrace(initial=initial, sites=sites)
+
+
 def relax_traced(data: DataSet, domain: PlotDomain, config: SolverConfig) -> tuple[DotLayout, RelaxTrace]:
     """Full relaxation run, also returning the initialization and site set."""
-    xs, y0, sites = _setup(data, domain, config)
-    y, iterations = _relax_groups(xs, y0, sites, [np.arange(xs.size)], domain.height, config)
-    initial = DotLayout(x=xs, y=y0, domain=domain, labels=data.labels, seed=config.seed)
-    final = DotLayout(
-        x=xs, y=y, domain=domain, labels=data.labels, seed=config.seed, iterations_run=iterations
-    )
-    return final, RelaxTrace(initial=initial, sites=sites)
+    return _run(data, domain, config, [np.arange(len(data))])
 
 
 def relax(data: DataSet, domain: PlotDomain, config: SolverConfig) -> DotLayout:
@@ -739,11 +734,4 @@ def relax_multiclass(data: DataSet, domain: PlotDomain, config: SolverConfig) ->
         raise ValueError("relax_multiclass requires class labels")
     if data.n_classes < 2:
         warnings.warn("single class present; falling back to single-class relax")
-        return relax(data, domain, config)
-    xs, y0, sites = _setup(data, domain, config)
-    groups = _class_schedule(data.labels, xs.size)
-    y, iterations = _relax_groups(xs, y0, sites, groups, domain.height, config)
-    return DotLayout(
-        x=xs, y=y, domain=domain, labels=data.labels, seed=config.seed, iterations_run=iterations
-    )
-
+    return _run(data, domain, config, _class_schedule(data.labels, len(data)))[0]

@@ -47,7 +47,7 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num} ({name}): {detail}")
 
 
-def fixture_setup(name: str, height: float | None = None):
+def fixture_inputs(name: str, height: float | None = None):
     data = load_fixture(name)
     xs, (lo, hi) = normalize(data)
     dens = estimate_density(xs)
@@ -69,7 +69,7 @@ def test_c1_encoding_fidelity():
     t0 = time.perf_counter()
     checked = 0
     for name in FIXTURES:
-        data, xs, dom = fixture_setup(name)
+        data, xs, dom = fixture_inputs(name)
         for seed in SEEDS:
             out = relax(data, dom, SolverConfig(seed=seed))
             assert np.array_equal(out.x, xs), f"{name} seed {seed}: x changed"
@@ -86,7 +86,7 @@ def test_c1_encoding_fidelity():
 
 
 def test_c2_performance():
-    data, xs, dom = fixture_setup("geyser")
+    data, xs, dom = fixture_inputs("geyser")
     assert len(data) == 256
     # force the full 40 iterations: no early convergence exit
     config = SolverConfig(n_sites=8192, max_iterations=40, convergence_eps=0.0, seed=0)
@@ -102,9 +102,9 @@ def test_c2_performance():
 
 def test_c3_spectral_property():
     t0 = time.perf_counter()
-    data, xs, dom = fixture_setup("geyser", height=ANALYSIS_HEIGHT)
+    data, xs, dom = fixture_inputs("geyser", height=ANALYSIS_HEIGHT)
     realizations = 100
-    jitters = [jitter_init(xs, dom, seed) for seed in range(realizations)]
+    jitters = [jitter_init(data, dom, SolverConfig(seed=seed)) for seed in range(realizations)]
     blues = [relax(data, dom, SolverConfig(seed=seed)) for seed in range(realizations)]
     gj = power_spectrum(jitters, 16)
     gb = power_spectrum(blues, 16)
@@ -129,10 +129,10 @@ def test_c4_overlap_property():
     details = []
     for count in counts:
         sub = DataSet(values=full.values[:count], name="geyser")
-        xs, (lo, hi) = normalize(sub)
+        _, (lo, hi) = normalize(sub)
         dom = PlotDomain(x_min=lo, x_max=hi, height=ANALYSIS_HEIGHT, radius=RADIUS)
         blue = [overlap_metric(relax(sub, dom, SolverConfig(seed=s))) for s in SEEDS]
-        jit = [overlap_metric(jitter_init(xs, dom, s)) for s in SEEDS]
+        jit = [overlap_metric(jitter_init(sub, dom, SolverConfig(seed=s))) for s in SEEDS]
         mb, mj = float(np.median(blue)), float(np.median(jit))
         ib, ij = iqr(blue), iqr(jit)
         medians[count] = (mb, mj)
@@ -154,7 +154,7 @@ def test_c5_progress_property():
     lines = []
     ok = True
     for name in FIXTURES:
-        data, xs, dom = fixture_setup(name)
+        data, xs, dom = fixture_inputs(name)
         wins = 0
         for seed in SEEDS:
             final, trace = relax_traced(data, dom, SolverConfig(seed=seed))
@@ -209,15 +209,14 @@ def test_c7_automatic_height():
 
 
 def test_c8_multiclass_property():
-    data, xs, dom = fixture_setup("tips")
+    data, xs, dom = fixture_inputs("tips")
     classes = sorted(set(data.labels))
     blue = {c: [] for c in classes}
     jit = {c: [] for c in classes}
     blue_union, jit_union = [], []
     for seed in SEEDS:
         mc = relax_multiclass(data, dom, SolverConfig(seed=seed))
-        jl = jitter_init(xs, dom, seed)
-        jl = DotLayout(x=jl.x, y=jl.y, domain=dom, labels=data.labels, seed=seed)
+        jl = jitter_init(data, dom, SolverConfig(seed=seed))
         blue_union.append(overlap_metric(mc))
         jit_union.append(overlap_metric(jl))
         for c in classes:

@@ -71,6 +71,16 @@ class TestPowerSpectrum:
         with pytest.raises(ValueError):
             power_spectrum([a, c], 8)
 
+    def test_generator_sums_as_the_list_does(self):
+        rng = np.random.default_rng(8)
+        reals = [layout_of(rng.random(24), rng.random(24) * DOM.height) for _ in range(5)]
+        from_list = power_spectrum(reals, 8)
+        from_generator = power_spectrum((lay for lay in reals), 8)
+        assert from_generator.power.tobytes() == from_list.power.tobytes()
+        assert from_generator.n_realizations == 5
+        with pytest.raises(ValueError, match="at least one realization"):
+            power_spectrum(iter([]), 8)
+
     def test_kmax_validated(self):
         lay = layout_of([0.5], [0.1])
         with pytest.raises(ValueError):
@@ -163,6 +173,27 @@ class TestOverlapMetric:
 
     def test_single_dot(self):
         assert overlap_metric(layout_of([0.5], [0.1])) == 0.0
+
+    @pytest.mark.parametrize("scale", [2.0**-1000, 2.0**600])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scale_invariant_where_the_squares_underflow_or_overflow(self, scale):
+        rng = np.random.default_rng(9)
+        x, y = rng.random(40) * 0.2, rng.random(40) * 0.05
+        base = overlap_metric(layout_of(x, y, radius=0.01))
+        dom = PlotDomain(x_min=0.0, x_max=1.0, height=0.2 * scale, radius=0.01 * scale)
+        assert base > 0.5
+        assert overlap_metric(layout_of(x * scale, y * scale, domain=dom)) == pytest.approx(base, rel=1e-12)
+
+    @pytest.mark.parametrize("x, y, radius, want", [
+        # dy * dy overflows: the pair is one radius apart, not infinitely far.
+        ([0.5, 0.5], [0.0, 1e155], 1e155, 0.25),
+        # dx * dx underflows to 0: the pair is 1.5 radii apart, not coincident.
+        ([0.0, 3e-310], [0.0, 0.0], 2e-310, 0.125),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_distance_neither_overflows_nor_underflows(self, x, y, radius, want):
+        dom = PlotDomain(x_min=0.0, x_max=1.0, height=max(1.0, 2 * max(y)), radius=radius)
+        assert overlap_metric(layout_of(x, y, domain=dom)) == want
 
 
 class TestCostEstimate:

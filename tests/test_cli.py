@@ -1,15 +1,23 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bluedots import (
     DataSet,
     DotLayout,
     MetricKind,
     PlotDomain,
+    SolverConfig,
     automatic_height,
     estimate_density,
     jitter_init,
@@ -188,9 +196,9 @@ class TestSaveLayout:
 
     def test_fixture_plot_bytes_equal_json_dump(self, tmp_path):
         data = load_csv(TIPS, "bill", "time")
-        xs, (lo, hi) = normalize(data)
+        _, (lo, hi) = normalize(data)
         dom = PlotDomain(x_min=lo, x_max=hi, height=0.1, radius=0.01)
-        layout = jitter_init(xs, dom, 4)
+        layout = jitter_init(data, dom, SolverConfig(seed=4))
         for labels in (None, data.labels):
             layout = DotLayout(x=layout.x, y=layout.y, domain=dom, labels=labels, seed=4)
             cli.save_layout(layout, data, MetricKind.UNIFORM, tmp_path / "new.json")
@@ -214,7 +222,7 @@ class TestCmdPlot:
         xs, (lo, hi) = normalize(data)
         dens = estimate_density(xs)
         h = automatic_height(dens.d_max, len(data), 0.01)
-        ref = jitter_init(xs, PlotDomain(x_min=lo, x_max=hi, height=h, radius=0.01), 3)
+        ref = jitter_init(data, PlotDomain(x_min=lo, x_max=hi, height=h, radius=0.01), SolverConfig(seed=3))
         assert np.array_equal(layout.y, ref.y)
         assert np.array_equal(layout.x, ref.x)
 
@@ -292,6 +300,13 @@ class TestCmdPlot:
                          "--iterations", "3", "--out", str(tmp_path / "five")]) == 0
         doc = json.loads((tmp_path / "five.json").read_text())
         assert [d["x_norm"] for d in doc["dots"]] == [0.5, 0.5, 0.5]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_centrality_envelope_where_the_density_is_0_and_r_squared_overflows(self, tmp_path):
+        path = write_csv(tmp_path, "ends.csv", "v\n" + "0\n" * 9 + "1\n")
+        assert self.run(["plot", "--input", path, "--column", "v", "--centrality", "--radius", "1e160",
+                         "--height", "0.5", "--iterations", "2", "--out", str(tmp_path / "ends")]) == 0
+        assert "nan" not in (tmp_path / "ends.svg").read_text()
 
     def test_bad_height_exit_code(self, tmp_path, capsys):
         code = self.run(["plot", "--input", GEYSER, "--column", "waiting",
@@ -373,6 +388,15 @@ class TestCmdAnalyze:
         assert lines[0] == "dataset,treatment,n,median,iqr"
         assert len(lines) == 3
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overlap_on_a_plot_whose_dot_gaps_square_past_the_largest_float(self, tmp_path):
+        out = tmp_path / "tall"
+        code = main(["analyze", "overlap", "--input", GEYSER, "--column", "waiting",
+                     "--height", "1e200", "--counts", "16", "--seeds", "1", "--out", str(out)])
+        assert code == 0
+        rows = list(csv.DictReader((tmp_path / "tall_overlap.csv").read_text().splitlines()))
+        assert [float(r["value"]) for r in rows] == [0.0, 0.0]
+
     def test_count_exceeding_dataset_rejected(self, tmp_path, capsys):
         code = main(["analyze", "overlap", "--input", GEYSER, "--column", "waiting",
                      "--counts", "9999", "--out", str(tmp_path / "x")])
@@ -385,12 +409,32 @@ class TestCmdAnalyze:
                      "--seed", "4", "--kmax", "8", "--out", str(out)])
         assert code == 0
         data = load_csv(GEYSER, "waiting")
-        xs, (lo, hi) = normalize(data)
+        _, (lo, hi) = normalize(data)
         dom = PlotDomain(x_min=lo, x_max=hi, height=0.2, radius=0.01)
-        grid = power_spectrum([jitter_init(xs, dom, 4)], 8)
+        grid = power_spectrum([jitter_init(data, dom, SolverConfig(seed=4))], 8)
         text = (tmp_path / "sp_spectrum.csv").read_text().strip().split("\n")[1:]
         got = np.array([float(r.split(",")[2]) for r in text]).reshape(17, 17)
         assert np.array_equal(got, grid.power)
+
+    def test_spectrum_memory_does_not_grow_with_realizations(self, tmp_path):
+        """The layouts are made and summed one at a time: 30 more realizations
+        of 2000 dots, 32 kB of x and y each, leave the peak within 5 layouts."""
+        values = np.random.default_rng(0).random(2000).tolist()
+        path = write_csv(tmp_path, "u.csv", "v\n" + "".join(f"{v!r}\n" for v in values))
+
+        def peak(realizations: int) -> int:
+            tracemalloc.start()
+            try:
+                assert main(["analyze", "spectrum", "--input", path, "--column", "v",
+                             "--height", "0.2", "--realizations", str(realizations),
+                             "--treatment", "jitter", "--kmax", "8",
+                             "--out", str(tmp_path / "sp")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # one-time allocations
+        assert peak(32) - peak(2) < 5 * 2000 * 16
 
     def test_spectrum_jitter_summary_flat(self, tmp_path):
         out = tmp_path / "sj"
@@ -454,3 +498,81 @@ class TestLayoutRoundTrip:
             ys.append((canvas_h - float(c.get("cy"))) / w)
         assert np.max(np.abs(np.array(xs) - layout.x)) < 1e-6
         assert np.max(np.abs(np.array(ys) - layout.y)) < 1e-6
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def plot_inputs(draw):
+    """A CSV of 1 to 40 finite values of any magnitude (duplicates and
+    constant columns included) with 0 to 12 classes, and plot options."""
+    n = draw(st.integers(1, 40))
+    pool = draw(st.lists(FINITE, min_size=1, max_size=6))
+    values = draw(st.lists(st.one_of(st.sampled_from(pool), FINITE), min_size=n, max_size=n))
+    classes = draw(st.integers(0, 12))
+    labels = None
+    if classes:
+        names = draw(st.lists(st.text(st.characters(codec="utf-8"), min_size=1, max_size=4),
+                              min_size=classes, max_size=classes, unique=True))
+        labels = draw(st.lists(st.sampled_from(names), min_size=n, max_size=n))
+    number = st.one_of(st.floats(1e-3, 0.5), st.floats())
+    options = [
+        f"--radius={draw(number)!r}",
+        f"--height={draw(st.one_of(st.just('auto'), number.map(repr)))}",
+        f"--iterations={draw(st.integers(0, 3))}",
+        f"--treatment={draw(st.sampled_from(cli.TREATMENTS))}",
+        f"--seed={draw(st.integers(0, 2**32))}",
+    ]
+    sites = draw(st.one_of(st.none(), st.integers(-1, 100)))
+    if sites is not None:
+        options.append(f"--sites={sites}")
+    if draw(st.booleans()):
+        options.append("--centrality")
+    return values, labels, options
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestPlotContract:
+    @given(plot_inputs())
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_layout_or_one_error_line_and_no_files(self, inputs):
+        """Any finite input either exits 0 with outputs that hold the
+        contract (every row one dot, in order, its raw value and normalized
+        x kept bit for bit, y in [0, h], labels kept, a complete SVG) or
+        exits 1 with one ``error:`` line and writes nothing."""
+        values, labels, options = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["v", "c"])
+                writer.writerows(zip([repr(v) for v in values], labels or [""] * len(values)))
+            out = Path(tmp) / "out"
+            out.mkdir()
+            argv = ["plot", "--input", str(path), "--column", "v", "--out", str(out / "plot"), *options]
+            if labels is not None:
+                argv += ["--class-column", "c"]
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            err = stderr.getvalue().splitlines()
+            if code == 1:
+                assert len(err) == 1 and err[0].startswith("error: "), err
+                assert list(out.iterdir()) == []
+                return
+            assert code == 0 and err == []
+            doc = json.loads((out / "plot.json").read_text(encoding="utf-8"))
+            dots = doc["dots"]
+            assert len(dots) == len(values)
+            assert np.array_equal(_bits([d["x_raw"] for d in dots]), _bits(values))
+            expected, _ = normalize(DataSet(values=values))
+            assert np.array_equal(_bits([d["x_norm"] for d in dots]), _bits(expected))
+            y = np.array([d["y"] for d in dots])
+            assert np.all((y >= 0.0) & (y <= doc["domain"]["height"]))
+            assert [d.get("class") for d in dots] == (labels or [None] * len(values))
+            assert (out / "plot.svg").read_text(encoding="utf-8").rstrip().endswith("</svg>")

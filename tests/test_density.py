@@ -360,6 +360,13 @@ def constant_density(value: float) -> DensityEstimate:
     )
 
 
+def empty_beyond_16() -> DensityEstimate:
+    """A density of 4 on the first 16 grid points and 0 beyond."""
+    values = np.full(GRID_SIZE, 0.0)
+    values[:16] = 4.0
+    return DensityEstimate(grid=np.linspace(0.0, 1.0, GRID_SIZE), values=values, bandwidth=0.1, d_max=4.0)
+
+
 class TestHeightProfile:
     def test_constant_density(self):
         profile = height_profile(constant_density(1.0), 100, 0.05)
@@ -373,13 +380,16 @@ class TestHeightProfile:
         assert float(profile(peak_x)) == automatic_height(est.d_max, 128, 0.02)
 
     def test_floor_in_empty_regions(self):
-        values = np.full(GRID_SIZE, 0.0)
-        values[:16] = 4.0
-        est = DensityEstimate(
-            grid=np.linspace(0.0, 1.0, GRID_SIZE), values=values, bandwidth=0.1, d_max=4.0
-        )
-        profile = height_profile(est, 100, 0.01)
+        profile = height_profile(empty_beyond_16(), 100, 0.01)
         assert float(profile(0.9)) == 0.02
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_radius_whose_square_overflows(self):
+        """From r ~ 1.3e154 on r * r is inf: the profile is inf where the
+        density is positive and still 2r where it is 0, not NaN."""
+        profile = height_profile(empty_beyond_16(), 100, 1e160)
+        assert float(profile(0.9)) == 2e160
+        assert float(profile(0.0)) == np.inf
 
     def test_never_exceeds_automatic_height(self):
         est = estimate_density(np.random.default_rng(2).random(64))

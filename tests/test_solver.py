@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bluedots import (
     DataSet,
+    DensityEstimate,
     DotLayout,
     MetricKind,
     MetricSpec,
@@ -28,38 +29,61 @@ from bluedots import (
     relax_traced,
 )
 from bluedots import solver
+from bluedots.density import GRID_SIZE
 from bluedots.solver import _BandAssigner, _cell_update, _class_schedule, _GridAssigner, _site_assigner
 
 DOM = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
 
 
+def jitter(xs, seed: int, metric: MetricSpec = MetricSpec()) -> DotLayout:
+    """The jitter layout of values already in [0, 1], which DOM keeps as x."""
+    return jitter_init(DataSet(values=xs), DOM, SolverConfig(seed=seed, metric=metric))
+
+
 class TestJitterInit:
     def test_same_seed_bit_identical(self):
         xs = np.random.default_rng(0).random(100)
-        a = jitter_init(xs, DOM, seed=5)
-        b = jitter_init(xs, DOM, seed=5)
+        a = jitter(xs, seed=5)
+        b = jitter(xs, seed=5)
         assert np.array_equal(a.y, b.y)
-        assert not np.array_equal(a.y, jitter_init(xs, DOM, seed=6).y)
+        assert not np.array_equal(a.y, jitter(xs, seed=6).y)
 
     def test_mean_y_near_half_height(self):
         xs = np.linspace(0, 1, 1000)
-        lay = jitter_init(xs, DOM, seed=0)
+        lay = jitter(xs, seed=0)
         assert 0.09 <= float(lay.y.mean()) <= 0.11
 
     def test_x_preserved_exactly(self):
         xs = np.random.default_rng(1).random(64)
-        lay = jitter_init(xs, DOM, seed=2)
+        lay = jitter(xs, seed=2)
         assert np.array_equal(lay.x, xs)
 
     def test_y_in_bounds(self):
-        lay = jitter_init(np.random.default_rng(2).random(500), DOM, seed=9)
+        lay = jitter(np.random.default_rng(2).random(500), seed=9)
         assert np.all(lay.y >= 0.0) and np.all(lay.y <= DOM.height)
 
     def test_band_profile_confines_y(self):
+        """With the warped metric y starts in the centered band of height
+        height_profile(x) = max(2r, r^2 d(x) n); a constant density of 2.5
+        gives 0.05 at n = 200, r = 0.01."""
         xs = np.random.default_rng(3).random(200)
-        lay = jitter_init(xs, DOM, seed=4, profile=lambda x: np.full_like(x, 0.05))
+        flat = DensityEstimate(grid=np.linspace(0, 1, GRID_SIZE), values=np.full(GRID_SIZE, 2.5),
+                               bandwidth=0.1, d_max=2.5)
+        lay = jitter(xs, seed=4, metric=MetricSpec(kind=MetricKind.DENSITY_WARPED, density=flat))
         lo, hi = DOM.height / 2 - 0.025, DOM.height / 2 + 0.025
         assert np.all(lay.y >= lo - 1e-15) and np.all(lay.y <= hi + 1e-15)
+
+
+    def test_is_the_relaxation_start_labels_and_band_included(self):
+        data = load_fixture("tips")
+        xs, (lo, hi) = normalize(data)
+        dom = PlotDomain(x_min=lo, x_max=hi, height=0.1, radius=0.01)
+        config = SolverConfig(seed=3, metric=MetricSpec(kind=MetricKind.DENSITY_WARPED, density=estimate_density(xs)))
+        lay = jitter_init(data, dom, config)
+        start = relax_traced(data, dom, config)[1].initial
+        assert np.array_equal(lay.x, start.x) and np.array_equal(lay.y, start.y)
+        assert lay.labels == start.labels == data.labels
+        assert (lay.seed, lay.iterations_run) == (3, 0)
 
 
 class TestAssignSites:
@@ -511,7 +535,7 @@ class TestRelax:
         xs, _ = normalize(data)
         dom = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
         out = relax(data, dom, SolverConfig(max_iterations=0, seed=3))
-        ref = jitter_init(dom.normalize_x(data.values), dom, seed=3)
+        ref = jitter_init(data, dom, SolverConfig(seed=3))
         assert np.array_equal(out.y, ref.y)
         assert out.iterations_run == 0
 
@@ -567,7 +591,7 @@ class TestRelax:
         blue, jit = [], []
         for seed in range(20):
             blue.append(oracle_pairwise_min_distance(relax(data, dom, SolverConfig(seed=seed))))
-            jit.append(oracle_pairwise_min_distance(jitter_init(xs, dom, seed)))
+            jit.append(oracle_pairwise_min_distance(jitter_init(data, dom, SolverConfig(seed=seed))))
         assert np.median(blue) > np.median(jit)
 
     def test_two_distinct_dots_center_vertically(self):
@@ -589,7 +613,7 @@ class TestRelax:
         data = DataSet(values=np.random.default_rng(3).random(60))
         dom = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
         final, trace = relax_traced(data, dom, SolverConfig(seed=7, max_iterations=5))
-        ref = jitter_init(dom.normalize_x(data.values), dom, seed=7)
+        ref = jitter_init(data, dom, SolverConfig(seed=7))
         assert np.array_equal(trace.initial.y, ref.y)
         assert trace.sites.shape == (8192, 2)
         assert np.all(trace.sites[:, 1] <= dom.height)
