@@ -41,7 +41,7 @@ from .analysis import (
     spectrum_to_csv,
     spectrum_to_pgm,
 )
-from .render import RenderStyle, StrokeStyle, render_icons, render_svg
+from .render import render_icons, render_svg
 from .datasets import FIXTURES, fixture_path, load_fixture
 
 __version__ = "0.1.0"
@@ -75,8 +75,6 @@ __all__ = [
     "power_spectrum",
     "spectrum_to_csv",
     "spectrum_to_pgm",
-    "RenderStyle",
-    "StrokeStyle",
     "render_icons",
     "render_svg",
     "FIXTURES",

@@ -8,7 +8,7 @@ summary statistic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -16,33 +16,38 @@ import numpy as np
 from .core import DotLayout, MetricSpec, _readonly
 from .solver import _cell_means, assign_sites
 
-# Smallest frequency cutoff a spectrum is computed for.
+# Smallest frequency cutoff a spectrum is computed for; the high band starts there.
 MIN_KMAX = 8
+# Largest |kx| and |ky*h| of the low band.
+LOW_BAND = 3
 
 
 @dataclass(frozen=True)
 class SpectrumGrid:
     """Power averaged over realizations on the valid frequency lattice.
 
+    ``power`` is a square grid of side 2 k_max + 1, k_max >= MIN_KMAX.
     ``power[a, b]`` is the power at vertical frequency ky_multiples[a]/height
-    and horizontal frequency kx[b].
+    and horizontal frequency kx[b], both axes running over -k_max..k_max.
     """
 
-    kx: np.ndarray
-    ky_multiples: np.ndarray
     power: np.ndarray
     height: float
     n_points: int
     n_realizations: int
+    kx: np.ndarray = field(init=False)
+    ky_multiples: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        kx = np.asarray(self.kx, dtype=np.int64)
-        ky = np.asarray(self.ky_multiples, dtype=np.int64)
         power = np.asarray(self.power, dtype=np.float64)
-        if power.shape != (ky.size, kx.size):
-            raise ValueError("power grid shape does not match the frequency axes")
-        object.__setattr__(self, "kx", _readonly(kx, np.int64))
-        object.__setattr__(self, "ky_multiples", _readonly(ky, np.int64))
+        side = power.shape[0] if power.ndim == 2 else 0
+        if power.shape != (side, side) or side % 2 == 0 or side < 2 * MIN_KMAX + 1:
+            raise ValueError(
+                f"power must be a square grid of odd side at least {2 * MIN_KMAX + 1}, got shape {power.shape}"
+            )
+        k = _readonly(np.arange(-(side // 2), side // 2 + 1), np.int64)
+        object.__setattr__(self, "kx", k)
+        object.__setattr__(self, "ky_multiples", k)
         object.__setattr__(self, "power", _readonly(power))
 
     @property
@@ -51,9 +56,7 @@ class SpectrumGrid:
 
     def nondc_mask(self) -> np.ndarray:
         mask = np.ones(self.power.shape, dtype=bool)
-        iy = int(np.flatnonzero(self.ky_multiples == 0)[0])
-        ix = int(np.flatnonzero(self.kx == 0)[0])
-        mask[iy, ix] = False
+        mask[self.k_max, self.k_max] = False
         return mask
 
 
@@ -67,33 +70,25 @@ def power_spectrum(realizations: Iterable[DotLayout], k_max: int) -> SpectrumGri
     """
     if k_max < MIN_KMAX:
         raise ValueError(f"k_max must be at least {MIN_KMAX}")
-    kx = np.arange(-k_max, k_max + 1)
-    ky_mult = np.arange(-k_max, k_max + 1)
+    k = np.arange(-k_max, k_max + 1)
     count = 0
     for lay in realizations:
         if count == 0:
             n, h = len(lay), lay.domain.height
-            ky = ky_mult / h
-            total = np.zeros((ky.size, kx.size))
+            ky = k / h
+            total = np.zeros((k.size, k.size))
         elif len(lay) != n:
             raise ValueError("realizations must share the same dot count")
         elif lay.domain.height != h:
             raise ValueError("realizations must share the same height")
-        ex = np.exp(-2j * np.pi * np.outer(kx, lay.x))
+        ex = np.exp(-2j * np.pi * np.outer(k, lay.x))
         ey = np.exp(-2j * np.pi * np.outer(ky, lay.y))
         f = ey @ ex.T
         total += (f.real * f.real + f.imag * f.imag) / n
         count += 1
     if count == 0:
         raise ValueError("need at least one realization")
-    return SpectrumGrid(
-        kx=kx,
-        ky_multiples=ky_mult,
-        power=total / count,
-        height=h,
-        n_points=n,
-        n_realizations=count,
-    )
+    return SpectrumGrid(power=total / count, height=h, n_points=n, n_realizations=count)
 
 
 def mean_power(grid: SpectrumGrid) -> float:
@@ -102,20 +97,21 @@ def mean_power(grid: SpectrumGrid) -> float:
     return float(grid.power[mask].mean())
 
 
-def low_band_mean(grid: SpectrumGrid, band: int = 3) -> float:
-    """Mean power over 0 < |kx| <= band, 0 < |ky*h| <= band.
+def low_band_mean(grid: SpectrumGrid) -> float:
+    """Mean power over 0 < |kx| <= LOW_BAND, 0 < |ky*h| <= LOW_BAND.
 
     The ky = 0 row is excluded: it carries the imprint of the data's own
     x-distribution, not of the layout.
     """
-    mx = (np.abs(grid.kx) > 0) & (np.abs(grid.kx) <= band)
-    my = (np.abs(grid.ky_multiples) > 0) & (np.abs(grid.ky_multiples) <= band)
-    return float(grid.power[np.ix_(my, mx)].mean())
+    k = np.abs(grid.kx)
+    m = (k > 0) & (k <= LOW_BAND)
+    return float(grid.power[np.ix_(m, m)].mean())
 
 
-def high_band_mean(grid: SpectrumGrid, lo: int = 8) -> float:
-    """Mean power over the outer band |kx| >= lo (all ky rows)."""
-    mx = np.abs(grid.kx) >= lo
+def high_band_mean(grid: SpectrumGrid) -> float:
+    """Mean power over the outer band |kx| >= MIN_KMAX (all ky rows), which
+    every spectrum has."""
+    mx = np.abs(grid.kx) >= MIN_KMAX
     return float(grid.power[:, mx].mean())
 
 

@@ -8,10 +8,11 @@ Every layout comes from one of the ``TREATMENTS`` through one call,
 data-constrained relaxation (``relax``, or ``relax_multiclass`` for two or
 more classes), or ``jitter``, its seeded start (``jitter_init``). The solver
 derives x, the centrality band and the labels; ``--centrality`` only picks
-the warped metric and the SVG envelope. ``plot`` checks its canvas before
-the layout runs, and ``analyze spectrum`` sums its realizations one layout
-at a time. The written layout file records the seed, iteration count, domain
-and metric; the site count and iteration cap come from the command line.
+the warped metric and the SVG envelope. ``plot`` checks its canvas and its
+class count before the layout runs, and ``analyze spectrum`` sums its
+realizations one layout at a time. The written layout file records the seed,
+iteration count, domain and metric; the site count and iteration cap come
+from the command line.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -46,7 +48,7 @@ from .analysis import (
     spectrum_to_pgm,
 )
 from .datasets import CliError, load_csv
-from .render import RenderStyle, StrokeStyle, canvas_size, render_svg
+from .render import canvas_size, check_palette, render_svg
 
 LAYOUT_FILE_VERSION = 1
 DEFAULT_SITES = 8192
@@ -142,16 +144,13 @@ def cmd_plot(args) -> int:
         envelope = height_profile(dens, len(data), domain.radius)
     else:
         metric, envelope = MetricSpec(), None
-    style = RenderStyle(
-        dot_radius_px=args.radius * 800,
-        canvas_width_px=800,
-        envelope=StrokeStyle() if args.centrality else None,
-    )
-    canvas_size(domain, style)  # an unusable canvas fails before the layout runs
+    # An unusable canvas or too many classes fail before the layout runs.
+    canvas_size(domain)
+    check_palette(data.n_classes)
     config = _solver_config(args, len(data), metric)
     layout = _make_layout(args.treatment, data, domain, config)
     # Rendered before either file is written, so that a failure writes neither.
-    svg = render_svg(layout, style, envelope)
+    svg = render_svg(layout, envelope)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -280,8 +279,20 @@ def _add_common_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output path prefix")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every negative number ``float`` reads,
+    such as ``--radius -1e-5`` or ``-inf``, as a value: argparse's own pattern
+    knows only ``-1`` and ``-1.5``, and takes ``-1e-5`` for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bluedots",
         description="Dot plots with blue-noise layout instead of random jitter",
     )

@@ -10,6 +10,7 @@ permuted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -194,12 +195,16 @@ def _constant_range(x: float) -> tuple[float, float]:
 
     delta is the largest power of two up to max(0.5, ulp(x)) that makes both
     ends exact. ulp(x) always does, except at +/- the largest float, where
-    the range overflows and is rejected.
+    x + ulp(x) or x - ulp(x) overflows: that value is rejected.
     """
+    if abs(x) == sys.float_info.max:
+        raise ValueError(
+            f"constant value {x!r}: no finite range can be built around it (x +/- ulp(x) overflows)"
+        )
     delta = max(0.5, math.ulp(x))
     while True:
         lo, hi = x - delta, x + delta
-        exact = math.isfinite(hi - lo) and Fraction(hi) - Fraction(x) == Fraction(x) - Fraction(lo) == delta
+        exact = Fraction(hi) - Fraction(x) == Fraction(x) - Fraction(lo) == delta
         if exact or delta <= math.ulp(x):
             return lo, hi
         delta /= 2

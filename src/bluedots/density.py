@@ -18,8 +18,8 @@ argument is in its docstring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -48,26 +48,28 @@ _SPLIT_MIN = 512
 class DensityEstimate:
     """Gaussian KDE evaluated on a fixed 512-point grid over [0, 1].
 
-    Linear interpolation between grid points defines d(x) for any x; queries
-    outside [0, 1] clamp to the nearest endpoint.
+    ``values[i]`` is the density at ``grid[i]``, the i-th of 512 evenly
+    spaced points, and ``d_max`` is their maximum. Linear interpolation
+    between grid points defines d(x) for any x; queries outside [0, 1] clamp
+    to the nearest endpoint.
     """
 
-    grid: np.ndarray
     values: np.ndarray
     bandwidth: float
-    d_max: float
+    d_max: float = field(init=False)
+    grid: ClassVar[np.ndarray] = _readonly(np.linspace(0.0, 1.0, GRID_SIZE))
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=np.float64)
         values = np.asarray(self.values, dtype=np.float64)
-        if grid.shape != (GRID_SIZE,) or values.shape != (GRID_SIZE,):
-            raise ValueError(f"grid and values must have shape ({GRID_SIZE},)")
+        if values.shape != (GRID_SIZE,):
+            raise ValueError(f"values must have shape ({GRID_SIZE},)")
         if np.any(values < 0):
             raise ValueError("density values must be non-negative")
-        if not (self.d_max > 0):
-            raise ValueError("d_max must be positive")
-        object.__setattr__(self, "grid", _readonly(grid))
+        d_max = float(np.max(values))
+        if not (d_max > 0):
+            raise ValueError("density values must have a positive maximum")
         object.__setattr__(self, "values", _readonly(values))
+        object.__setattr__(self, "d_max", d_max)
         # Per-cell slope v[i + 1] - v[i] of the interpolation.
         object.__setattr__(self, "_slope", _readonly(values[1:] - values[:-1]))
 
@@ -217,7 +219,7 @@ def estimate_density(xs, bandwidth: Optional[float] = None) -> DensityEstimate:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     bw = float(bandwidth)
 
-    grid = np.linspace(0.0, 1.0, GRID_SIZE)
+    grid = DensityEstimate.grid
     # Direct summation over the sample plus its reflections at 0 and 1, a
     # block of grid rows at a time: each row's kernel terms and their sum
     # are the ones the full (grid, sources) matrix would give.
@@ -236,12 +238,7 @@ def estimate_density(xs, bandwidth: Optional[float] = None) -> DensityEstimate:
         )
     if not np.all(np.isfinite(values)):
         raise ValueError(f"bandwidth {bw!r} is too small for the data: the density overflows")
-    return DensityEstimate(
-        grid=grid,
-        values=values,
-        bandwidth=bw,
-        d_max=float(np.max(values)),
-    )
+    return DensityEstimate(values=values, bandwidth=bw)
 
 
 def automatic_height(d_max: float, n: int, r: float) -> float:

@@ -1,12 +1,14 @@
 """Deterministic SVG emission of dot layouts.
 
 All internal math keeps y pointing up; the flip to screen coordinates
-happens only here. Identical inputs produce byte-identical documents.
+happens only here. The pixel geometry comes from the layout's domain: an
+800 px wide canvas, so its height is 800 px times the domain's height, and
+a dot radius of 800 px times the domain's radius. Identical inputs produce
+byte-identical documents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -14,33 +16,14 @@ import numpy as np
 from .core import DotLayout, PlotDomain, _class_order
 from .density import GRID_SIZE
 
-DEFAULT_PALETTE = (
+CANVAS_WIDTH_PX = 800.0
+PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
-
-
-@dataclass(frozen=True)
-class StrokeStyle:
-    color: str = "#444444"
-    width_px: float = 1.0
-
-
-@dataclass(frozen=True)
-class RenderStyle:
-    dot_radius_px: float = 4.0
-    canvas_width_px: int = 800
-    palette: Sequence[str] = DEFAULT_PALETTE
-    background: str = "#ffffff"
-    envelope: Optional[StrokeStyle] = None
-
-    def __post_init__(self):
-        if not (self.dot_radius_px > 0):
-            raise ValueError("dot_radius_px must be positive")
-        if self.canvas_width_px <= 0:
-            raise ValueError("canvas_width_px must be positive")
-        if len(self.palette) == 0:
-            raise ValueError("palette must not be empty")
+BACKGROUND = "#ffffff"
+ENVELOPE_STROKE = "#444444"
+ENVELOPE_STROKE_PX = 1.0
 
 
 def _fmt(v: float) -> str:
@@ -54,33 +37,31 @@ def _class_indices(layout: DotLayout) -> np.ndarray:
     return np.array([index[lab] for lab in layout.labels], dtype=np.intp)
 
 
-def _check_palette(style: RenderStyle, class_idx: np.ndarray) -> None:
-    needed = int(class_idx.max()) + 1
-    if needed > len(style.palette):
-        raise ValueError(
-            f"palette has {len(style.palette)} colors but {needed} classes are present"
-        )
+def check_palette(n_classes: int) -> None:
+    """Reject more classes than the palette has colors; a caller can check
+    it before a layout."""
+    if n_classes > len(PALETTE):
+        raise ValueError(f"palette has {len(PALETTE)} colors but {n_classes} classes are present")
 
 
-def canvas_size(domain: PlotDomain, style: RenderStyle) -> tuple[float, float]:
-    """Canvas width and height in pixels; the height must be finite. It
-    depends only on the domain, so a caller can check it before a layout."""
-    w = float(style.canvas_width_px)
-    h = w * domain.height
+def canvas_size(domain: PlotDomain) -> tuple[float, float, float]:
+    """Canvas width, canvas height and dot radius in pixels. The height and
+    the dot diameter (an icon's edge) must be finite. They depend only on
+    the domain, so a caller can check them before a layout."""
+    w = CANVAS_WIDTH_PX
+    h = w * float(domain.height)
     if not np.isfinite(h):
         raise ValueError(f"canvas height {w:g} px * {domain.height:g} overflows")
-    return w, h
+    r = float(domain.radius) * w
+    if not np.isfinite(2.0 * r):
+        raise ValueError(f"dot diameter 2 * {w:g} px * {domain.radius:g} overflows")
+    return w, h, r
 
 
 def _to_px(x, y, w: float, canvas_h: float) -> tuple[list, list]:
     """Pixel coordinates (x * w, canvas_h - y * w) of each point, y flipped
     so that y = 0 sits on the bottom edge."""
     return (np.asarray(x, dtype=np.float64) * w).tolist(), (canvas_h - np.asarray(y, dtype=np.float64) * w).tolist()
-
-
-def _literal(text: str) -> str:
-    """Text that a %-format template writes as it is."""
-    return text.replace("%", "%%")
 
 
 def _document(width: float, height: float, body: list[str]) -> str:
@@ -94,17 +75,15 @@ def _document(width: float, height: float, body: list[str]) -> str:
     return "\n".join([head] + body + ["</svg>"]) + "\n"
 
 
-def _base_elements(layout: DotLayout, style: RenderStyle,
-                   envelope_profile: Optional[Callable] = None) -> tuple[list[str], float, float]:
-    w, canvas_h = canvas_size(layout.domain, style)
+def _base_elements(layout: DotLayout, envelope_profile: Optional[Callable],
+                   w: float, canvas_h: float) -> list[str]:
     body = [
-        f'<rect x="0" y="0" width="{_fmt(w)}" height="{_fmt(canvas_h)}" '
-        f'fill="{style.background}"/>',
+        f'<rect x="0" y="0" width="{_fmt(w)}" height="{_fmt(canvas_h)}" fill="{BACKGROUND}"/>',
         # Baseline rule along y = 0.
         f'<line x1="0" y1="{_fmt(canvas_h)}" x2="{_fmt(w)}" y2="{_fmt(canvas_h)}" '
         f'stroke="#888888" stroke-width="1"/>',
     ]
-    if envelope_profile is not None and style.envelope is not None:
+    if envelope_profile is not None:
         xs = np.linspace(0.0, 1.0, GRID_SIZE)
         band = np.minimum(np.asarray(envelope_profile(xs), dtype=np.float64),
                           layout.domain.height)
@@ -115,35 +94,30 @@ def _base_elements(layout: DotLayout, style: RenderStyle,
         points = " ".join(["%.6f,%.6f"] * len(px)) % tuple(v for xy in zip(px, py) for v in xy)
         body.append(
             f'<polygon points="{points}" fill="none" '
-            f'stroke="{style.envelope.color}" '
-            f'stroke-width="{_fmt(style.envelope.width_px)}"/>'
+            f'stroke="{ENVELOPE_STROKE}" stroke-width="{_fmt(ENVELOPE_STROKE_PX)}"/>'
         )
-    return body, w, canvas_h
+    return body
 
 
-def render_svg(layout: DotLayout, style: RenderStyle,
-               envelope_profile: Optional[Callable] = None) -> str:
+def render_svg(layout: DotLayout, envelope_profile: Optional[Callable] = None) -> str:
     """SVG document with one circle per dot, in dot order.
 
     y is flipped so y = 0 sits on the bottom edge. Class colors come from
     the palette, indexed by the label's rank among the sorted class labels.
-    An optional height profile is traced as the centrality envelope when the
-    style carries an envelope stroke.
+    A height profile, when given, is traced as the centrality envelope.
     """
     class_idx = _class_indices(layout)
-    _check_palette(style, class_idx)
-    body, w, canvas_h = _base_elements(layout, style, envelope_profile)
+    check_palette(int(class_idx.max()) + 1)
+    w, canvas_h, r = canvas_size(layout.domain)
+    body = _base_elements(layout, envelope_profile, w, canvas_h)
     # One template per class, its radius and fill written once; '%.6f' is _fmt.
-    circle = [
-        f'<circle cx="%.6f" cy="%.6f" r="{_fmt(style.dot_radius_px)}" fill="{_literal(format(color))}"/>'
-        for color in style.palette
-    ]
+    circle = [f'<circle cx="%.6f" cy="%.6f" r="{_fmt(r)}" fill="{color}"/>' for color in PALETTE]
     px, py = _to_px(layout.x, layout.y, w, canvas_h)
     body += [circle[c] % xy for c, xy in zip(class_idx.tolist(), zip(px, py))]
     return _document(w, canvas_h, body)
 
 
-def render_icons(layout: DotLayout, icons: Sequence[str], style: RenderStyle,
+def render_icons(layout: DotLayout, icons: Sequence[str],
                  envelope_profile: Optional[Callable] = None) -> str:
     """SVG document with one image per dot, centered on the dot position.
 
@@ -153,8 +127,8 @@ def render_icons(layout: DotLayout, icons: Sequence[str], style: RenderStyle,
     """
     if len(icons) != len(layout):
         raise ValueError(f"{len(icons)} icons for {len(layout)} dots")
-    body, w, canvas_h = _base_elements(layout, style, envelope_profile)
-    edge = 2.0 * style.dot_radius_px
+    w, canvas_h, r = canvas_size(layout.domain)
+    edge = 2.0 * r
 
     unique: dict[str, str] = {}
     for href in icons:
@@ -167,10 +141,9 @@ def render_icons(layout: DotLayout, icons: Sequence[str], style: RenderStyle,
             f'width="{_fmt(edge)}" height="{_fmt(edge)}"/>'
         )
     defs.append("</defs>")
-    body = defs + body
+    body = defs + _base_elements(layout, envelope_profile, w, canvas_h)
 
     use = {href: f'<use xlink:href="#{ident}" x="%.6f" y="%.6f"/>' for href, ident in unique.items()}
     px, py = _to_px(layout.x, layout.y, w, canvas_h)
-    r = style.dot_radius_px
     body += [use[href] % (x - r, y - r) for href, x, y in zip(icons, px, py)]
     return _document(w, canvas_h, body)

@@ -119,13 +119,20 @@ class TestPowerSpectrum:
         in_low = (np.abs(k[:, None]) > 0) & (np.abs(k[:, None]) <= 3)
         in_low = in_low & (np.abs(k[None, :]) > 0) & (np.abs(k[None, :]) <= 3)
         power = in_low.astype(float)
-        grid = SpectrumGrid(
-            kx=k, ky_multiples=k, power=power, height=0.2, n_points=4, n_realizations=1
-        )
+        grid = SpectrumGrid(power=power, height=0.2, n_points=4, n_realizations=1)
         assert low_band_mean(grid) == 1.0
         assert high_band_mean(grid) == 0.0
         # 6x6 low-band cells out of 17*17 - 1 non-DC cells
         assert mean_power(grid) == pytest.approx(36 / (17 * 17 - 1))
+
+    @pytest.mark.parametrize("shape", [(15, 15), (18, 18), (17, 19), (17,)])
+    def test_grid_without_both_bands_rejected(self, shape):
+        """The axes come from the shape of power: a square of odd side
+        2 k_max + 1 with k_max >= MIN_KMAX, so the high band is never empty."""
+        from bluedots import SpectrumGrid
+
+        with pytest.raises(ValueError, match="square grid of odd side at least 17"):
+            SpectrumGrid(power=np.ones(shape), height=0.2, n_points=4, n_realizations=1)
 
 
 class TestOverlapMetric:

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -321,6 +322,12 @@ class TestCmdPlot:
         (["--height", "1e306", "--iterations", "1", "--sites", "1024"], "canvas height"),
         (["--height", "1e308", "--centrality"], "canvas height"),
         (["--radius", "1e200"], "automatic height"),
+        # The dot radius in pixels, 800 * 1e306, overflows.
+        (["--height", "0.2", "--radius=1e306"], "dot diameter"),
+        # A negative number in exponent form is a value, not an option.
+        (["--radius", "-1e-5"], "radius must be finite and positive"),
+        (["--height", "-1e-5"], "height must be finite and positive"),
+        (["--radius", "-inf"], "radius must be finite and positive"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unusable_geometry_one_error_line_no_files(self, tmp_path, capsys, arg, message):
@@ -341,6 +348,43 @@ class TestCmdPlot:
         assert code == 1
         assert "canvas height" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_dot_radius_rejected_before_any_relaxation(self, tmp_path, capsys, monkeypatch):
+        def no_relax(*_args, **_kwargs):
+            raise AssertionError("the relaxation started before the dot radius was checked")
+
+        monkeypatch.setattr(cli, "relax", no_relax)
+        code = self.run(["plot", "--input", GEYSER, "--column", "waiting", "--height", "0.2",
+                         "--radius=1e306", "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: dot diameter")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_more_classes_than_colors_rejected_before_any_relaxation(self, tmp_path, capsys, monkeypatch):
+        def no_relax(*_args, **_kwargs):
+            raise AssertionError("the relaxation started before the class count was checked")
+
+        monkeypatch.setattr(cli, "relax_multiclass", no_relax)
+        path = write_csv(tmp_path, "eleven.csv", "v,c\n" + "".join(f"{i},k{i}\n" for i in range(11)))
+        out = tmp_path / "out"
+        code = self.run(["plot", "--input", path, "--column", "v", "--class-column", "c",
+                         "--out", str(out / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: palette has 10 colors but 11 classes are present"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [1.7976931348623157e308, -1.7976931348623157e308])
+    def test_constant_column_at_the_largest_float_named_in_the_error(self, tmp_path, capsys, value):
+        path = write_csv(tmp_path, "max.csv", f"v\n{value!r}\n")
+        code = self.run(["plot", "--input", path, "--column", "v", "--out", str(tmp_path / "out" / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"constant value {value!r}: no finite range can be built around it" in err[0]
+        assert not re.search(r"\binf\b", err[0])
+        assert not (tmp_path / "out").exists()
 
 
 class TestCmdAnalyze:

@@ -352,19 +352,14 @@ class TestAutomaticHeight:
 
 
 def constant_density(value: float) -> DensityEstimate:
-    return DensityEstimate(
-        grid=np.linspace(0.0, 1.0, GRID_SIZE),
-        values=np.full(GRID_SIZE, value),
-        bandwidth=0.1,
-        d_max=value,
-    )
+    return DensityEstimate(values=np.full(GRID_SIZE, value), bandwidth=0.1)
 
 
 def empty_beyond_16() -> DensityEstimate:
     """A density of 4 on the first 16 grid points and 0 beyond."""
     values = np.full(GRID_SIZE, 0.0)
     values[:16] = 4.0
-    return DensityEstimate(grid=np.linspace(0.0, 1.0, GRID_SIZE), values=values, bandwidth=0.1, d_max=4.0)
+    return DensityEstimate(values=values, bandwidth=0.1)
 
 
 class TestHeightProfile:

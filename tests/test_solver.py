@@ -67,8 +67,7 @@ class TestJitterInit:
         height_profile(x) = max(2r, r^2 d(x) n); a constant density of 2.5
         gives 0.05 at n = 200, r = 0.01."""
         xs = np.random.default_rng(3).random(200)
-        flat = DensityEstimate(grid=np.linspace(0, 1, GRID_SIZE), values=np.full(GRID_SIZE, 2.5),
-                               bandwidth=0.1, d_max=2.5)
+        flat = DensityEstimate(values=np.full(GRID_SIZE, 2.5), bandwidth=0.1)
         lay = jitter(xs, seed=4, metric=MetricSpec(kind=MetricKind.DENSITY_WARPED, density=flat))
         lo, hi = DOM.height / 2 - 0.025, DOM.height / 2 + 0.025
         assert np.all(lay.y >= lo - 1e-15) and np.all(lay.y <= hi + 1e-15)
