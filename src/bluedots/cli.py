@@ -10,9 +10,10 @@ more classes), or ``jitter``, its seeded start (``jitter_init``). The solver
 derives x, the centrality band and the labels; ``--centrality`` only picks
 the warped metric and the SVG envelope. ``plot`` checks its canvas and its
 class count before the layout runs, and ``analyze spectrum`` sums its
-realizations one layout at a time. The written layout file records the seed,
-iteration count, domain and metric; the site count and iteration cap come
-from the command line.
+realizations one layout at a time. ``--sites`` and ``--iterations`` default
+to ``SolverConfig``'s. The written layout file records the seed, iterations
+run, domain and metric; the site count and iteration cap come from the
+command line.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .datasets import CliError, load_csv
 from .render import canvas_size, check_palette, render_svg
 
 LAYOUT_FILE_VERSION = 1
-DEFAULT_SITES = 8192
 TREATMENTS = ("blue", "jitter")
 
 
@@ -70,12 +70,9 @@ def _resolve_domain(data: DataSet, radius: float, height_arg: str):
     return domain, dens
 
 
-def _solver_config(args, n: int, metric: MetricSpec = MetricSpec()) -> SolverConfig:
-    """The run's solver settings; ``--sites`` defaults to max(8192, 2n)."""
-    n_sites = args.sites if args.sites is not None else max(DEFAULT_SITES, 2 * n)
-    return SolverConfig(
-        n_sites=n_sites, max_iterations=args.iterations, seed=args.seed, metric=metric
-    )
+def _solver_config(args, metric: MetricSpec = MetricSpec()) -> SolverConfig:
+    """The run's solver settings; without ``--sites`` the solver picks the count."""
+    return SolverConfig(n_sites=args.sites, max_iterations=args.iterations, seed=args.seed, metric=metric)
 
 
 def _make_layout(treatment: str, data: DataSet, domain: PlotDomain, config: SolverConfig) -> DotLayout:
@@ -147,7 +144,7 @@ def cmd_plot(args) -> int:
     # An unusable canvas or too many classes fail before the layout runs.
     canvas_size(domain)
     check_palette(data.n_classes)
-    config = _solver_config(args, len(data), metric)
+    config = _solver_config(args, metric)
     layout = _make_layout(args.treatment, data, domain, config)
     # Rendered before either file is written, so that a failure writes neither.
     svg = render_svg(layout, envelope)
@@ -168,7 +165,7 @@ def cmd_analyze_spectrum(args) -> int:
         raise CliError(f"--realizations must be at least 1, got {args.realizations}")
     data = load_csv(args.input, args.column, None)
     domain, _ = _resolve_domain(data, args.radius, args.height)
-    config = _solver_config(args, len(data))
+    config = _solver_config(args)
     # One layout at a time: memory does not grow with the realizations.
     layouts = (
         _make_layout(args.treatment, data, domain, replace(config, seed=args.seed + i))
@@ -219,7 +216,7 @@ def cmd_analyze_overlap(args) -> int:
     if args.seeds <= 0:
         raise CliError("--seeds must be positive")
 
-    config = _solver_config(args, len(data))
+    config = _solver_config(args)
     values = {}
     for count in counts:
         subset = DataSet(values=data.values[:count], name=data.name)
@@ -269,13 +266,9 @@ def _add_common_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radius", type=float, default=0.01, help="dot radius, normalized units")
     p.add_argument("--height", default="auto", help="'auto' or a normalized height")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=40)
-    p.add_argument(
-        "--sites",
-        type=int,
-        default=None,
-        help=f"number of Monte Carlo sites (default: max({DEFAULT_SITES}, 2n) for n input rows)",
-    )
+    p.add_argument("--iterations", type=int, default=SolverConfig.max_iterations)
+    p.add_argument("--sites", type=int, default=None,
+                   help="number of Monte Carlo sites (default: max(8192, 2n) for n input rows)")
     p.add_argument("--out", required=True, help="output path prefix")
 
 

@@ -28,6 +28,13 @@ def _readonly(a, dtype=np.float64) -> np.ndarray:
     return a
 
 
+def _ranges(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The integer ranges [first, first + len) concatenated in order."""
+    out = np.repeat(first - np.cumsum(lens) + lens, lens)
+    out += np.arange(out.size)
+    return out
+
+
 def _class_order(labels) -> list:
     """Distinct class labels, sorted: the class order of solver and renderer."""
     try:

@@ -23,7 +23,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .core import _readonly
+from .core import _ranges, _readonly
 
 GRID_SIZE = 512
 # Smallest bandwidth we allow: one grid cell. Guards against zero-spread
@@ -149,7 +149,6 @@ class _KernelTerms:
         # Flat index, in a block, of row i's p-th source by value: i * m + p.
         self._offset = np.arange(rows) * m
         self._flat = (order + self._offset[:, None]).ravel()
-        self._iota = np.arange(rows * m)  # a fresh arange costs about 1 ns a lane
 
     def terms(self, a: int, b: int) -> np.ndarray:
         """The terms of grid rows a..b (at most ``rows``), in a reused buffer."""
@@ -164,13 +163,10 @@ class _KernelTerms:
         if nz < _SPLIT_MIN:
             return np.exp(k, out=k)
         # The block's slow lanes, zero lanes first: its rows' runs of sorted
-        # positions concatenated (as solver._ranges does), then mapped to the
-        # flat indices of the lanes in the block.
+        # positions concatenated, then mapped to the flat indices of the
+        # lanes in the block.
         first = (self._start[:, a:b] + self._offset[:r]).ravel()
-        lens = self._len[:, a:b].ravel()
-        pos = np.repeat(first - np.cumsum(lens) + lens, lens)
-        pos += self._iota[: pos.size]
-        slow = self._flat[pos]
+        slow = self._flat[_ranges(first, self._len[:, a:b].ravel())]
         zero, band = slow[:nz], slow[nz:]
         flat = k.reshape(-1)
         saved = flat[band]

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import DotLayout, PlotDomain, _class_order
-from .density import GRID_SIZE
+from .density import DensityEstimate
 
 CANVAS_WIDTH_PX = 800.0
 PALETTE = (
@@ -46,8 +46,9 @@ def check_palette(n_classes: int) -> None:
 
 def canvas_size(domain: PlotDomain) -> tuple[float, float, float]:
     """Canvas width, canvas height and dot radius in pixels. The height and
-    the dot diameter (an icon's edge) must be finite. They depend only on
-    the domain, so a caller can check them before a layout."""
+    the dot diameter (an icon's edge) must be finite, and the radius must
+    not be written as 0. They depend only on the domain, so a caller can
+    check them before a layout."""
     w = CANVAS_WIDTH_PX
     h = w * float(domain.height)
     if not np.isfinite(h):
@@ -55,6 +56,8 @@ def canvas_size(domain: PlotDomain) -> tuple[float, float, float]:
     r = float(domain.radius) * w
     if not np.isfinite(2.0 * r):
         raise ValueError(f"dot diameter 2 * {w:g} px * {domain.radius:g} overflows")
+    if float(_fmt(r)) == 0.0:
+        raise ValueError(f"dot radius {w:g} px * {domain.radius:g} is written as {_fmt(r)} px")
     return w, h, r
 
 
@@ -84,7 +87,7 @@ def _base_elements(layout: DotLayout, envelope_profile: Optional[Callable],
         f'stroke="#888888" stroke-width="1"/>',
     ]
     if envelope_profile is not None:
-        xs = np.linspace(0.0, 1.0, GRID_SIZE)
+        xs = DensityEstimate.grid
         band = np.minimum(np.asarray(envelope_profile(xs), dtype=np.float64),
                           layout.domain.height)
         half = layout.domain.height / 2.0

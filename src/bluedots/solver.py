@@ -15,8 +15,11 @@ one relaxation loop (``_relax_groups``, whose step, the cell mean of each
 dot's sites, is ``_cell_update``) over a schedule of dot index groups:
 ``[all dots]`` for ``relax``, every class and class union for
 ``relax_multiclass``. Sites are drawn once per run, so the Monte Carlo cost
-estimate has a fixed objective across iterations; ``_draw_sites`` rejects a
-height at which a cell's sum of site y could overflow.
+estimate has a fixed objective across iterations: ``config.n_sites`` of
+them, or by default max(8192, 2n) for n dots. ``_draw_sites`` rejects a
+height at which a cell's sum of site y could overflow. A run stops at the
+cap or after the first iteration, all of its group steps together, that
+moves no dot by ``convergence_eps`` times the height.
 
 The nearest-dot search is exact: its owners are the dense (m, n) search's bit
 for bit, ties going to the lowest dot index, since every distance keeps the
@@ -57,7 +60,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import DataSet, DotLayout, MetricKind, MetricSpec, PlotDomain, _class_order, _readonly
+from .core import DataSet, DotLayout, MetricKind, MetricSpec, PlotDomain, _class_order, _ranges, _readonly
 from .density import GRID_SIZE, height_profile
 
 # Most distance terms one band block stores, and about the most (site, dot)
@@ -82,16 +85,18 @@ _CELL_ASPECT = 8
 
 @dataclass(frozen=True)
 class SolverConfig:
-    n_sites: int = 8192
+    # None draws max(8192, 2n) sites for n dots.
+    n_sites: int | None = None
     max_iterations: int = 40
-    # Vertical-displacement threshold in units of height; 0 disables the
-    # early exit and always runs max_iterations.
+    # The run stops after the first iteration that moves no dot's y by
+    # convergence_eps * height or more, all of its group steps together;
+    # 0 disables the early exit and always runs max_iterations.
     convergence_eps: float = 1e-4
     seed: int = 0
     metric: MetricSpec = field(default_factory=MetricSpec)
 
     def __post_init__(self):
-        if self.n_sites <= 0:
+        if self.n_sites is not None and self.n_sites <= 0:
             raise ValueError("n_sites must be positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
@@ -305,13 +310,6 @@ class _Grid(NamedTuple):
 
     def row(self, v) -> np.ndarray:
         return _cell(v, self.y0, self.y_scale, self.ny)
-
-
-def _ranges(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The integer ranges [first, first + len) concatenated in order."""
-    out = np.repeat(first - np.cumsum(lens) + lens, lens)
-    out += np.arange(out.size)
-    return out
 
 
 class _GridAssigner:
@@ -653,7 +651,8 @@ def _relax_groups(xs, y0, sites, groups, h: float, config: SolverConfig) -> tupl
     """The relaxation loop: each iteration runs one assign + cell-mean step
     per index group, the group's dots competing for all sites alone.
 
-    The schedule ends with the full union, on which convergence is measured.
+    Convergence is measured over the whole iteration: the largest |dy| of
+    any dot between its y at the start of the iteration and at its end.
     Returns the final y and the number of iterations run.
     """
     y = np.array(y0)
@@ -663,29 +662,23 @@ def _relax_groups(xs, y0, sites, groups, h: float, config: SolverConfig) -> tupl
     # Every y the loop sees is y0 or clamped to [0, h].
     y_range = np.append(y, [0.0, h])
     assigners = [_site_assigner(xs[idx], sites, config.metric, y_range) for idx in groups]
-    # Each group's input y at its last cell update, as bits, and its output:
-    # a group whose dots are all where they were gets the same owners, so
-    # the same update.
-    last = [(None, None)] * len(groups)
     for iterations in range(1, config.max_iterations + 1):
-        for g, (idx, assigner) in enumerate(zip(groups, assigners)):
+        start = y.copy()
+        for idx, assigner in zip(groups, assigners):
             old = y[idx]
-            owner = assigner.assign(old)
-            bits, new = last[g]
-            if bits is None or not np.array_equal(bits, old.view(np.int64)):
-                new = _cell_update(owner, site_y, old, h)
-                last[g] = (old.view(np.int64), new)
-            y[idx] = new
-        if float(np.max(np.abs(new - old))) < config.convergence_eps * h:
+            y[idx] = _cell_update(assigner.assign(old), site_y, old, h)
+        if float(np.max(np.abs(y - start))) < config.convergence_eps * h:
             break
     return y, iterations
 
 
 def _run(data: DataSet, domain: PlotDomain, config: SolverConfig, groups) -> tuple[DotLayout, RelaxTrace]:
     """The one relaxation run: the jitter start, then the run's sites from the
-    same generator, then the loop over the index ``groups``."""
+    same generator (``config.n_sites``, or max(8192, 2n) for n dots), then
+    the loop over the index ``groups``."""
     xs, y0, rng = _start(data, domain, config)
-    sites = _draw_sites(rng, config.n_sites, xs.size, domain.height)
+    n_sites = config.n_sites if config.n_sites is not None else max(8192, 2 * xs.size)
+    sites = _draw_sites(rng, n_sites, xs.size, domain.height)
     y, iterations = _relax_groups(xs, y0, sites, groups, domain.height, config)
     initial = DotLayout(x=xs, y=y0, domain=domain, labels=data.labels, seed=config.seed)
     return replace(initial, y=y, iterations_run=iterations), RelaxTrace(initial=initial, sites=sites)
@@ -703,7 +696,8 @@ def relax(data: DataSet, domain: PlotDomain, config: SolverConfig) -> DotLayout:
 
 def _class_schedule(labels: Sequence, n: int) -> list[np.ndarray]:
     """Index groups visited each outer iteration: every class alone, then
-    class unions, the full union always last.
+    class unions, the full union last. The stop rule does not depend on the
+    order: it looks at the whole iteration.
 
     For up to 3 classes every non-singleton union is visited (smallest
     first); beyond that only the full union is, since the number of unions
@@ -728,7 +722,8 @@ def relax_multiclass(data: DataSet, domain: PlotDomain, config: SolverConfig) ->
 
     Each outer iteration runs one assign+step restricted to each class (all
     sites competed for by that class's dots only), then over the unions,
-    ending with the full union, on which convergence is measured.
+    ending with the full union. Convergence is measured over the whole
+    iteration, since the union step can undo the class steps.
     """
     if data.labels is None:
         raise ValueError("relax_multiclass requires class labels")

@@ -24,6 +24,7 @@ from bluedots import (
     jitter_init,
     normalize,
     power_spectrum,
+    relax_multiclass,
 )
 from bluedots import cli
 from bluedots.cli import CliError, load_csv, load_layout, main
@@ -295,6 +296,24 @@ class TestCmdPlot:
         assert self.run(common + ["--out", str(tmp_path / "big")]) == 0
         assert self.run(common + ["--sites", "8192", "--out", str(tmp_path / "few")]) == 1
 
+    @pytest.mark.parametrize("name,column,classes", [("tips", "bill", "time"),
+                                                     ("iris", "sepal_length", "species")])
+    def test_multiclass_runs_stop_at_their_fixed_point(self, tmp_path, name, column, classes):
+        """With the CLI defaults each run stops once an iteration, every class
+        and union step together, moves no dot: its y is bit for bit that of
+        the full 40 iterations, and every iris run stops before them."""
+        data = load_csv(str(fixture_path(name)), column, classes)
+        for seed in range(3):
+            out = tmp_path / f"{name}{seed}"
+            assert self.run(["plot", "--input", str(fixture_path(name)), "--column", column,
+                             "--class-column", classes, "--seed", str(seed), "--out", str(out)]) == 0
+            layout, _ = load_layout(f"{out}.json")
+            full = relax_multiclass(data, layout.domain, SolverConfig(seed=seed, convergence_eps=0.0))
+            assert full.iterations_run == 40
+            assert layout.y.tobytes() == full.y.tobytes()
+            if name == "iris":
+                assert layout.iterations_run < 40
+
     def test_centrality_on_constant_data(self, tmp_path):
         path = write_csv(tmp_path, "five.csv", "v\n5\n5\n5\n")
         assert self.run(["plot", "--input", path, "--column", "v", "--centrality",
@@ -324,6 +343,8 @@ class TestCmdPlot:
         (["--radius", "1e200"], "automatic height"),
         # The dot radius in pixels, 800 * 1e306, overflows.
         (["--height", "0.2", "--radius=1e306"], "dot diameter"),
+        # The dot radius in pixels, 800 * 1e-10, is written as 0.000000.
+        (["--treatment", "jitter", "--height", "0.2", "--radius", "1e-10"], "dot radius"),
         # A negative number in exponent form is a value, not an option.
         (["--radius", "-1e-5"], "radius must be finite and positive"),
         (["--height", "-1e-5"], "height must be finite and positive"),

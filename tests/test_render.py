@@ -121,6 +121,21 @@ class TestRenderSvg:
         with pytest.raises(ValueError, match="dot diameter .* overflows"):
             render_icons(lay, ["a.png"])
 
+    @pytest.mark.parametrize("radius", [1e-10, 6e-10])
+    def test_dot_radius_written_as_zero_rejected(self, radius):
+        """800 px * 6e-10 is 4.8e-7 px, which six decimals write as 0: every
+        dot would be drawn with r="0.000000". 800 px * 1e-9 writes as 1e-6."""
+        dom = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=radius)
+        lay = DotLayout(x=np.array([0.5]), y=np.array([0.1]), domain=dom)
+        with pytest.raises(ValueError, match="dot radius .* is written as 0.000000 px"):
+            canvas_size(dom)
+        with pytest.raises(ValueError, match="dot radius"):
+            render_svg(lay)
+        with pytest.raises(ValueError, match="dot radius"):
+            render_icons(lay, ["a.png"])
+        tiny = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=1e-9)
+        assert 'r="0.000001"' in render_svg(DotLayout(x=np.array([0.5]), y=np.array([0.1]), domain=tiny))
+
 
 class TestRenderIcons:
     def test_one_image_use_per_dot(self):

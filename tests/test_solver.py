@@ -617,6 +617,36 @@ class TestRelax:
         assert trace.sites.shape == (8192, 2)
         assert np.all(trace.sites[:, 1] <= dom.height)
 
+    def test_default_sites_scale_with_dots(self):
+        """Without n_sites the run draws max(8192, 2n) sites, as the CLI does."""
+        data = DataSet(values=np.random.default_rng(6).random(8193))
+        dom = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
+        _, trace = relax_traced(data, dom, SolverConfig(max_iterations=0))
+        assert trace.sites.shape == (16386, 2)
+
+
+@st.composite
+def multiclass_inputs(draw):
+    """2-5 classes of 2-40 values in [0, 1] with duplicates, either metric,
+    a convergence threshold and a cap of 1-12 iterations."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k, 40))
+    pool = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=n))
+    values = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    labels = draw(st.permutations([i % k for i in range(n)]))
+    data = DataSet(values=values, labels=tuple(labels))
+    xs, (lo, hi) = normalize(data)
+    dom = PlotDomain(x_min=lo, x_max=hi, height=draw(st.sampled_from([0.05, 0.2])), radius=0.01)
+    kind = draw(st.sampled_from(list(MetricKind)))
+    config = SolverConfig(
+        n_sites=draw(st.integers(n, 512)),
+        max_iterations=draw(st.integers(1, 12)),
+        convergence_eps=draw(st.sampled_from([1e-4, 1e-3, 1e-2])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        metric=MetricSpec(kind=kind, density=estimate_density(xs)),
+    )
+    return data, dom, config
+
 
 class TestRelaxMulticlass:
     def test_requires_labels(self):
@@ -684,6 +714,24 @@ class TestRelaxMulticlass:
         b = relax_multiclass(data, dom, cfg)
         assert np.array_equal(a.y, b.y)
 
+    @given(multiclass_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_stops_at_the_first_iteration_that_moves_no_dot(self, inputs):
+        """Each iteration's y comes from a convergence_eps = 0 run of that
+        many iterations; the run stops after the first iteration whose
+        largest |dy| over all dots, every group step included, is below
+        convergence_eps * h."""
+        data, dom, config = inputs
+        fixed = replace(config, convergence_eps=0.0)
+        ys = [jitter_init(data, dom, fixed).y]
+        ys += [relax_multiclass(data, dom, replace(fixed, max_iterations=k)).y
+               for k in range(1, config.max_iterations + 1)]
+        still = [k for k in range(1, len(ys))
+                 if float(np.max(np.abs(ys[k] - ys[k - 1]))) < config.convergence_eps * dom.height]
+        expected = still[0] if still else config.max_iterations
+        out = relax_multiclass(data, dom, config)
+        assert out.iterations_run == expected
+        assert out.y.tobytes() == ys[expected].tobytes()
 
     def test_unorderable_labels_rejected(self):
         with pytest.raises(ValueError, match="mutually orderable"):
