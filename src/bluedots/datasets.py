@@ -42,12 +42,13 @@ def load_csv(path, column: str, class_column: str | None = None) -> DataSet:
     non-numeric cells abort with the offending location. The dataset is
     named after the file's stem.
 
-    The file reads as ``csv.DictReader`` reads it: blank lines are skipped,
-    a repeated header name reads its last column, and a missing cell reads
-    as None.
+    The file is UTF-8, with or without the byte-order mark that Excel's
+    "CSV UTF-8" export writes, and reads as ``csv.DictReader`` reads it:
+    blank lines are skipped, a repeated header name reads its last column,
+    and a missing cell reads as None.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     values = []

@@ -42,11 +42,11 @@ Both forms are incremental, since with fixed sites a dot's cell changes only
 where dots moved, and late in a run few do. Each assigner keeps the y and the
 owners of its last call, and a later call re-scores only the sites whose
 owner can have changed: the band's blocks with a moved candidate dot, and
-the grid's sites whose owner moved farther or whose box, the grid cells
-within reach of their kept owner distance (stored per site), holds a moved
-dot other than an owner that moved no farther. Every other site keeps its
-owner bit for bit, because the dots that could beat or tie it are unmoved
-and score as before; its distance is the owner's new one.
+the grid's sites whose owner moved or whose box holds a moved dot. A site's
+box is the grid cells its last search reached, around its distance to the
+dot that search started from, so it holds every dot as near as the owner.
+Every other site keeps its owner bit for bit, because the dots that could
+beat or tie it are unmoved and score as before.
 """
 
 from __future__ import annotations
@@ -349,29 +349,23 @@ class _GridAssigner:
 
     The known dot is the site's owner in the previous call: any dot is a
     valid bound, so a changed y only loosens it. On the first call it is the
-    nearer of the two dots next to the site in its grid column, or of the
-    two next to it in x where that column is empty (``_first_bound``). The
-    dots in each site's box are counted from prefix counts first: where the
-    known dot is the only one, it is the owner, with no dot scored.
+    nearer of the two dots next to the site's cell in the dots' cell order
+    (``_first_bound``). The dots in each site's box are counted from prefix
+    counts first: where the known dot is the only one, it is the owner, with
+    no dot scored.
 
-    The search is incremental. The assigner keeps the y, owners and owner
-    distances of its last call, and for each site its box: the grid cells
-    within reach of its kept distance D (or of a larger one, which only
-    widens it), stored as the four corners' flat indices into the prefix
-    counts (``_prefix_counts``), so that counting the moved dots in every
-    box takes four gathers. A search stores the box it searched where the
-    known dot's distance is the new D, else the box around the new D. A
-    later call re-scores only the sites whose owner moved or whose box
-    holds a moved dot. Any other site keeps its owner and distance: its
-    unmoved dots have the distances they had, and by the argument above a
-    moved dot outside the box is strictly farther than D, so it can neither
-    own the site nor tie for it. One more case keeps its owner without a
-    search: the owner moved to a distance D' <= D, and the box holds no
-    other moved dot. Every unmoved dot still scores at least D >= D', and
-    one tied at D' = D loses the tie, since the owner was the lowest index
-    at D; every other moved dot lies outside the box, strictly farther than
-    D. So the owner stays, at D'. The first call is the case where every
-    site is re-scored.
+    The search is incremental, by one rule. The assigner keeps the y and the
+    owners of its last call, and for each site one piece of state, its box:
+    the grid cells its last search reached, around the known dot's distance
+    D, stored as the four corners' flat indices into the prefix counts
+    (``_prefix_counts``), so that counting the moved dots in every box takes
+    four gathers. A later call re-scores exactly the sites whose owner moved
+    or whose box holds a moved dot. Any other site keeps its owner: the
+    owner is unmoved, so it is still at the distance the search found, at
+    most D; the other unmoved dots have the distances they had, so none
+    beats it or wins a tie; and by the argument above every dot within D of
+    the site lies in the box, so a moved dot outside it is strictly farther
+    than D. The first call is the case where every site is re-scored.
     """
 
     def __init__(self, x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray):
@@ -397,28 +391,18 @@ class _GridAssigner:
         m = self.sy.size
         self._y = None
         self._owner = np.empty(m, dtype=np.intp)
-        self._dist = np.empty(m)
-        # The corners of each site's box (``_corners``).
+        # The corners of each site's box (``_reach``).
         self._boxes = np.empty((4, m), dtype=np.int32 if (grid.nx + 1) * (grid.ny + 1) < 2**31 else np.intp)
         self._view = self._owner.view()
         self._view.flags.writeable = False
 
     def _first_bound(self, y: np.ndarray, sites, perm: np.ndarray, start: np.ndarray):
-        """Each of these sites' nearer of two dots next to it, in its grid
-        column or in x where that column is empty, and its distance."""
+        """Each of these sites' nearer of the two dots next to its cell in
+        the dots' cell order ``perm``, and its distance."""
         x, n, grid = self.x, self.x.size, self.grid
         sx, sy = self.sx[sites], self.sy[sites]
-        c = grid.col(sx) * grid.ny
-        top, bottom = start[c], start[c + grid.ny]
-        pos = start[c + grid.row(sy)]
-        before = perm[np.clip(pos - 1, top, bottom - 1)]
-        after = perm[np.clip(pos, top, bottom - 1)]
-        empty = np.flatnonzero(top == bottom)
-        if empty.size:
-            by_x = np.argsort(x)
-            at = np.searchsorted(x[by_x], sx[empty])
-            before[empty] = by_x[np.maximum(at - 1, 0)]
-            after[empty] = by_x[np.minimum(at, n - 1)]
+        pos = start[grid.col(sx) * grid.ny + grid.row(sy)]
+        before, after = perm[np.maximum(pos - 1, 0)], perm[np.minimum(pos, n - 1)]
         d_before, d_after = (self.metric.distance(x[i], y[i], sx, sy) for i in (before, after))
         nearer = d_after < d_before
         return np.where(nearer, after, before), np.where(nearer, d_after, d_before)
@@ -443,18 +427,6 @@ class _GridAssigner:
         w *= 1.0 - 16 * np.finfo(np.float64).eps
         return w
 
-    def _box(self, sites, reach: np.ndarray):
-        """The reach widened by its tolerance, the weight bound (``_weight``),
-        and the grid columns [c0, c1) and rows [r0, r1) the reach spans
-        around each of these sites."""
-        grid = self.grid
-        reach = reach + 16 * np.finfo(np.float64).eps * (self.scale + reach)
-        sx, sy = self.sx[sites], self.sy[sites]
-        w = self._weight(sx, reach)
-        c0, c1 = grid.col(sx - reach / w), grid.col(sx + reach / w) + 1
-        r0, r1 = grid.row(sy - reach), grid.row(sy + reach) + 1
-        return reach, w, c0, c1, r0, r1
-
     def _prefix_counts(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For the dots in the grid cells ``key``: the dots in cells before
         each cell in key order (and all of them, last), and flattened their
@@ -468,13 +440,6 @@ class _GridAssigner:
         np.subtract(sliding_window_view(start, ny + 1)[::ny], start[:-1:ny, None], out=below[1:])
         np.cumsum(below[1:], axis=0, out=below[1:])
         return start, below.reshape(-1)
-
-    def _corners(self, c0: np.ndarray, c1: np.ndarray, r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
-        """Flat indices into the prefix counts of the corners (c0, r0),
-        (c0, r1), (c1, r0) and (c1, r1) of boxes, one row each."""
-        stride = self.grid.ny + 1
-        c0, c1 = c0 * stride, c1 * stride
-        return np.stack([c0 + r0, c0 + r1, c1 + r0, c1 + r1])
 
     @staticmethod
     def _count(below: np.ndarray, corners: np.ndarray) -> np.ndarray:
@@ -497,27 +462,16 @@ class _GridAssigner:
         return self._view
 
     def _dirty(self, y: np.ndarray, key: np.ndarray) -> np.ndarray:
-        """Sites the move can give another owner or distance: those whose
-        box holds a moved dot, or whose owner moved, except the sites whose
-        owner moved no farther and is the only moved dot in the box; those
-        keep their owner and take its new distance here."""
+        """Sites the move can give another owner: those whose owner moved
+        or whose box holds a moved dot."""
         moved = y != self._y
         if not moved.any():
             return np.empty(0, dtype=np.intp)
         inbox = self._count(self._prefix_counts(key[moved])[1], self._boxes)
-        owner_moved = moved[self._owner]
-        closer = np.flatnonzero(owner_moved & (inbox == 1))
-        o = self._owner[closer]
-        d = self.metric.distance(self.x[o], y[o], self.sx[closer], self.sy[closer])
-        keep = d <= self._dist[closer]
-        closer = closer[keep]
-        self._dist[closer] = d[keep]
-        owner_moved[closer] = False
-        inbox[closer] = 0
-        return np.flatnonzero(owner_moved | (inbox > 0))
+        return np.flatnonzero(moved[self._owner] | (inbox > 0))
 
     def _search(self, y: np.ndarray, sites: np.ndarray, key: np.ndarray) -> None:
-        """Owner, distance and box of each of these sites, into the kept ones."""
+        """Owner and box of each of these sites, into the kept ones."""
         grid = self.grid
         perm = np.argsort(key)
         gx, gy = self.x[perm], y[perm]
@@ -529,10 +483,10 @@ class _GridAssigner:
             o = self._owner[sites]
             bound = self.metric.distance(self.x[o], y[o], self.sx[sites], self.sy[sites])
             del o  # not held through the search loop, which sets the peak memory
-        self._dist[sites] = bound
         reach, w, c0, ncols, cands = self._reach(sites, bound, below)
+        del bound  # likewise
         scan = np.flatnonzero(cands > 1)  # the rest hold only the known dot
-        at, bound, reach, w, c0, ncols, cands = (v[scan] for v in (sites, bound, reach, w, c0, ncols, cands))
+        at, reach, w, c0, ncols, cands = (v[scan] for v in (sites, reach, w, c0, ncols, cands))
         cuts = np.flatnonzero(np.diff((np.cumsum(cands + ncols) - 1) // _CHUNK_ELEMENTS)) + 1
 
         sx, sy = self.sx[at], self.sy[at]
@@ -559,22 +513,26 @@ class _GridAssigner:
             d += self.metric.encoding_term(gx[p], np.repeat(sx[a:b], k))
             first = np.cumsum(k) - k
             low = np.minimum.reduceat(d, first)
-            self._dist[at[a:b]] = low
             ties = np.where(d == np.repeat(low, k), perm[p], np.iinfo(np.intp).max)
             self._owner[at[a:b]] = np.minimum.reduceat(ties, first)
-        # The box kept is the one searched where the bound was the distance.
-        low = self._dist[at]
-        closer = np.flatnonzero(low < bound)
-        self._boxes[:, at[closer]] = self._corners(*self._box(at[closer], low[closer])[2:])
 
     def _reach(self, sites, bound: np.ndarray, below: np.ndarray):
-        """The widened reach around each of these sites, its weight bound,
-        the first column and the number of columns of its box, and the dots
-        in the box; the box is kept as the site's. (A method of its own so
+        """The reach around each of these sites, ``bound`` widened by its
+        tolerance, its weight bound (``_weight``), the first column and the
+        number of columns of its box, and the dots in the box. The box, the
+        grid columns [c0, c1) and rows [r0, r1) the reach spans, is kept as
+        the site's: the flat indices into the prefix counts of its corners
+        (c0, r0), (c0, r1), (c1, r0) and (c1, r1). (A method of its own so
         that the box's temporaries are freed before the search loop, whose
         chunks set the assigner's peak memory.)"""
-        reach, w, c0, c1, r0, r1 = self._box(sites, bound)
-        corners = self._corners(c0, c1, r0, r1)
+        grid = self.grid
+        reach = bound + 16 * np.finfo(np.float64).eps * (self.scale + bound)
+        sx, sy = self.sx[sites], self.sy[sites]
+        w = self._weight(sx, reach)
+        c0, c1 = grid.col(sx - reach / w), grid.col(sx + reach / w) + 1
+        r0, r1 = grid.row(sy - reach), grid.row(sy + reach) + 1
+        left, right = c0 * (grid.ny + 1), c1 * (grid.ny + 1)
+        corners = np.stack([left + r0, left + r1, right + r0, right + r1])
         self._boxes[:, sites] = corners
         return reach, w, c0, c1 - c0, self._count(below, corners)
 

@@ -124,7 +124,7 @@ def dictreader_load(path, column, class_column):
     """``load_csv`` as a ``csv.DictReader`` loop: its values and labels, or
     ("error", message)."""
     values, labels = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
         for name in [column] + ([class_column] if class_column else []):
@@ -235,6 +235,18 @@ class TestCmdPlot:
         assert self.run(args + ["--out", str(tmp_path / "r2")]) == 0
         assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
         assert (tmp_path / "r1.svg").read_bytes() == (tmp_path / "r2.svg").read_bytes()
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        """A copy of geyser.csv behind a UTF-8 byte-order mark, under the same
+        file stem, plots to the plain file's bytes."""
+        marked = tmp_path / "bom" / "geyser.csv"
+        marked.parent.mkdir()
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(GEYSER).read_bytes())
+        args = ["plot", "--column", "waiting", "--iterations", "8", "--sites", "2048", "--seed", "1"]
+        assert self.run(args + ["--input", GEYSER, "--out", str(tmp_path / "plain")]) == 0
+        assert self.run(args + ["--input", str(marked), "--out", str(tmp_path / "marked")]) == 0
+        for ext in ("json", "svg"):
+            assert (tmp_path / f"marked.{ext}").read_bytes() == (tmp_path / f"plain.{ext}").read_bytes()
 
     def test_auto_height_stored(self, tmp_path):
         out = tmp_path / "h"

@@ -153,15 +153,21 @@ def assignment_inputs(draw):
     return lay, np.column_stack([sx, sy]), spec
 
 
-def kept_distances(assigner):
-    """The owner distances the grid search keeps, or None for the band."""
-    return assigner._dist.copy() if isinstance(assigner, _GridAssigner) else None
+def kept_boxes(assigner):
+    """The grid search's grid and the boxes it keeps, decoded from their
+    corners to each site's columns [c0, c1) and rows [r0, r1), or None for
+    the band."""
+    if not isinstance(assigner, _GridAssigner):
+        return None
+    stride = assigner.grid.ny + 1
+    c00, _, _, c11 = assigner._boxes.astype(np.intp)
+    return assigner.grid, c00 // stride, c11 // stride, c00 % stride, c11 % stride
 
 
 def record_assign_calls(monkeypatch) -> list:
     """Patch the solver's assigner constructor so that every assigner a run
     builds records each call: (assigner, x, sites, y, whether the call was
-    incremental, owner, the grid search's kept distances or None)."""
+    incremental, owner, the grid search's kept boxes or None)."""
     calls = []
     build = solver._site_assigner
 
@@ -172,7 +178,7 @@ def record_assign_calls(monkeypatch) -> list:
         def recording(y):
             incremental = assigner._y is not None
             owner = assign(y)
-            calls.append((assigner, x, sites, y.copy(), incremental, owner.copy(), kept_distances(assigner)))
+            calls.append((assigner, x, sites, y.copy(), incremental, owner.copy(), kept_boxes(assigner)))
             return owner
 
         assigner.assign = recording
@@ -184,14 +190,22 @@ def record_assign_calls(monkeypatch) -> list:
 
 def assert_owners_match_dense(owner, kept, x, y, sites, spec):
     """The owners are the dense search's, and so, bit for bit, are their
-    distances, from the metric and (grid search) as kept."""
+    distances from the metric. For the grid search, every dot as near to a
+    site as its owner lies in the site's kept box."""
     # Dense reference in chunks of sites, to keep its (m, n) temporaries small.
     chunks = [dense_assign(x, y, part, spec) for part in np.array_split(sites, 8)]
     assert np.array_equal(owner, np.concatenate([o for o, _ in chunks]))
-    want = np.concatenate([d for _, d in chunks]).tobytes()
-    assert spec.distance(x[owner], y[owner], sites[:, 0], sites[:, 1]).tobytes() == want
+    want = np.concatenate([d for _, d in chunks])
+    assert spec.distance(x[owner], y[owner], sites[:, 0], sites[:, 1]).tobytes() == want.tobytes()
     if kept is not None:
-        assert kept.tobytes() == want
+        grid, c0, c1, r0, r1 = kept
+        col, row = grid.col(x), grid.row(y)
+        for part in np.array_split(np.arange(sites.shape[0]), 8):
+            s = sites[part]
+            near = spec.distance(x, y, s[:, :1], s[:, 1:]) <= want[part, None]
+            in_cols = (c0[part, None] <= col) & (col < c1[part, None])
+            in_rows = (r0[part, None] <= row) & (row < r1[part, None])
+            assert np.all(in_cols & in_rows | ~near)
 
 
 def assert_calls_match_dense(calls, spec):
@@ -202,7 +216,7 @@ def assert_calls_match_dense(calls, spec):
 def assign_checked(assigner, x, y, sites, spec) -> np.ndarray:
     """One call of the assigner, checked against the dense search."""
     owner = assigner.assign(y)
-    assert_owners_match_dense(owner, kept_distances(assigner), x, y, sites, spec)
+    assert_owners_match_dense(owner, kept_boxes(assigner), x, y, sites, spec)
     return owner
 
 
