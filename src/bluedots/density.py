@@ -4,16 +4,16 @@ The density estimate drives two things: the automatic plot height (tall
 enough to stack the dots at the densest data coordinate) and the varying
 height profile used by the centrality variant.
 
-The KDE sums Gaussian kernel terms directly, bit for bit as the one-shot
-formula over the whole (grid, sources) matrix would. Its cost is
-``np.exp``: where the kernel exponent is below about -708 the result is
-subnormal or 0, numpy leaves its vectorized fast path, and every other lane
-of that SIMD vector goes with it. At n = 4096 such lanes are about 13% of
-the terms and cost most of the time. ``_KernelTerms`` takes them out of the
-main call: with the sources sorted once they are a run below each grid
-point and one above. The lanes whose result is provably +0.0 get 0, and the
-rest of them are computed by ``np.exp`` on their own. The exactness
-argument is in its docstring.
+The KDE is bit for bit the one-shot formula over the whole (grid, sources)
+matrix, but it computes only the kernel terms that can change a row sum.
+At large n most terms are far: their exponent is at most _FAR_K, so each is
+at most _FAR_TERM. A row is summed twice, as one contiguous row in data
+order: with every far term 0, and with every term raised to at least
+_FAR_TERM. The formula's sum lies between the two (the argument is in
+``_kernel_sums``), so where they agree it is their value. Then ``np.exp``
+saw only terms within _FAR_Z bandwidths of the rows' grid points, and none
+of the far ones whose subnormal or zero results leave its fast path. The
+other rows are computed in full.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .core import _ranges, _readonly
+from .core import _readonly
 
 GRID_SIZE = 512
 # Smallest bandwidth we allow: one grid cell. Guards against zero-spread
@@ -32,16 +32,12 @@ BANDWIDTH_FLOOR = 1.0 / GRID_SIZE
 # Kernel terms estimate_density holds at once, in at most _KDE_ROWS grid rows.
 _KDE_TERMS = 65536
 _KDE_ROWS = 32
-# np.exp of a kernel exponent k = (-0.5 z) z leaves its fast path from about
-# k = -707.5 on, as the result nears the subnormal range (k < -708.4) or is 0
-# (k < -745.1), and then so does every lane of the SIMD vector that holds it.
-_SLOW_Z = 37.6  # from here on k <= -706.9: the result may be subnormal or 0
-_ZERO_Z = 38.65  # from here on k <= -746.9: the result is 0
-_EXP_ZERO = -745.2  # np.exp(k) is +0.0 for every k <= _EXP_ZERO
-# Zero terms (at least 1) from which a block of rows takes its slow lanes off
-# the main np.exp call: below it, building their indices costs more than
-# they do.
-_SPLIT_MIN = 512
+# A kernel exponent k = (-0.5 z) z at or below _FAR_K is far: np.exp(k) is
+# at most _FAR_TERM (about 1.8e-26), which a test pins. Sources _FAR_Z
+# bandwidths or more from a grid point give far terms there, up to rounding.
+_FAR_K = -60.0
+_FAR_TERM = 2.0 * np.exp(_FAR_K)
+_FAR_Z = np.sqrt(-2.0 * _FAR_K)
 
 
 @dataclass(frozen=True)
@@ -87,94 +83,97 @@ class DensityEstimate:
         return t if t.ndim else t[()]
 
 
-class _KernelTerms:
-    """Gaussian kernel terms exp(k), k = (-0.5 z) z, z = (g - s) / bw, of
-    each grid point g of an ascending grid against every source s, a block
-    of grid rows at a time.
+def _terms(g: np.ndarray, s: np.ndarray, bw: float, z: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The one-shot formula's terms np.exp((-0.5 * z) * z), z = (g - s) / bw,
+    of grid points g (rows) against sources s, with its operations, in a
+    view of the flat buffer k; z is a work buffer."""
+    n = g.size * s.size
+    z, k = z[:n].reshape(g.size, s.size), k[:n].reshape(g.size, s.size)
+    np.subtract(g[:, None], s, out=z)
+    z /= bw
+    np.multiply(-0.5, z, out=k)
+    k *= z
+    return np.exp(k, out=k)
 
-    Each term and its place in its row are those of the one-shot formula
-    ``np.exp(-0.5 * z * z)`` over the whole (grid, sources) matrix, but the
-    main ``np.exp`` call of a block sees no argument off its fast path. The
-    sources are sorted once. Along them z falls monotonically, and k rises
-    to 0 at g and falls again, since every rounding step is monotone. So for
-    each grid point the slow lanes (|z| >= _SLOW_Z) are a run of sorted
-    sources below g and one above, found by ``searchsorted``, and so are the
-    zero lanes (|z| >= _ZERO_Z) at the outer ends of those runs. A block
-    computes z and k in data order with the one-shot operations, saves k of
-    the band lanes (slow but not zero), puts a fast-path argument in every
-    slow lane, calls ``np.exp``, then writes +0.0 into the zero lanes and
-    ``np.exp`` of the saved k into the band lanes.
 
-    Exactness. ``np.exp`` is elementwise, and a lane's bits do not depend on
-    its neighbours in the call, so the band lanes and the rest come out as
-    in one call. A zero run is kept only if its innermost source's k,
-    computed as the terms compute it, is at most _EXP_ZERO; by the
-    monotonicity above every source beyond it has a k no larger, and
-    ``np.exp`` is +0.0 there. A run that fails the check (only a bandwidth
-    near the float resolution of the grid can make one) joins the band. So
-    the thresholds only move lanes between classes: every lane but the
-    proven zeros is still computed by ``np.exp``. Tests pin both facts about
-    ``np.exp`` that this relies on.
+def _exponent(g, s, bw: float):
+    """The formula's kernel exponent (-0.5 z) z of g against s, elementwise."""
+    z = (g - s) / bw
+    return (-0.5 * z) * z
+
+
+def _kernel_sums(grid: np.ndarray, sources: np.ndarray, bw: float) -> np.ndarray:
+    """Row sums of the Gaussian kernel terms of each point of the ascending
+    grid against every source, bit for bit those of the one-shot formula
+    ``np.exp(-0.5 * z * z).sum(axis=1)`` with z = (grid - sources) / bw.
+
+    Rows go a block at a time (about _KDE_TERMS terms, at most _KDE_ROWS
+    rows). A block whose smallest term is a normal float is computed in
+    full, as the formula computes it: there every np.exp stays on its fast
+    vector path, while a subnormal or zero result costs 20 to 100 times as
+    much.
+
+    In the other blocks most terms are far. The sources are sorted once.
+    Along them k rises to 0 at a grid point g and falls again, since every
+    rounding step is monotone, so the near terms of g (k > _FAR_K) lie in
+    one run of sorted sources within _FAR_Z bandwidths of g, found by
+    ``searchsorted``. A block computes the terms over the union of its
+    rows' runs with the formula's operations, places them at their sources'
+    data positions in a row of zeros, sums each row, raises every lane to at
+    least _FAR_TERM and sums again.
+
+    Exactness. np.exp is elementwise, and a lane's bits do not depend on its
+    neighbours in the call, so every placed term is the formula's. Each lane
+    outside the block's run has k <= _FAR_K: the first lane beyond each end
+    of the run is checked with the formula's operations, and k only falls
+    further out. There np.exp(k) lies in [0, _FAR_TERM], so lane by lane the
+    first row is at most, and the raised row at least, the formula's row.
+    np.sum adds the lanes of a contiguous row of one length in one fixed
+    order, and IEEE addition is monotone in each operand, so the formula's
+    sum lies between the two sums, and where they are equal it is their
+    value. A row whose sums differ, or whose check fails, is computed in
+    full. Tests pin the facts about np.exp and np.sum this relies on.
     """
-
-    def __init__(self, grid: np.ndarray, sources: np.ndarray, bw: float, rows: int):
-        m = sources.size
-        self.grid, self.sources, self.bw = grid, sources, bw
-        self._z = np.empty((rows, m))
-        self._k = np.empty((rows, m))
-        # Zero lanes before each grid row; none where no source lies _ZERO_Z
-        # bandwidths from any grid point, and then no block splits.
-        self._zeros = [0] * (grid.size + 1)
-        if max(grid[-1] - sources.min(), sources.max() - grid[0]) < _ZERO_Z * bw:
-            return
+    m = sources.size
+    rows = max(1, min(_KDE_ROWS, _KDE_TERMS // m))
+    z, k = np.empty(rows * m), np.empty(rows * m)
+    sums = np.empty(grid.size)
+    first = np.arange(0, grid.size, rows)
+    last = np.minimum(first + rows, grid.size) - 1
+    # A block's smallest term pairs an end row with the farthest source.
+    smallest = np.exp(np.minimum(_exponent(grid[first], sources.max(), bw), _exponent(grid[last], sources.min(), bw)))
+    bracket = smallest < np.finfo(np.float64).tiny
+    if bracket.any():
         order = np.argsort(sources)
         by_value = sources[order]
-        reach = np.array([[_ZERO_Z], [_SLOW_Z]]) * bw
+        reach = _FAR_Z * bw
         lo = np.searchsorted(by_value, grid - reach, side="left")
         hi = np.searchsorted(by_value, grid + reach, side="right")
-        edge = np.concatenate([lo[0] - 1, hi[0]])
-        np.clip(edge, 0, m - 1, out=edge)
-        # A bandwidth far below the sources' spacing overflows z to +-inf
-        # or k to -inf, and np.exp(-inf) is the 0 the term is.
-        with np.errstate(over="ignore"):
-            z = (grid - by_value[edge].reshape(2, -1)) / bw
-            zero = (-0.5 * z) * z <= _EXP_ZERO
-        lo[0] *= zero[0]
-        hi[0] = np.where(zero[1], hi[0], m)
-        # Per grid row, four runs of sorted positions: the zero lanes below
-        # and above g, then the band lanes below and above g.
-        self._start = np.array([np.zeros_like(lo[0]), hi[0], lo[0], hi[1]])
-        self._len = np.array([lo[0], m - hi[0], lo[1] - lo[0], hi[0] - hi[1]])
-        self._zeros[1:] = np.cumsum(self._len[0] + self._len[1]).tolist()
-        # Flat index, in a block, of row i's p-th source by value: i * m + p.
-        self._offset = np.arange(rows) * m
-        self._flat = (order + self._offset[:, None]).ravel()
-
-    def terms(self, a: int, b: int) -> np.ndarray:
-        """The terms of grid rows a..b (at most ``rows``), in a reused buffer."""
-        r = b - a
-        z, k = self._z[:r], self._k[:r]
-        np.subtract(self.grid[a:b, None], self.sources, out=z)
-        with np.errstate(over="ignore"):  # as in __init__
-            z /= self.bw
-            np.multiply(-0.5, z, out=k)
-            k *= z
-        nz = self._zeros[b] - self._zeros[a]
-        if nz < _SPLIT_MIN:
-            return np.exp(k, out=k)
-        # The block's slow lanes, zero lanes first: its rows' runs of sorted
-        # positions concatenated, then mapped to the flat indices of the
-        # lanes in the block.
-        first = (self._start[:, a:b] + self._offset[:r]).ravel()
-        slow = self._flat[_ranges(first, self._len[:, a:b].ravel())]
-        zero, band = slow[:nz], slow[nz:]
-        flat = k.reshape(-1)
-        saved = flat[band]
-        flat[slow] = -1.0  # any argument on np.exp's fast path
-        np.exp(k, out=k)
-        flat[zero] = 0.0
-        flat[band] = np.exp(saved, out=saved)
-        return k
+        # Per row, k at the first lane beyond each end of its block's run;
+        # the infinities stand for lanes past the ends of the sources.
+        block = np.arange(grid.size) // rows
+        padded = np.concatenate([[-np.inf], by_value, [np.inf]])
+        below = _exponent(grid, padded[lo[first[block]]], bw)
+        above = _exponent(grid, padded[hi[last[block]] + 1], bw)
+        checked = (below <= _FAR_K) & (above <= _FAR_K)
+    for a, b, bracketed in zip(first.tolist(), (last + 1).tolist(), bracket.tolist()):
+        full = slice(a, b)
+        # With no near terms the first sums are 0 and the raised ones are not.
+        if bracketed and hi[b - 1] > lo[a]:
+            l, h = lo[a], hi[b - 1]
+            near = _terms(grid[a:b], by_value[l:h], bw, z, k)
+            row = z[: (b - a) * m].reshape(b - a, m)
+            row.fill(0.0)
+            for out, terms in zip(row, near):
+                out[order[l:h]] = terms
+            row.sum(axis=1, out=sums[a:b])
+            np.maximum(row, _FAR_TERM, out=row)
+            settled = (row.sum(axis=1) == sums[a:b]) & checked[a:b]
+            if settled.all():
+                continue
+            full = a + np.flatnonzero(~settled)
+        sums[full] = _terms(grid[full], sources, bw, z, k).sum(axis=1)
+    return sums
 
 
 def silverman_bandwidth(xs: np.ndarray) -> float:
@@ -196,38 +195,30 @@ def estimate_density(xs, bandwidth: Optional[float] = None) -> DensityEstimate:
 
     Each value is bit-identical to the one-shot formula
     ``np.exp(-0.5 * z * z).sum(axis=1)`` over the whole (grid, sources)
-    matrix, scaled as below. The terms are computed a block of grid rows at
-    a time (about _KDE_TERMS of them, at most _KDE_ROWS rows), so memory
-    stays linear in n. Within a block, the terms whose result np.exp would
-    compute off its fast path (subnormal or 0) are handled on the side: the
-    provable zeros are written as +0.0, the rest go through np.exp in a
-    call of their own. Each row is then summed as one contiguous row, as
-    the formula sums it (see ``_KernelTerms``).
+    matrix, scaled as below, with memory linear in n. The far terms of a
+    row (kernel exponent at most _FAR_K) are not computed: the row's sum
+    with each of them 0 and with each at _FAR_TERM bracket the formula's
+    sum, and where the two agree that is the row's value. Near terms are
+    computed with the formula's operations, and rows the bracket does not
+    settle are computed in full (see ``_kernel_sums``).
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("xs must be a non-empty 1-D array")
-    if np.any(xs < 0) or np.any(xs > 1):
+    if not np.all((xs >= 0) & (xs <= 1)):  # NaN fails too
         raise ValueError("xs must lie in [0, 1]")
     if bandwidth is None:
         bandwidth = silverman_bandwidth(xs)
-    elif not (bandwidth > 0):
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    elif not (0 < bandwidth < np.inf):
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     bw = float(bandwidth)
 
-    grid = DensityEstimate.grid
-    # Direct summation over the sample plus its reflections at 0 and 1, a
-    # block of grid rows at a time: each row's kernel terms and their sum
-    # are the ones the full (grid, sources) matrix would give.
+    # Direct summation over the sample plus its reflections at 0 and 1. A
+    # bandwidth far below the sources' spacing overflows z to +-inf or k to
+    # -inf, and np.exp(-inf) is the 0 the term is.
     sources = np.concatenate([xs, -xs, 2.0 - xs])
-    rows = max(1, min(_KDE_ROWS, _KDE_TERMS // sources.size))
-    kernel = _KernelTerms(grid, sources, bw, rows)
-    sums = np.empty(GRID_SIZE)
-    for a in range(0, GRID_SIZE, rows):
-        b = min(a + rows, GRID_SIZE)
-        kernel.terms(a, b).sum(axis=1, out=sums[a:b])
     with np.errstate(over="ignore"):
-        values = sums / (xs.size * bw * np.sqrt(2.0 * np.pi))
+        values = _kernel_sums(DensityEstimate.grid, sources, bw) / (xs.size * bw * np.sqrt(2.0 * np.pi))
     if not np.any(values > 0):
         raise ValueError(
             f"bandwidth {bw!r} is too small for the data: the density is 0 at every grid point"

@@ -15,7 +15,7 @@ from bluedots import (
     silverman_bandwidth,
 )
 from bluedots import density
-from bluedots.density import GRID_SIZE, _KernelTerms
+from bluedots.density import GRID_SIZE
 
 
 def kde_scalar_oracle(sample, bw):
@@ -85,6 +85,16 @@ class TestEstimateDensity:
         with pytest.raises(ValueError):
             estimate_density(np.array([1.2]))
 
+    @pytest.mark.parametrize("bandwidth", [None, 0.1])
+    def test_nan_in_xs_named_in_error(self, bandwidth):
+        with pytest.raises(ValueError, match=r"xs must lie in \[0, 1\]"):
+            estimate_density(np.array([0.2, np.nan, 0.7]), bandwidth)
+
+    @pytest.mark.parametrize("bandwidth", [np.inf, -np.inf, np.nan, -0.1])
+    def test_bandwidth_must_be_positive_and_finite(self, bandwidth):
+        with pytest.raises(ValueError, match=rf"bandwidth must be positive and finite, got {bandwidth}"):
+            estimate_density(np.array([0.2, 0.7]), bandwidth)
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(7)
         xs = rng.random(64)
@@ -151,14 +161,16 @@ class TestEstimateDensity:
 
     @pytest.mark.parametrize("bandwidth", [None, 1.0 / 512, 0.01, 0.5])
     def test_bimodal_4096_bit_equal_to_full_matrix_formula(self, bandwidth):
-        # 0.5 N(55, 7^2) + 0.5 N(80, 7^2) to 3 decimals, normalized: about
-        # 13% of the terms at the Silverman bandwidth have a subnormal or zero
-        # np.exp, so most blocks take their slow lanes off the main call.
-        rng = np.random.default_rng(0)
-        mode = rng.random(4096) < 0.5
-        values = np.round(np.where(mode, rng.normal(55.0, 7.0, 4096), rng.normal(80.0, 7.0, 4096)), 3)
-        xs = (values - values.min()) / (values.max() - values.min())
+        # At the Silverman bandwidth about 26% of the terms are near and 13%
+        # have a subnormal or zero np.exp; at 0.5 every block is computed in full.
+        xs = bimodal(4096)
         est = estimate_density(xs, bandwidth)
+        assert est.values.tobytes() == one_shot_density(xs, est.bandwidth, rows=32).tobytes()
+
+    def test_bimodal_16384_bit_equal_to_full_matrix_formula(self):
+        # One grid row per block, and about 17% of the terms near.
+        xs = bimodal(16384)
+        est = estimate_density(xs)
         assert est.values.tobytes() == one_shot_density(xs, est.bandwidth, rows=32).tobytes()
 
     @pytest.mark.parametrize("bandwidth", [1e-300, 1e-200, 1e-20])
@@ -206,84 +218,101 @@ def one_shot_density(xs, bw, rows=GRID_SIZE):
     return sums / (xs.size * bw * np.sqrt(2.0 * np.pi))
 
 
-def all_kernel_terms(grid, sources, bw, rows):
-    """Every row of ``_KernelTerms``, block by block, and the kernel."""
-    kernel = _KernelTerms(grid, sources, bw, rows)
-    blocks = [kernel.terms(a, min(a + rows, grid.size)).copy() for a in range(0, grid.size, rows)]
-    return np.concatenate(blocks), kernel
+def normalized(values):
+    return (values - values.min()) / (values.max() - values.min())
 
 
-# Distances from a grid point, in bandwidths: the fast range (k down to
-# -706.9, including k in [-706.9, -700), whose terms are about 1e-304), each
-# side of the slow bound, the subnormal band, each side of the zero bound,
-# and far zeros.
+def bimodal(n):
+    """0.5 N(55, 7^2) + 0.5 N(80, 7^2) to 3 decimals (data seed 0), normalized."""
+    rng = np.random.default_rng(0)
+    mode = rng.random(n) < 0.5
+    return normalized(np.round(np.where(mode, rng.normal(55.0, 7.0, n), rng.normal(80.0, 7.0, n)), 3))
+
+
+def rows_in_full(monkeypatch, n):
+    """Count the grid rows ``_kernel_sums`` computes against all 3n sources."""
+    seen = []
+    terms = density._terms
+
+    def spy(g, s, bw, z, k):
+        if s.size == 3 * n:
+            seen.append(g.size)
+        return terms(g, s, bw, z, k)
+
+    monkeypatch.setattr(density, "_terms", spy)
+    return seen
+
+
+# Inputs whose rows the bracket cannot settle, with their bandwidths (None is
+# Silverman's): a row with only far terms sums to about their size. In
+# "sparse", some such rows lie in blocks that have near terms, so they are
+# bracketed first.
+FALLBACK_INPUTS = {
+    "ends": (np.repeat([0.0, 1.0], 40), 0.002),
+    "cauchy": (normalized(np.random.default_rng(5).standard_cauchy(2000)), None),
+    "sparse": (np.random.default_rng(1).random(20), 0.002),
+}
+
+# Distances from a grid point, in bandwidths: near, each side of the end of
+# the near run (_FAR_Z, about 10.95), far, around the first subnormal term
+# (37.6) and the first zero term (38.6), and far zeros.
 KERNEL_DISTANCES = [
-    0.0, 0.5, 3.0, 20.0, 37.0, 37.42, 37.5, 37.59,
-    density._SLOW_Z * (1 - 1e-9), density._SLOW_Z, density._SLOW_Z * (1 + 1e-9),
-    37.65, 37.9, 38.2, 38.5, 38.6, 38.6039, 38.6057,
-    density._ZERO_Z * (1 - 1e-9), density._ZERO_Z, density._ZERO_Z * (1 + 1e-9),
-    38.7, 40.0, 100.0, 1e4,
+    0.0, 0.5, 3.0, 10.0, 10.9,
+    density._FAR_Z * (1 - 1e-15), density._FAR_Z, density._FAR_Z * (1 + 1e-15),
+    11.0, 20.0, 37.5, 37.7, 38.5, 38.7, 40.0, 100.0, 1e4,
 ]
 
 
-class TestKernelTerms:
-    """``_KernelTerms`` term by term: a row sum hides a wrong 1e-304 term."""
+class TestBracket:
+    """Row sums from the near terms alone: each bit-equal to the one-shot
+    formula, and every row the bracket cannot settle computed in full."""
 
-    @pytest.mark.parametrize("bw", [0.03, 0.01, 1.0 / 512, 1e-7])
-    @pytest.mark.parametrize("split_min", [1, density._SPLIT_MIN])
-    def test_terms_bit_equal_to_one_shot_formula_around_each_bound(self, monkeypatch, bw, split_min):
-        monkeypatch.setattr(density, "_SPLIT_MIN", split_min)
+    @pytest.mark.parametrize("name", sorted(FALLBACK_INPUTS))
+    def test_rows_that_fall_back_bit_equal_to_full_matrix_formula(self, monkeypatch, name):
+        xs, bandwidth = FALLBACK_INPUTS[name]
+        full = rows_in_full(monkeypatch, xs.size)
+        est = estimate_density(xs, bandwidth)
+        assert est.values.tobytes() == one_shot_density(xs, est.bandwidth, rows=32).tobytes()
+        assert sum(full) > 0
+
+    @pytest.mark.parametrize("bw", [0.03, 0.01, 1.0 / 512, 1e-4])
+    def test_sources_around_each_bound_bit_equal_to_full_matrix_formula(self, bw):
+        # Sources at each distance from 23 grid points, folded into [0, 1].
         grid = np.linspace(0.0, 1.0, 23)
         d = np.array(KERNEL_DISTANCES) * bw
-        sources = np.concatenate([(grid[:, None] - d).ravel(), (grid[:, None] + d).ravel()])
-        got, kernel = all_kernel_terms(grid, sources, bw, rows=5)
-        z = (grid[:, None] - sources[None, :]) / bw
-        want = np.exp(-0.5 * z * z)
-        assert got.tobytes() == want.tobytes()
-        # Every class of lane is there, and the zero lanes are written.
-        assert np.count_nonzero(want == 0.0) > 0
-        assert np.count_nonzero((want > 0) & (want < np.finfo(np.float64).tiny)) > 0
-        assert kernel._zeros[-1] > 0 and kernel._len[2:].sum() > 0
+        xs = np.concatenate([(grid[:, None] - d).ravel(), (grid[:, None] + d).ravel()])
+        xs = np.abs(xs)
+        xs = np.where(xs > 1.0, 2.0 - xs, xs)
+        xs = xs[(xs >= 0.0) & (xs <= 1.0)]
+        est = estimate_density(xs, bw)
+        assert est.values.tobytes() == one_shot_density(xs, bw, rows=32).tobytes()
 
-    def test_zero_runs_only_where_exp_is_zero(self, monkeypatch):
-        # Thresholds far too low: the search would call lanes zero whose
-        # np.exp is about 1e-298. The check on each run's innermost lane
-        # must move those runs to the band, so every term stays exact.
-        monkeypatch.setattr(density, "_SPLIT_MIN", 1)
-        monkeypatch.setattr(density, "_SLOW_Z", 36.0)
-        monkeypatch.setattr(density, "_ZERO_Z", 37.0)
-        bw = 0.01
-        grid = np.linspace(0.0, 1.0, 23)
-        d = np.array(KERNEL_DISTANCES) * bw
-        sources = np.concatenate([(grid[:, None] - d).ravel(), (grid[:, None] + d).ravel()])
-        got, kernel = all_kernel_terms(grid, sources, bw, rows=4)
-        z = (grid[:, None] - sources[None, :]) / bw
-        assert got.tobytes() == np.exp(-0.5 * z * z).tobytes()
-        by_value = np.sort(sources)
-        searched = np.searchsorted(by_value, grid - 37.0 * bw, side="left")
-        assert np.any(kernel._len[0] < searched)
-
-    def test_no_set_up_where_no_term_can_be_zero(self):
-        xs = np.random.default_rng(4).random(64)
-        sources = np.concatenate([xs, -xs, 2.0 - xs])
-        kernel = _KernelTerms(np.linspace(0.0, 1.0, GRID_SIZE), sources, 0.1, 32)
-        assert kernel._zeros == [0] * (GRID_SIZE + 1)
+    @pytest.mark.parametrize("xs,bandwidth", [(bimodal(256), 0.01), *FALLBACK_INPUTS.values()])
+    def test_near_run_checked_at_its_ends(self, monkeypatch, xs, bandwidth):
+        # A near run of 3 bandwidths leaves out lanes with np.exp up to
+        # about 0.011. The check on the first lane beyond each end of a
+        # block's run must send those rows to the full computation.
+        monkeypatch.setattr(density, "_FAR_Z", 3.0)
+        full = rows_in_full(monkeypatch, xs.size)
+        est = estimate_density(xs, bandwidth)
+        assert est.values.tobytes() == one_shot_density(xs, est.bandwidth, rows=32).tobytes()
+        assert sum(full) > 0
 
 
 class TestNumpyExp:
-    """The two facts about np.exp that ``_KernelTerms`` relies on: if numpy
-    changes either, these fail before any density silently does."""
+    """The facts about np.exp that ``_kernel_sums`` relies on: if numpy
+    changes one, these fail before any density silently does."""
 
-    def test_zero_at_and_below_exp_zero(self):
+    def test_far_terms_at_most_far_term(self):
         k = np.concatenate([
-            np.linspace(density._EXP_ZERO, -800.0, 1_000_001),
+            np.linspace(density._FAR_K, -800.0, 1_000_001),
+            density._FAR_K - np.arange(1, 1000) * np.spacing(density._FAR_K),
             [-1e3, -1e10, -1e300, -np.finfo(np.float64).max, -np.inf],
         ])
-        assert np.exp(k).tobytes() == np.zeros(k.size).tobytes()  # +0.0, not -0.0
-        # The zero bound lies below _EXP_ZERO, and the slow bound above the
-        # first subnormal result.
-        assert (-0.5 * density._ZERO_Z) * density._ZERO_Z < density._EXP_ZERO
-        assert np.exp((-0.5 * density._SLOW_Z) * density._SLOW_Z) >= np.finfo(np.float64).tiny
+        assert np.all(np.exp(k) <= density._FAR_TERM)
+        assert np.exp(density._FAR_K) <= density._FAR_TERM
+        # Sources _FAR_Z bandwidths away give a far exponent, up to rounding.
+        assert (-0.5 * density._FAR_Z) * density._FAR_Z == pytest.approx(density._FAR_K, rel=1e-15)
 
     def test_lane_bits_do_not_depend_on_neighbours(self):
         rng = np.random.default_rng(0)
@@ -306,6 +335,24 @@ class TestNumpyExp:
             for offset in range(8):
                 buf[offset : offset + mixed.size] = mixed
                 assert np.exp(buf[offset : offset + mixed.size]).tobytes() == out.tobytes()
+
+
+class TestNumpySum:
+    """The fact about np.sum that ``_kernel_sums`` relies on."""
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 127, 128, 129, 1000, 12288])
+    def test_raising_lanes_never_lowers_the_sum(self, m):
+        # Monotone in every lane: compensated summation is not, and would
+        # break the bracket.
+        rng = np.random.default_rng(m)
+        rows = rng.random((64, m)) * 10.0 ** rng.uniform(-30.0, 1.0, (64, m))
+        rows[:8, 1:] *= 1e-17  # one large lane and many below its ulp
+        raised = rows.copy()
+        lift = rng.random((64, m)) < 0.5
+        raised[lift] = np.maximum(raised[lift], density._FAR_TERM)
+        bumped = rng.random((64, m)) < 0.1
+        raised[bumped] = np.nextafter(raised[bumped], np.inf)
+        assert np.all(raised.sum(axis=1) >= rows.sum(axis=1))
 
 
 class TestAutomaticHeight:
