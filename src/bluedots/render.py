@@ -9,7 +9,7 @@ byte-identical documents.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,9 +46,9 @@ def check_palette(n_classes: int) -> None:
 
 def canvas_size(domain: PlotDomain) -> tuple[float, float, float]:
     """Canvas width, canvas height and dot radius in pixels. The height and
-    the dot diameter (an icon's edge) must be finite, and the radius must
-    not be written as 0. They depend only on the domain, so a caller can
-    check them before a layout."""
+    the dot diameter must be finite, and the radius must not be written as
+    0. They depend only on the domain, so a caller can check them before a
+    layout."""
     w = CANVAS_WIDTH_PX
     h = w * float(domain.height)
     if not np.isfinite(h):
@@ -119,34 +119,3 @@ def render_svg(layout: DotLayout, envelope_profile: Optional[Callable] = None) -
     body += [circle[c] % xy for c, xy in zip(class_idx.tolist(), zip(px, py))]
     return _document(w, canvas_h, body)
 
-
-def render_icons(layout: DotLayout, icons: Sequence[str],
-                 envelope_profile: Optional[Callable] = None) -> str:
-    """SVG document with one image per dot, centered on the dot position.
-
-    Icons are image references (hrefs) aligned with the dots; repeated
-    references are emitted once under <defs> and instanced with <use>.
-    Each icon's edge length is twice the dot radius.
-    """
-    if len(icons) != len(layout):
-        raise ValueError(f"{len(icons)} icons for {len(layout)} dots")
-    w, canvas_h, r = canvas_size(layout.domain)
-    edge = 2.0 * r
-
-    unique: dict[str, str] = {}
-    for href in icons:
-        if href not in unique:
-            unique[href] = f"icon{len(unique)}"
-    defs = ["<defs>"]
-    for href, ident in unique.items():
-        defs.append(
-            f'<image id="{ident}" xlink:href="{href}" '
-            f'width="{_fmt(edge)}" height="{_fmt(edge)}"/>'
-        )
-    defs.append("</defs>")
-    body = defs + _base_elements(layout, envelope_profile, w, canvas_h)
-
-    use = {href: f'<use xlink:href="#{ident}" x="%.6f" y="%.6f"/>' for href, ident in unique.items()}
-    px, py = _to_px(layout.x, layout.y, w, canvas_h)
-    body += [use[href] % (x - r, y - r) for href, x, y in zip(icons, px, py)]
-    return _document(w, canvas_h, body)

@@ -25,7 +25,10 @@ The nearest-dot search is exact: its owners are the dense (m, n) search's bit
 for bit, ties going to the lowest dot index, since every distance keeps the
 metric's float order (``core.MetricSpec.distance``, which also gives callers
 the owners' distances). It comes in two forms, and ``_site_assigner`` picks
-one per dot group. Because x is frozen, the encoding-axis term w*|dx| of every
+one per dot group. A run sorts its sites by x once (``_site_index``), and
+every group's assigner shares that one index: the band's blocks hold views
+of it, and a run whose groups all take the grid search keeps none of it.
+Because x is frozen, the encoding-axis term w*|dx| of every
 dot-to-site distance is constant for the whole run, and so is which dots can
 own which sites: with every |dy| at most delta (the height, or the initial y's
 span), a dot whose term exceeds the smallest one by more than delta is
@@ -63,10 +66,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import DataSet, DotLayout, MetricKind, MetricSpec, PlotDomain, _class_order, _ranges, _readonly
 from .density import GRID_SIZE, height_profile
 
-# Most distance terms one band block stores, and about the most (site, dot)
-# pairs and (site, column) ranges the grid search holds at once; keeps each
-# working set cache-sized and the search's memory O(m + n).
-_CHUNK_ELEMENTS = 131072
+# Most distance terms one band block stores (its per-call scratch is as
+# large), and about the most (site, dot) pairs and (site, column) ranges the
+# grid search holds at once. The search's temporaries live per chunk element,
+# 25-28 bytes of peak each, so a large chunk sets a large run's peak memory.
+# Relax at n = 4096 bimodal, uniform / warped metric, peaked at 5.06 / 5.39 MB
+# at 131072 elements, 2.63 / 2.69 at 32768 and 2.37 / 2.41 at 16384, within
+# 3% of the same time; at 8192 the peak stays (the run's O(m + n) state sets
+# it) and relax ran 13-14% slower (medians of 11 interleaved runs).
+_CHUNK_ELEMENTS = 16384
 # A dot group whose band would have a block spanning at least _WIDE dots
 # goes to the grid search. The threshold only has to separate the measured
 # sizes: fixture windows span at most 111 dots and run 2-3x slower on the
@@ -136,6 +144,14 @@ def _as_sites(sites) -> np.ndarray:
     return sites
 
 
+def _site_index(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sites sorted by x: the sort order, and the sorted x and y."""
+    # Sort order among equal keys never matters: sites are scattered back
+    # by index, and each block's dots are re-sorted.
+    order = np.argsort(sites[:, 0])
+    return order, sites[order, 0], sites[order, 1]
+
+
 class _Block(NamedTuple):
     """x-sorted sites, their indices ``rows`` and ``s`` (a column of their y),
     with their candidate dots ``cols``, in ascending index, and terms ``xp``
@@ -147,10 +163,12 @@ class _Block(NamedTuple):
     xp: np.ndarray
 
 
-def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray):
+def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray, index=None):
     """The exact nearest-dot search for dots at fixed ``x`` and these sites,
     for any dot y within the range of ``y_range``: the band where each of
     its blocks would span fewer than ``_WIDE`` dots, else the grid search.
+    ``index`` is the sites' ``_site_index``, built here if not given; the
+    band's blocks hold views of it.
 
     Sites are sorted by x into consecutive blocks, each scored only against
     its candidate window of dots. A site's distance to dot i is
@@ -163,11 +181,7 @@ def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range
     anything of size m*n is allocated.
     """
     n, m = x.size, sites.shape[0]
-    # Sort order among equal keys never matters: sites are scattered back
-    # by index, and each block's dots are re-sorted.
-    order = np.argsort(sites[:, 0])
-    sx = sites[order, 0]
-    sy = sites[order, 1]
+    order, sx, sy = _site_index(sites) if index is None else index
     if m == 0:  # no sites: nothing to own
         return _BandAssigner(0, [])
     delta = max(float(sy.max()) - float(np.min(y_range)), float(np.max(y_range)) - float(sy.min()))
@@ -619,7 +633,11 @@ def _relax_groups(xs, y0, sites, groups, h: float, config: SolverConfig) -> tupl
     site_y = sites[:, 1]
     # Every y the loop sees is y0 or clamped to [0, h].
     y_range = np.append(y, [0.0, h])
-    assigners = [_site_assigner(xs[idx], sites, config.metric, y_range) for idx in groups]
+    # One site index for every group's assigner. It is not kept past the
+    # build, so only the band's blocks hold it, and a grid-only run none.
+    index = _site_index(sites)
+    assigners = [_site_assigner(xs[idx], sites, config.metric, y_range, index) for idx in groups]
+    del index
     for iterations in range(1, config.max_iterations + 1):
         start = y.copy()
         for idx, assigner in zip(groups, assigners):

@@ -1,6 +1,9 @@
 import math
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +116,48 @@ class TestEstimateDensity:
         q75, q25 = np.percentile(xs, [75, 25])
         expected = 0.9 * min(std, float(q75 - q25) / 1.34) * 100 ** (-0.2)
         assert silverman_bandwidth(xs) == pytest.approx(expected, rel=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_silverman_bit_equal_to_percentile_formula(self, data):
+        """The restated quartiles are np.percentile's bits, and so is the
+        bandwidth, on n = 1 to 3000 with duplicates and heavy tails."""
+        n = data.draw(st.integers(1, 3000))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kind = data.draw(st.sampled_from(["given", "uniform", "cauchy", "integers", "pool", "zeros"]))
+        if kind == "given":
+            finite = st.floats(-1e150, 1e150, allow_nan=False)
+            xs = np.array(data.draw(st.lists(finite, min_size=1, max_size=40)))
+        elif kind == "uniform":
+            xs = rng.random(n)
+        elif kind == "cauchy":
+            xs = rng.standard_cauchy(n) * 10.0 ** data.draw(st.integers(-8, 8))
+        elif kind == "integers":
+            xs = rng.integers(-3, 4, n).astype(np.float64)
+        elif kind == "pool":
+            xs = rng.choice(rng.random(data.draw(st.integers(1, 5))), n)
+        else:  # signed zeros, which compare equal, among ones
+            xs = rng.choice(np.array([-0.0, 0.0, 1.0, -1.0]), n, p=rng.dirichlet(np.ones(4)))
+        want = np.percentile(xs, [75, 25])
+        assert np.array(density._quartiles(xs)).tobytes() == want.tobytes()
+        expected = max(0.9 * min(float(np.std(xs)), float(want[0] - want[1]) / 1.34) * xs.size ** (-0.2), 1 / GRID_SIZE)
+        assert np.float64(silverman_bandwidth(xs)).tobytes() == np.float64(expected).tobytes()
+
+    def test_leaves_numpy_ma_unimported(self):
+        """np.percentile imports numpy.ma (through np.unique), which holds
+        about 1.15 MB; a fresh process's KDE must not import it."""
+        src = str(Path(density.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import numpy as np\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "from bluedots import estimate_density\n"
+            "estimate_density(np.random.default_rng(0).random(4096))\n"
+            "print(before, 'numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split()
+        assert out[1] == out[0]
 
     def test_evaluate_clamps_and_interpolates(self):
         est = estimate_density(np.random.default_rng(0).random(32))

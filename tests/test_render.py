@@ -9,14 +9,12 @@ from bluedots import (
     PlotDomain,
     estimate_density,
     height_profile,
-    render_icons,
     render_svg,
 )
 from bluedots.render import PALETTE, canvas_size
 
 DOM = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
 SVG_NS = "{http://www.w3.org/2000/svg}"
-XLINK = "{http://www.w3.org/1999/xlink}href"
 
 
 def layout_of(x, y, labels=None, radius=DOM.radius):
@@ -104,22 +102,18 @@ class TestRenderSvg:
         lay = DotLayout(x=np.array([0.5]), y=np.array([1e307]), domain=dom)
         with pytest.raises(ValueError, match="overflows"):
             render_svg(lay)
-        with pytest.raises(ValueError, match="overflows"):
-            render_icons(lay, ["a.png"])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("radius", [1e306, np.float64(1e306), 1.2e305])
     def test_overflowing_dot_radius_rejected(self, radius):
         """800 px * 1e306 overflows the dot radius; 800 px * 1.2e305 is
-        finite, but twice it, the dot diameter and the icon edge, is not."""
+        finite, but twice it, the dot diameter, is not."""
         dom = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=radius)
         lay = DotLayout(x=np.array([0.5]), y=np.array([0.1]), domain=dom)
         with pytest.raises(ValueError, match="dot diameter .* overflows"):
             canvas_size(dom)
         with pytest.raises(ValueError, match="dot diameter .* overflows"):
             render_svg(lay)
-        with pytest.raises(ValueError, match="dot diameter .* overflows"):
-            render_icons(lay, ["a.png"])
 
     @pytest.mark.parametrize("radius", [1e-10, 6e-10])
     def test_dot_radius_written_as_zero_rejected(self, radius):
@@ -131,52 +125,8 @@ class TestRenderSvg:
             canvas_size(dom)
         with pytest.raises(ValueError, match="dot radius"):
             render_svg(lay)
-        with pytest.raises(ValueError, match="dot radius"):
-            render_icons(lay, ["a.png"])
         tiny = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=1e-9)
         assert 'r="0.000001"' in render_svg(DotLayout(x=np.array([0.5]), y=np.array([0.1]), domain=tiny))
-
-
-class TestRenderIcons:
-    def test_one_image_use_per_dot(self):
-        lay = layout_of([0.2, 0.8], [0.05, 0.15], radius=5 / 800)
-        svg = render_icons(lay, ["a.png", "b.png"])
-        root = ET.fromstring(svg)
-        uses = list(root.iter(f"{SVG_NS}use"))
-        assert len(uses) == 2
-        px = float(uses[0].get("x")) + 5
-        py = float(uses[0].get("y")) + 5
-        assert px == pytest.approx(0.2 * 800)
-        assert py == pytest.approx(800 * 0.2 - 0.05 * 800)
-
-    def test_count_mismatch_rejected(self):
-        lay = layout_of([0.2, 0.4, 0.6, 0.8, 0.9], [0.1] * 5)
-        with pytest.raises(ValueError):
-            render_icons(lay, ["a.png"] * 4)
-
-    def test_equal_references_deduplicated(self):
-        lay = layout_of([0.2, 0.5, 0.8], [0.1, 0.1, 0.1])
-        svg = render_icons(lay, ["a.png", "a.png", "b.png"])
-        root = ET.fromstring(svg)
-        images = list(root.iter(f"{SVG_NS}image"))
-        uses = list(root.iter(f"{SVG_NS}use"))
-        assert len(images) == 2  # unique refs only, in defs
-        assert len(uses) == 3
-        refs = [u.get(XLINK) for u in uses]
-        assert refs[0] == refs[1] != refs[2]
-
-    def test_icon_edge_length(self):
-        lay = layout_of([0.5], [0.1], radius=5 / 800)
-        svg = render_icons(lay, ["i.png"])
-        image = next(ET.fromstring(svg).iter(f"{SVG_NS}image"))
-        assert float(image.get("width")) == 10.0
-        assert float(image.get("height")) == 10.0
-
-    def test_deterministic(self):
-        lay = layout_of([0.2, 0.8], [0.05, 0.15])
-        a = render_icons(lay, ["x.png", "y.png"])
-        b = render_icons(lay, ["x.png", "y.png"])
-        assert a == b
 
 
 def _oracle_fmt(v: float) -> str:
@@ -236,27 +186,6 @@ def oracle_render_svg(layout, envelope_profile=None):
     return _oracle_document(w, canvas_h, body)
 
 
-def oracle_render_icons(layout, icons, envelope_profile=None):
-    body, to_px, w, canvas_h = _oracle_base(layout, envelope_profile)
-    r = layout.domain.radius * 800
-    edge = 2.0 * r
-    unique = {}
-    for href in icons:
-        unique.setdefault(href, f"icon{len(unique)}")
-    defs = ["<defs>"] + [
-        f'<image id="{ident}" xlink:href="{href}" width="{_oracle_fmt(edge)}" height="{_oracle_fmt(edge)}"/>'
-        for href, ident in unique.items()
-    ] + ["</defs>"]
-    body = defs + body
-    for i in range(len(layout)):
-        px, py = to_px(float(layout.x[i]), float(layout.y[i]))
-        body.append(
-            f'<use xlink:href="#{unique[icons[i]]}" '
-            f'x="{_oracle_fmt(px - r)}" y="{_oracle_fmt(py - r)}"/>'
-        )
-    return _oracle_document(w, canvas_h, body)
-
-
 class TestBytesMatchPerDotLoop:
     """The vectorized templates write the bytes the per-dot loop writes."""
 
@@ -288,10 +217,3 @@ class TestBytesMatchPerDotLoop:
         # A band taller than the plot is cut to its height.
         tall = lambda xs: np.full_like(xs, 5.0)  # noqa: E731
         assert render_svg(lay, tall) == oracle_render_svg(lay, tall)
-
-    def test_icons(self):
-        profile = height_profile(estimate_density(self.layout(50, 5).x), 50, 0.01)
-        icons = [f"icon-{i % 3}%d.png" for i in range(50)]
-        for radius, envelope in ((5 / 800, None), (2.5 / 800, profile)):
-            lay = self.layout(50, 5, radius=radius)
-            assert render_icons(lay, icons, envelope) == oracle_render_icons(lay, icons, envelope)

@@ -171,8 +171,8 @@ def record_assign_calls(monkeypatch) -> list:
     calls = []
     build = solver._site_assigner
 
-    def building(x, sites, metric, y_range):
-        assigner = build(x, sites, metric, y_range)
+    def building(x, sites, metric, y_range, index=None):
+        assigner = build(x, sites, metric, y_range, index)
         assign = assigner.assign
 
         def recording(y):
@@ -494,6 +494,55 @@ class TestSiteAssigner:
         sites = np.column_stack([rng.random(8192), rng.random(8192) * h])
         assigner = _site_assigner(xs, sites, MetricSpec(), np.array([0.0, h]))
         assert sum(blk.xp.size for blk in assigner.blocks) <= 0.15 * sites.shape[0] * xs.size
+
+
+def traced_peak(run) -> int:
+    """The tracemalloc peak of one call of ``run``, after a warm-up call, so
+    that lazy imports (numpy.random's 0.7 MB) are not counted."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRelaxMemory:
+    """Working-memory ceilings of whole runs. The search's chunk and the
+    shared site index set them: at a 131072-element chunk and one index per
+    group, the bimodal runs peaked at 5.1 / 5.4 MB and iris at 5.7 MB."""
+
+    @staticmethod
+    def auto_domain(data):
+        xs, (lo, hi) = normalize(data)
+        dens = estimate_density(xs)
+        return dens, PlotDomain(x_min=lo, x_max=hi, height=automatic_height(dens.d_max, xs.size, 0.01), radius=0.01)
+
+    @pytest.mark.parametrize("warped", [False, True])
+    def test_bimodal_4096_relax_peak(self, warped):
+        """The benchmark's n = 4096 sample (data seed 0), where the grid search runs."""
+        rng = np.random.default_rng(0)
+        n = 4096
+        values = np.where(rng.random(n) < 0.5, rng.normal(55.0, 7.0, n), rng.normal(80.0, 7.0, n))
+        data = DataSet(values=np.round(values, 3))
+        dens, dom = self.auto_domain(data)
+        spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens) if warped else MetricSpec()
+        assert traced_peak(lambda: relax(data, dom, SolverConfig(seed=0, metric=spec))) <= 3.0e6
+
+    def test_iris_multiclass_peak(self):
+        data = load_fixture("iris")
+        _, dom = self.auto_domain(data)
+        assert traced_peak(lambda: relax_multiclass(data, dom, SolverConfig(seed=0))) <= 4.6e6
+
+    def test_groups_share_one_site_index(self, monkeypatch):
+        """Every group's band blocks view one sort order of the sites."""
+        data = load_fixture("iris")
+        _, dom = self.auto_domain(data)
+        calls = record_assign_calls(monkeypatch)
+        relax_multiclass(data, dom, SolverConfig(seed=0, max_iterations=1))
+        assert len(calls) == len(_class_schedule(data.labels, len(data)))
+        assert len({id(blk.rows.base) for assigner, *_ in calls for blk in assigner.blocks}) == 1
 
 
 class TestLloydStep:
