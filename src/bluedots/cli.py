@@ -36,7 +36,7 @@ from .core import (
     PlotDomain,
     normalize,
 )
-from .density import automatic_height, estimate_density, height_profile
+from .density import _median, _quartiles, automatic_height, estimate_density, height_profile
 from .solver import SolverConfig, jitter_init, relax, relax_multiclass
 from .analysis import (
     MIN_KMAX,
@@ -246,14 +246,16 @@ def cmd_analyze_overlap(args) -> int:
         writer.writeheader()
         for t in TREATMENTS:
             for c in counts:
-                q75, q25 = np.percentile(values[t, c], [75, 25])
+                # Not np.percentile and np.median, which import numpy.ma.
+                v = np.array(values[t, c], dtype=np.float64)
+                q75, q25 = _quartiles(v)
                 writer.writerow(
                     {
                         "dataset": dataset,
                         "treatment": t,
                         "n": c,
-                        "median": float(np.median(values[t, c])),
-                        "iqr": float(q75 - q25),
+                        "median": _median(v),
+                        "iqr": q75 - q25,
                     }
                 )
     print(f"wrote {out}_overlap.csv and {out}_summary.csv ({len(rows)} rows)")

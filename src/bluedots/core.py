@@ -132,10 +132,6 @@ class DotLayout:
     def __len__(self) -> int:
         return int(self.x.size)
 
-    def points(self) -> np.ndarray:
-        """Dots as an (n, 2) array in normalized coordinates."""
-        return np.column_stack([self.x, self.y])
-
 
 class MetricKind(Enum):
     UNIFORM = "uniform"
@@ -164,9 +160,9 @@ class MetricSpec:
             raise ValueError("DENSITY_WARPED metric requires a density estimate")
 
     def encoding_weight(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Weight applied to |x1 - x2| in the metric, elementwise."""
+        """Weight applied to |x1 - x2| in the metric, elementwise; uniform: the scalar 2."""
         if self.kind is MetricKind.UNIFORM:
-            return np.broadcast_to(np.float64(2.0), np.broadcast_shapes(np.shape(x1), np.shape(x2)))
+            return np.float64(2.0)
         ref = np.add(x1, x2, dtype=np.float64)
         ref /= 2.0
         w = self.density.evaluate(ref)

@@ -198,6 +198,18 @@ def _quartiles(xs: np.ndarray) -> tuple[float, float]:
     return q75, q25
 
 
+def _median(xs: np.ndarray) -> float:
+    """The median of a non-empty finite float64 sample, bit for bit
+    ``np.median(xs)``, restated as ``_quartiles`` restates the percentile:
+    partitioned at numpy's indices, then numpy's mean of the middle value or
+    two, a sum from +0.0 (so -0.0 gives 0.0) over their count."""
+    h = xs.size // 2
+    if xs.size % 2:
+        return 0.0 + float(np.partition(xs, [h, -1])[h])
+    s = np.partition(xs, [h - 1, h, -1])
+    return (0.0 + float(s[h - 1]) + float(s[h])) / 2
+
+
 def silverman_bandwidth(xs: np.ndarray) -> float:
     """0.9 * min(std, IQR/1.34) * n^(-1/5), floored at one grid cell.
 

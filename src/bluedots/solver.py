@@ -6,8 +6,8 @@ each dot to the mean of its sites, and re-impose the encoding coordinate.
 Only the vertical coordinate ever changes; the horizontal one is the data.
 
 Every entry point takes ``(data, domain, config)``, and one path turns that
-into a layout that carries ``data.labels``. ``_start`` derives x
-(``domain.normalize_x``) and the initial y: uniform on [0, h], or with the
+into a layout that carries ``data.labels``. ``_start`` builds the start
+layout: x from ``domain.normalize_x``, y uniform on [0, h], or with the
 warped metric on the centered band of the centrality variant.
 ``jitter_init`` is that start, so the jitter plot is the relaxation at
 iteration 0. ``_run`` draws the sites from the same generator and runs the
@@ -63,11 +63,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import DataSet, DotLayout, MetricKind, MetricSpec, PlotDomain, _class_order, _ranges, _readonly
+from .core import DataSet, DotLayout, MetricKind, MetricSpec, PlotDomain, _class_order, _ranges
 from .density import GRID_SIZE, height_profile
 
-# Most distance terms one band block stores (its per-call scratch is as
-# large), and about the most (site, dot) pairs and (site, column) ranges the
+# Most distance terms one band block stores (a call's distances for it are
+# as many), and about the most (site, dot) pairs and (site, column) ranges the
 # grid search holds at once. The search's temporaries live per chunk element,
 # 25-28 bytes of peak each, so a large chunk sets a large run's peak memory.
 # Relax at n = 4096 bimodal, uniform / warped metric, peaked at 5.06 / 5.39 MB
@@ -112,36 +112,19 @@ class SolverConfig:
             raise ValueError("convergence_eps must be non-negative")
 
 
-@dataclass(frozen=True)
-class VoronoiAssignment:
+class VoronoiAssignment(NamedTuple):
     """Each site mapped to the index of its nearest dot under the metric."""
 
     sites: np.ndarray
     owner: np.ndarray
 
-    def __post_init__(self):
-        sites = _as_sites(self.sites)
-        owner = np.asarray(self.owner, dtype=np.intp)
-        if owner.shape != (sites.shape[0],):
-            raise ValueError("owner must map every site")
-        object.__setattr__(self, "sites", _readonly(sites))
-        object.__setattr__(self, "owner", _readonly(owner, np.intp))
 
-
-@dataclass(frozen=True)
-class RelaxTrace:
+class RelaxTrace(NamedTuple):
     """Per-run artifacts needed by the analysis module: the initialization
     and the fixed site set the run was scored against."""
 
     initial: DotLayout
     sites: np.ndarray
-
-
-def _as_sites(sites) -> np.ndarray:
-    sites = np.asarray(sites, dtype=np.float64)
-    if sites.ndim != 2 or sites.shape[1] != 2:
-        raise ValueError("sites must be an (m, 2) array")
-    return sites
 
 
 def _site_index(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,7 +235,6 @@ class _BandAssigner:
         self.blocks = [
             blk._replace(cols=self.cols[o : o + w]) for blk, o, w in zip(blocks, self.offsets.tolist(), widths)
         ]
-        self.width = max((blk.xp.size for blk in blocks), default=0)
         self._y = None
         self._owner = np.empty(m, dtype=np.intp)
         self._view = self._owner.view()
@@ -267,11 +249,9 @@ class _BandAssigner:
             moved = y != self._y
             dirty = np.flatnonzero(np.logical_or.reduceat(moved[self.cols], self.offsets)).tolist()
         owner = self._owner
-        scratch = np.empty(self.width)
         for i in dirty:
             rows, s, cols, xp = self.blocks[i]
-            buf = scratch[: xp.size].reshape(xp.shape)
-            np.subtract(s, y[cols], out=buf)
+            buf = np.subtract(s, y[cols])
             np.abs(buf, out=buf)
             buf += xp
             owner[rows] = cols[buf.argmin(axis=1)]
@@ -575,33 +555,35 @@ def _draw_sites(rng: np.random.Generator, n_sites: int, n: int, height: float) -
     return np.column_stack([rng.random(n_sites), rng.random(n_sites) * height])
 
 
-def _start(data: DataSet, domain: PlotDomain, config: SolverConfig):
-    """Normalized x, the initial y, and the generator the run draws its sites
-    from next. The initial y is uniform on [0, h], or with the warped metric
-    on the vertically centered band of height min(h, height_profile(x)),
+def _start(data: DataSet, domain: PlotDomain, config: SolverConfig) -> tuple[DotLayout, np.random.Generator]:
+    """The start layout, x normalized, and the generator the run draws its
+    sites from next. The initial y is uniform on [0, h], or with the warped
+    metric on the vertically centered band of height min(h, height_profile(x)),
     the centrality variant's start."""
     xs = domain.normalize_x(data.values)
     rng = np.random.default_rng(config.seed)
     u = rng.random(xs.size)
     h = domain.height
     if config.metric.kind is not MetricKind.DENSITY_WARPED:
-        return xs, u * h, rng
-    band = np.minimum(height_profile(config.metric.density, xs.size, domain.radius)(xs), h)
-    return xs, (h - band) / 2.0 + u * band, rng
+        y0 = u * h
+    else:
+        band = np.minimum(height_profile(config.metric.density, xs.size, domain.radius)(xs), h)
+        y0 = (h - band) / 2.0 + u * band
+    return DotLayout(x=xs, y=y0, domain=domain, labels=data.labels, seed=config.seed), rng
 
 
 def jitter_init(data: DataSet, domain: PlotDomain, config: SolverConfig) -> DotLayout:
     """The jitter plot: x pinned to the data, y as the relaxation starts it
     (``relax`` at zero iterations). No sites are drawn."""
-    xs, y0, _ = _start(data, domain, config)
-    return DotLayout(x=xs, y=y0, domain=domain, labels=data.labels, seed=config.seed)
+    return _start(data, domain, config)[0]
 
 
 def assign_sites(dots: DotLayout, sites, metric: MetricSpec) -> VoronoiAssignment:
     """Map each site to its nearest dot; ties go to the lowest dot index."""
-    sites = _as_sites(sites)
-    owner = _site_assigner(dots.x, sites, metric, dots.y).assign(dots.y)
-    return VoronoiAssignment(sites=sites, owner=owner)
+    sites = np.asarray(sites, dtype=np.float64)
+    if sites.ndim != 2 or sites.shape[1] != 2:
+        raise ValueError("sites must be an (m, 2) array")
+    return VoronoiAssignment(sites, _site_assigner(dots.x, sites, metric, dots.y).assign(dots.y))
 
 
 def _cell_means(owner: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -652,12 +634,12 @@ def _run(data: DataSet, domain: PlotDomain, config: SolverConfig, groups) -> tup
     """The one relaxation run: the jitter start, then the run's sites from the
     same generator (``config.n_sites``, or max(8192, 2n) for n dots), then
     the loop over the index ``groups``."""
-    xs, y0, rng = _start(data, domain, config)
-    n_sites = config.n_sites if config.n_sites is not None else max(8192, 2 * xs.size)
-    sites = _draw_sites(rng, n_sites, xs.size, domain.height)
-    y, iterations = _relax_groups(xs, y0, sites, groups, domain.height, config)
-    initial = DotLayout(x=xs, y=y0, domain=domain, labels=data.labels, seed=config.seed)
-    return replace(initial, y=y, iterations_run=iterations), RelaxTrace(initial=initial, sites=sites)
+    initial, rng = _start(data, domain, config)
+    n = len(initial)
+    n_sites = config.n_sites if config.n_sites is not None else max(8192, 2 * n)
+    sites = _draw_sites(rng, n_sites, n, domain.height)
+    y, iterations = _relax_groups(initial.x, initial.y, sites, groups, domain.height, config)
+    return replace(initial, y=y, iterations_run=iterations), RelaxTrace(initial, sites)
 
 
 def relax_traced(data: DataSet, domain: PlotDomain, config: SolverConfig) -> tuple[DotLayout, RelaxTrace]:

@@ -43,7 +43,7 @@ def oracle_nearest_dot_scan(layout, sites, spec) -> np.ndarray:
 
 
 def oracle_pairwise_min_distance(layout) -> float:
-    pts = layout.points()
+    pts = np.column_stack([layout.x, layout.y])
     best = math.inf
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
@@ -53,7 +53,7 @@ def oracle_pairwise_min_distance(layout) -> float:
 
 def oracle_overlap(layout) -> float:
     """Hinge-overlap computed with scalar loops."""
-    pts = layout.points()
+    pts = np.column_stack([layout.x, layout.y])
     r = layout.domain.radius
     total = 0.0
     for i in range(len(pts)):

@@ -216,7 +216,7 @@ class TestCostEstimate:
 
     def test_sites_on_dots_zero(self):
         lay = layout_of([0.2, 0.8], [0.05, 0.15])
-        sites = lay.points()
+        sites = np.column_stack([lay.x, lay.y])
         assert cost_estimate(lay, sites, MetricSpec()) == 0.0
 
     def test_nonnegative(self):

@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -26,7 +28,7 @@ from bluedots import (
     power_spectrum,
     relax_multiclass,
 )
-from bluedots import cli
+from bluedots import cli, density
 from bluedots.cli import CliError, load_csv, load_layout, main
 from bluedots.datasets import fixture_path
 
@@ -464,6 +466,45 @@ class TestCmdAnalyze:
         lines = (tmp_path / "ov2_summary.csv").read_text().strip().split("\n")
         assert lines[0] == "dataset,treatment,n,median,iqr"
         assert len(lines) == 3
+
+    @given(
+        st.one_of(
+            st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
+            st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=4).flatmap(
+                lambda pool: st.lists(st.sampled_from(pool + [0.0, -0.0]), min_size=1, max_size=40)
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_overlap_summary_statistics_bit_equal_to_numpy(self, values):
+        """The summary's median and quartiles are np.median's and
+        np.percentile's bits, duplicates and signed zeros included."""
+        v = np.array(values)
+        assert np.float64(density._median(v)).tobytes() == np.median(v).tobytes()
+        assert np.array(density._quartiles(v)).tobytes() == np.percentile(v, [75, 25]).tobytes()
+
+    @pytest.mark.parametrize("args", [
+        ["plot"],
+        ["plot", "--centrality"],
+        ["analyze", "overlap", "--counts", "8,16", "--seeds", "2"],
+        ["analyze", "spectrum", "--realizations", "1", "--kmax", "8"],
+    ])
+    def test_leaves_numpy_ma_unimported(self, tmp_path, args):
+        """np.percentile and np.median import numpy.ma, about 1.1 MB; no
+        command may, in a fresh process."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        argv = [*args, "--input", GEYSER, "--column", "waiting", "--iterations", "2", "--out", str(tmp_path / "x")]
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import numpy\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "from bluedots.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(before, 'numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split()
+        assert out[-1] == out[-2] == "False"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overlap_on_a_plot_whose_dot_gaps_square_past_the_largest_float(self, tmp_path):

@@ -136,6 +136,17 @@ class TestMetricDistance:
     def test_pure_vertical(self):
         assert MetricSpec().distance(0.5, 0.2, 0.5, 0.0) == pytest.approx(0.2)
 
+    def test_uniform_encoding_term_is_twice_the_gap(self):
+        """The uniform weight is the scalar 2, so the term is 2|x - sx| bit
+        for bit, in the shape the arguments broadcast to."""
+        rng = np.random.default_rng(4)
+        x, sx = rng.random(50), rng.random((7, 1))
+        for a, b in [(0.3, 0.7), (np.float64(0.1), 1.0), (x, 0.25), (0.5, x), (x[None, :], sx), (x, x[::-1])]:
+            want = 2.0 * np.abs(np.subtract(a, b))
+            got = MetricSpec().encoding_term(a, b)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_warped_requires_density(self):
         with pytest.raises(ValueError):
             MetricSpec(kind=MetricKind.DENSITY_WARPED)

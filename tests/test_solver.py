@@ -85,6 +85,38 @@ class TestJitterInit:
         assert (lay.seed, lay.iterations_run) == (3, 0)
 
 
+class TestWhatTheBenchmarkReads:
+    """The benchmark's per-layer counts read ``assign_sites(...).owner`` and
+    ``relax_traced(...)[1]``'s ``sites`` and ``initial.x``."""
+
+    @pytest.mark.parametrize("search", [_BandAssigner, _GridAssigner])
+    @pytest.mark.parametrize("kind", [MetricKind.UNIFORM, MetricKind.DENSITY_WARPED])
+    def test_assign_sites_unpacks_to_sites_and_the_dense_owners(self, kind, search):
+        rng = np.random.default_rng(21)
+        x = rng.random(300)
+        spec = MetricSpec() if kind is MetricKind.UNIFORM else MetricSpec(kind=kind, density=estimate_density(x))
+        lay = DotLayout(x=x, y=rng.random(300) * DOM.height, domain=DOM)
+        sites = np.column_stack([rng.random(2000), rng.random(2000) * DOM.height])
+        with patch.object(solver, "_WIDE", solver._WIDE if search is _BandAssigner else 1):
+            assert isinstance(_site_assigner(lay.x, sites, spec, lay.y), search)
+            got, owner = assign_sites(lay, sites, spec)
+        assert np.array_equal(got, sites)
+        assert np.array_equal(owner, dense_assign(lay.x, lay.y, sites, spec)[0])
+
+    @pytest.mark.parametrize("n", [60, 4100])
+    @pytest.mark.parametrize("warped", [False, True])
+    def test_relax_traced_start_is_the_jitter_plot_and_sites_default(self, n, warped):
+        rng = np.random.default_rng(n)
+        data = DataSet(values=rng.random(n), labels=tuple(rng.integers(0, 3, n).tolist()))
+        metric = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=estimate_density(data.values)) if warped else MetricSpec()
+        config = SolverConfig(seed=5, metric=metric, max_iterations=0)
+        trace = relax_traced(data, DOM, config)[1]
+        ref = jitter_init(data, DOM, config)
+        assert trace.initial.x.tobytes() == ref.x.tobytes() and trace.initial.y.tobytes() == ref.y.tobytes()
+        assert (trace.initial.labels, trace.initial.seed, trace.initial.iterations_run) == (data.labels, 5, 0)
+        assert trace.sites.shape == (max(8192, 2 * n), 2)
+
+
 class TestAssignSites:
     def test_two_dot_example(self):
         lay = DotLayout(x=np.array([0.0, 1.0]), y=np.array([0.0, 0.0]), domain=DOM)
