@@ -70,13 +70,14 @@ def power_spectrum(realizations: Iterable[DotLayout], k_max: int) -> SpectrumGri
     """
     if k_max < MIN_KMAX:
         raise ValueError(f"k_max must be at least {MIN_KMAX}")
+    # Allocated first, so that a lattice too large to hold fails before any layout is read.
+    total = np.zeros((2 * k_max + 1, 2 * k_max + 1))
     k = np.arange(-k_max, k_max + 1)
     count = 0
     for lay in realizations:
         if count == 0:
             n, h = len(lay), lay.domain.height
             ky = k / h
-            total = np.zeros((k.size, k.size))
         elif len(lay) != n:
             raise ValueError("realizations must share the same dot count")
         elif lay.domain.height != h:

@@ -1,10 +1,12 @@
 """Command-line front end: CSV in, layout JSON + SVG + analysis reports out.
 
 Input CSVs are read by ``bluedots.datasets.load_csv``, the same reader the
-bundled fixtures go through; its ``CliError`` and every ``ValueError`` from
-the library end the command with a one-line diagnostic and exit status 1.
-Every layout comes from one of the ``TREATMENTS`` through one call,
-``_make_layout(treatment, data, domain, config)``: ``blue``, the
+bundled fixtures go through; its ``CliError``, every ``ValueError`` from the
+library and a ``MemoryError`` from an allocation that cannot succeed end the
+command with a one-line diagnostic and exit status 1. Each command builds
+all of its outputs before ``_write`` writes them, so a command that fails
+writes no file. Every layout comes from one of the ``TREATMENTS`` through
+one call, ``_make_layout(treatment, data, domain, config)``: ``blue``, the
 data-constrained relaxation (``relax``, or ``relax_multiclass`` for two or
 more classes), or ``jitter``, its seeded start (``jitter_init``). The solver
 derives x, the centrality band and the labels; ``--centrality`` only picks
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import re
 import sys
@@ -84,6 +87,26 @@ def _make_layout(treatment: str, data: DataSet, domain: PlotDomain, config: Solv
     return relax(data, domain, config)
 
 
+def _write(out, texts: dict[str, str]) -> None:
+    """Make the directory of the path prefix ``out``, then write each text to
+    ``out`` plus its suffix, exactly as given."""
+    out = Path(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    for suffix, text in texts.items():
+        with open(f"{out}{suffix}", "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _csv_text(fieldnames: list[str], rows) -> str:
+    """A CSV document as ``csv.DictWriter`` writes it: a header, then one
+    line per row, each ended by a carriage return and a line feed."""
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def save_layout(layout: DotLayout, data: DataSet, metric_kind: MetricKind, path) -> None:
     """Write the layout file: the bytes ``json.dump(doc, fh, indent=2)`` and a
     newline give, with each dot formatted from a template instead of by the
@@ -111,8 +134,7 @@ def save_layout(layout: DotLayout, data: DataSet, metric_kind: MetricKind, path)
         dots = [dot % (*row, json.dumps(label)) for row, label in zip(columns, layout.labels)]
     # The header's closing "\n}" reopened for the last key, "dots".
     text = json.dumps(doc, indent=2)[:-2] + ',\n  "dots": [\n' + ",\n".join(dots) + "\n  ]\n}\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(path, {"": text})
 
 
 def load_layout(path) -> tuple[DotLayout, dict]:
@@ -146,14 +168,11 @@ def cmd_plot(args) -> int:
     check_palette(data.n_classes)
     config = _solver_config(args, metric)
     layout = _make_layout(args.treatment, data, domain, config)
-    # Rendered before either file is written, so that a failure writes neither.
     svg = render_svg(layout, envelope)
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_layout(layout, data, metric.kind, f"{out}.json")
-    with open(f"{out}.svg", "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write(out, {".svg": svg})
     print(f"wrote {out}.json and {out}.svg ({layout.iterations_run} iterations)")
     return 0
 
@@ -172,13 +191,6 @@ def cmd_analyze_spectrum(args) -> int:
         for i in range(args.realizations)
     )
     grid = power_spectrum(layouts, args.kmax)
-
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(f"{out}_spectrum.csv", "w", encoding="utf-8") as fh:
-        fh.write(spectrum_to_csv(grid))
-    with open(f"{out}_spectrum.pgm", "w", encoding="utf-8") as fh:
-        fh.write(spectrum_to_pgm(grid))
     summary = {
         "dataset": data.name or "",
         "treatment": args.treatment,
@@ -190,10 +202,11 @@ def cmd_analyze_spectrum(args) -> int:
         "low_band": low_band_mean(grid),
         "high_band": high_band_mean(grid),
     }
-    with open(f"{out}_summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(summary))
-        writer.writeheader()
-        writer.writerow(summary)
+    _write(args.out, {
+        "_spectrum.csv": spectrum_to_csv(grid),
+        "_spectrum.pgm": spectrum_to_pgm(grid),
+        "_summary.csv": _csv_text(list(summary), [summary]),
+    })
     print(
         f"{args.treatment}: mean_nondc={summary['mean_nondc']:.4f} "
         f"low_band={summary['low_band']:.4f} high_band={summary['high_band']:.4f}"
@@ -233,31 +246,19 @@ def cmd_analyze_overlap(args) -> int:
         for c in counts
         for seed, v in enumerate(values[t, c])
     ]
+    summary = []
+    for t in TREATMENTS:
+        for c in counts:
+            # Not np.percentile and np.median, which import numpy.ma.
+            v = np.array(values[t, c], dtype=np.float64)
+            q75, q25 = _quartiles(v)
+            summary.append({"dataset": dataset, "treatment": t, "n": c, "median": _median(v), "iqr": q75 - q25})
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(f"{out}_overlap.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["dataset", "treatment", "seed", "n", "value"])
-        writer.writeheader()
-        writer.writerows(rows)
-
-    with open(f"{out}_summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["dataset", "treatment", "n", "median", "iqr"])
-        writer.writeheader()
-        for t in TREATMENTS:
-            for c in counts:
-                # Not np.percentile and np.median, which import numpy.ma.
-                v = np.array(values[t, c], dtype=np.float64)
-                q75, q25 = _quartiles(v)
-                writer.writerow(
-                    {
-                        "dataset": dataset,
-                        "treatment": t,
-                        "n": c,
-                        "median": _median(v),
-                        "iqr": q75 - q25,
-                    }
-                )
+    _write(out, {
+        "_overlap.csv": _csv_text(["dataset", "treatment", "seed", "n", "value"], rows),
+        "_summary.csv": _csv_text(["dataset", "treatment", "n", "median", "iqr"], summary),
+    })
     print(f"wrote {out}_overlap.csv and {out}_summary.csv ({len(rows)} rows)")
     return 0
 
@@ -327,7 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,12 +35,15 @@ def _ranges(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out
 
 
-def _class_order(labels) -> list:
-    """Distinct class labels, sorted: the class order of solver and renderer."""
+def _class_codes(labels) -> tuple[list, np.ndarray]:
+    """The distinct class labels, sorted, and each label's index among them:
+    the class order of the solver and the renderer."""
     try:
-        return sorted(set(labels))
+        classes = sorted(set(labels))
     except TypeError as exc:
-        raise ValueError(f"class labels must be mutually orderable: {exc}") from None
+        raise ValueError(f"class labels must be hashable and mutually orderable: {exc}") from None
+    index = {c: i for i, c in enumerate(classes)}
+    return classes, np.array([index[lab] for lab in labels], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class DataSet:
 
     @property
     def n_classes(self) -> int:
-        return 0 if self.labels is None else len(set(self.labels))
+        return 0 if self.labels is None else len(_class_codes(self.labels)[0])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DotLayout, PlotDomain, _class_order
+from .core import DotLayout, PlotDomain, _class_codes
 from .density import DensityEstimate
 
 CANVAS_WIDTH_PX = 800.0
@@ -28,13 +28,6 @@ ENVELOPE_STROKE_PX = 1.0
 
 def _fmt(v: float) -> str:
     return f"{v:.6f}"
-
-
-def _class_indices(layout: DotLayout) -> np.ndarray:
-    if layout.labels is None:
-        return np.zeros(len(layout), dtype=np.intp)
-    index = {c: i for i, c in enumerate(_class_order(layout.labels))}
-    return np.array([index[lab] for lab in layout.labels], dtype=np.intp)
 
 
 def check_palette(n_classes: int) -> None:
@@ -109,13 +102,14 @@ def render_svg(layout: DotLayout, envelope_profile: Optional[Callable] = None) -
     the palette, indexed by the label's rank among the sorted class labels.
     A height profile, when given, is traced as the centrality envelope.
     """
-    class_idx = _class_indices(layout)
-    check_palette(int(class_idx.max()) + 1)
+    # Unlabelled dots are one class.
+    classes, codes = _class_codes(layout.labels if layout.labels is not None else (0,) * len(layout))
+    check_palette(len(classes))
     w, canvas_h, r = canvas_size(layout.domain)
     body = _base_elements(layout, envelope_profile, w, canvas_h)
     # One template per class, its radius and fill written once; '%.6f' is _fmt.
     circle = [f'<circle cx="%.6f" cy="%.6f" r="{_fmt(r)}" fill="{color}"/>' for color in PALETTE]
     px, py = _to_px(layout.x, layout.y, w, canvas_h)
-    body += [circle[c] % xy for c, xy in zip(class_idx.tolist(), zip(px, py))]
+    body += [circle[c] % xy for c, xy in zip(codes.tolist(), zip(px, py))]
     return _document(w, canvas_h, body)
 

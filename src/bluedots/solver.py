@@ -63,7 +63,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import DataSet, DotLayout, MetricKind, MetricSpec, PlotDomain, _class_order, _ranges
+from .core import DataSet, DotLayout, MetricKind, MetricSpec, PlotDomain, _class_codes, _ranges
 from .density import GRID_SIZE, height_profile
 
 # Most distance terms one band block stores (a call's distances for it are
@@ -659,16 +659,16 @@ def _class_schedule(labels: Sequence, n: int) -> list[np.ndarray]:
 
     For up to 3 classes every non-singleton union is visited (smallest
     first); beyond that only the full union is, since the number of unions
-    grows exponentially.
+    grows exponentially. Classes and unions follow the sorted labels of
+    ``_class_codes``, and each group lists its dots in index order.
     """
-    classes = _class_order(labels)
-    by_class = {c: np.flatnonzero([lab == c for lab in labels]) for c in classes}
-    groups = [by_class[c] for c in classes]
+    classes, codes = _class_codes(labels)
     k = len(classes)
+    groups = [np.flatnonzero(codes == i) for i in range(k)]
     if k <= 3:
         for size in range(2, k + 1):
-            for combo in combinations(classes, size):
-                groups.append(np.sort(np.concatenate([by_class[c] for c in combo])))
+            for combo in combinations(range(k), size):
+                groups.append(np.flatnonzero(np.isin(codes, combo)))
     else:
         groups.append(np.arange(n))
     return groups

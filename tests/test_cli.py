@@ -598,6 +598,35 @@ class TestCmdAnalyze:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args, name", [
+        (["spectrum", "--realizations", "2", "--kmax", "8"], "spectrum_to_pgm"),
+        (["overlap", "--counts", "16", "--seeds", "1", "--height", "0.2"], "_quartiles"),
+    ])
+    def test_failure_in_a_later_output_writes_no_file(self, tmp_path, monkeypatch, args, name):
+        def fail(*_args, **_kwargs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(cli, name, fail)
+        code = main(["analyze", *args, "--input", GEYSER, "--column", "waiting", "--iterations", "2",
+                     "--sites", "512", "--out", str(tmp_path / "out" / "x")])
+        assert code == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestAllocationThatCannotSucceed:
+    # Both sizes exceed a 48-bit address space (7.11 PiB and 2.84 PiB), so
+    # the allocation fails at once under any overcommit policy.
+    @pytest.mark.parametrize("args", [
+        ["plot", "--sites", "1000000000000000"],
+        ["analyze", "spectrum", "--kmax", "10000000", "--realizations", "1", "--iterations", "0"],
+    ])
+    def test_one_error_line_and_no_file(self, tmp_path, capsys, args):
+        code = main([*args, "--input", GEYSER, "--column", "waiting", "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestLayoutRoundTrip:
     def test_svg_parse_back_within_tolerance(self, tmp_path):

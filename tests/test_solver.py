@@ -1,6 +1,7 @@
 import tracemalloc
 import warnings
 from dataclasses import replace
+from itertools import combinations
 from unittest.mock import patch
 
 import numpy as np
@@ -834,6 +835,44 @@ class TestRelaxMulticlass:
         data = DataSet(values=np.array([0.1, 0.5, 0.9]), labels=(1, "a", 1))
         with pytest.raises(ValueError, match="mutually orderable"):
             relax_multiclass(data, DOM, SolverConfig(max_iterations=2, n_sites=64))
+
+    def test_unhashable_labels_rejected(self):
+        data = DataSet(values=[1.0, 2.0], labels=([1], [2]))
+        with pytest.raises(ValueError, match="hashable and mutually orderable"):
+            data.n_classes
+        with pytest.raises(ValueError, match="hashable and mutually orderable"):
+            relax_multiclass(data, DOM, SolverConfig(max_iterations=2, n_sites=64))
+
+    @staticmethod
+    def scanned_class_schedule(labels, n):
+        """The schedule built by a per-class scan of the labels: the reference
+        ``_class_schedule`` must equal."""
+        classes = sorted(set(labels))
+        by_class = {c: np.flatnonzero([lab == c for lab in labels]) for c in classes}
+        groups = [by_class[c] for c in classes]
+        k = len(classes)
+        if k <= 3:
+            for size in range(2, k + 1):
+                for combo in combinations(classes, size):
+                    groups.append(np.sort(np.concatenate([by_class[c] for c in combo])))
+        else:
+            groups.append(np.arange(n))
+        return groups
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_schedule_equals_per_class_scan(self, data):
+        k = data.draw(st.integers(1, 6))
+        names = st.integers(-5, 5) if data.draw(st.booleans()) else st.text("abc", max_size=3)
+        classes = data.draw(st.lists(names, min_size=k, max_size=k, unique=True))
+        extra = data.draw(st.lists(st.sampled_from(classes), max_size=20))
+        labels = tuple(data.draw(st.permutations(classes + extra)))
+        got = _class_schedule(labels, len(labels))
+        ref = self.scanned_class_schedule(labels, len(labels))
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype
+            assert np.array_equal(g, r)
 
 
 @st.composite
