@@ -18,16 +18,16 @@ other rows are computed in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional
+from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from .core import _readonly
 
 GRID_SIZE = 512
-# Smallest bandwidth we allow: one grid cell. Guards against zero-spread
-# samples where Silverman's rule collapses.
+# The bandwidth's floor: one grid cell. Guards against zero-spread samples
+# where Silverman's rule collapses, and keeps every density finite.
 BANDWIDTH_FLOOR = 1.0 / GRID_SIZE
 # Kernel terms estimate_density holds at once, in at most _KDE_ROWS grid rows.
 _KDE_TERMS = 65536
@@ -51,8 +51,6 @@ class DensityEstimate:
     """
 
     values: np.ndarray
-    bandwidth: float
-    d_max: float = field(init=False)
     grid: ClassVar[np.ndarray] = _readonly(np.linspace(0.0, 1.0, GRID_SIZE))
 
     def __post_init__(self):
@@ -226,45 +224,34 @@ def silverman_bandwidth(xs: np.ndarray) -> float:
     return max(0.9 * spread * n ** (-0.2), BANDWIDTH_FLOOR)
 
 
-def estimate_density(xs, bandwidth: Optional[float] = None) -> DensityEstimate:
-    """Gaussian-kernel KDE of normalized values on the 512-point grid.
+def estimate_density(xs) -> DensityEstimate:
+    """Gaussian-kernel KDE of normalized values on the 512-point grid, at
+    the Silverman bandwidth bw (``silverman_bandwidth``).
 
     Kernel mass falling outside [0, 1] is reflected back at both endpoints,
     so the result stays a density on the normalized domain.
 
     Each value is bit-identical to the one-shot formula
     ``np.exp(-0.5 * z * z).sum(axis=1)`` over the whole (grid, sources)
-    matrix, scaled as below, with memory linear in n. The far terms of a
-    row (kernel exponent at most _FAR_K) are not computed: the row's sum
-    with each of them 0 and with each at _FAR_TERM bracket the formula's
-    sum, and where the two agree that is the row's value. Near terms are
-    computed with the formula's operations, and rows the bracket does not
-    settle are computed in full (see ``_kernel_sums``).
+    matrix, scaled as below, with memory linear in n: ``_kernel_sums``
+    skips the far terms where bracketing the sum shows they cannot change it.
+
+    The floor bw >= 1/512 makes every density finite and positive. Sources
+    lie in [-1, 2] and grid points in [0, 1], so |z| <= 1024 and z * z
+    cannot overflow. Every data value lies within 1/1022 of a grid point,
+    where its term is at least exp(-0.126), so d_max > 0. Each term is at
+    most 1, so each value is at most 3 / (bw sqrt(2 pi)) < 614.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("xs must be a non-empty 1-D array")
     if not np.all((xs >= 0) & (xs <= 1)):  # NaN fails too
         raise ValueError("xs must lie in [0, 1]")
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(xs)
-    elif not (0 < bandwidth < np.inf):
-        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-    bw = float(bandwidth)
-
-    # Direct summation over the sample plus its reflections at 0 and 1. A
-    # bandwidth far below the sources' spacing overflows z to +-inf or k to
-    # -inf, and np.exp(-inf) is the 0 the term is.
+    bw = silverman_bandwidth(xs)
+    # Direct summation over the sample plus its reflections at 0 and 1.
     sources = np.concatenate([xs, -xs, 2.0 - xs])
-    with np.errstate(over="ignore"):
-        values = _kernel_sums(DensityEstimate.grid, sources, bw) / (xs.size * bw * np.sqrt(2.0 * np.pi))
-    if not np.any(values > 0):
-        raise ValueError(
-            f"bandwidth {bw!r} is too small for the data: the density is 0 at every grid point"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"bandwidth {bw!r} is too small for the data: the density overflows")
-    return DensityEstimate(values=values, bandwidth=bw)
+    values = _kernel_sums(DensityEstimate.grid, sources, bw) / (xs.size * bw * np.sqrt(2.0 * np.pi))
+    return DensityEstimate(values=values)
 
 
 def automatic_height(d_max: float, n: int, r: float) -> float:

@@ -18,7 +18,6 @@ does not import this module, so running it is its first import.
 from __future__ import annotations
 
 import csv
-from pathlib import Path
 
 import numpy as np
 
@@ -49,16 +48,15 @@ def _generate_iris(rng: np.random.Generator) -> list[tuple]:
     return rows
 
 
-def write_fixtures(out_dir: Path = DATA_DIR) -> None:
+def write_fixtures() -> None:
     """Regenerate the committed fixture CSVs from their documented seeds."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     tables = [
         ("geyser.csv", ["waiting"], _generate_geyser(np.random.default_rng(7))),
         ("tips.csv", ["bill", "time"], _generate_tips(np.random.default_rng(11))),
         ("iris.csv", ["sepal_length", "species"], _generate_iris(np.random.default_rng(23))),
     ]
     for filename, header, rows in tables:
-        with open(out_dir / filename, "w", newline="", encoding="utf-8") as fh:
+        with open(DATA_DIR / filename, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)

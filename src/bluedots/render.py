@@ -39,9 +39,9 @@ def check_palette(n_classes: int) -> None:
 
 def canvas_size(domain: PlotDomain) -> tuple[float, float, float]:
     """Canvas width, canvas height and dot radius in pixels. The height and
-    the dot diameter must be finite, and the radius must not be written as
-    0. They depend only on the domain, so a caller can check them before a
-    layout."""
+    the dot diameter must be finite, and neither the height nor the radius
+    may be written as 0. They depend only on the domain, so a caller can
+    check them before a layout."""
     w = CANVAS_WIDTH_PX
     h = w * float(domain.height)
     if not np.isfinite(h):
@@ -51,6 +51,8 @@ def canvas_size(domain: PlotDomain) -> tuple[float, float, float]:
         raise ValueError(f"dot diameter 2 * {w:g} px * {domain.radius:g} overflows")
     if float(_fmt(r)) == 0.0:
         raise ValueError(f"dot radius {w:g} px * {domain.radius:g} is written as {_fmt(r)} px")
+    if float(_fmt(h)) == 0.0:
+        raise ValueError(f"canvas height {w:g} px * {domain.height:g} is written as {_fmt(h)} px")
     return w, h, r
 
 

@@ -363,6 +363,8 @@ class TestCmdPlot:
         (["--radius", "-1e-5"], "radius must be finite and positive"),
         (["--height", "-1e-5"], "height must be finite and positive"),
         (["--radius", "-inf"], "radius must be finite and positive"),
+        # The canvas's pixel height, 800 * 1e-300, is written as 0.000000.
+        (["--height", "1e-300"], "canvas height"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unusable_geometry_one_error_line_no_files(self, tmp_path, capsys, arg, message):

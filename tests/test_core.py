@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import dense_assign, oracle_metric
+from conftest import dense_assign, density_at, oracle_metric
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -159,7 +159,7 @@ class TestMetricDistance:
     def test_warped_weight_is_one_where_density_is_zero(self):
         # a cluster at x = 0.9 under the bandwidth floor: the KDE underflows
         # to exactly 0 over most of [0, 1]
-        dens = estimate_density(np.full(3, 0.9), bandwidth=1.0 / 512)
+        dens = density_at(np.full(3, 0.9), 1.0 / 512)
         assert dens.values[0] == 0.0 and dens.evaluate(0.2) == 0.0
         spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens)
         assert float(spec.encoding_weight(0.1, 0.3)) == 1.0

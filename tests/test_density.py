@@ -45,7 +45,7 @@ class TestEstimateDensity:
     def test_matches_scalar_oracle_uniform(self):
         xs = np.random.default_rng(42).random(256)
         est = estimate_density(xs)
-        oracle = kde_scalar_oracle([float(v) for v in xs], est.bandwidth)
+        oracle = kde_scalar_oracle([float(v) for v in xs], silverman_bandwidth(xs))
         assert float(np.max(np.abs(est.values - np.array(oracle)))) < 1e-12
         # d_max of a uniform sample stays near 1
         assert 0.8 <= est.d_max <= 1.6
@@ -76,27 +76,15 @@ class TestEstimateDensity:
         est = estimate_density(xs)
         assert trapezoid_mass(est.values.tolist()) == pytest.approx(1.0, abs=0.02)
 
-    def test_explicit_bandwidth_used(self):
-        est = estimate_density(np.array([0.5, 0.6]), bandwidth=0.07)
-        assert est.bandwidth == 0.07
-
     def test_errors(self):
         with pytest.raises(ValueError):
             estimate_density(np.array([]))
         with pytest.raises(ValueError):
-            estimate_density(np.array([0.5]), bandwidth=0.0)
-        with pytest.raises(ValueError):
             estimate_density(np.array([1.2]))
 
-    @pytest.mark.parametrize("bandwidth", [None, 0.1])
-    def test_nan_in_xs_named_in_error(self, bandwidth):
+    def test_nan_in_xs_named_in_error(self):
         with pytest.raises(ValueError, match=r"xs must lie in \[0, 1\]"):
-            estimate_density(np.array([0.2, np.nan, 0.7]), bandwidth)
-
-    @pytest.mark.parametrize("bandwidth", [np.inf, -np.inf, np.nan, -0.1])
-    def test_bandwidth_must_be_positive_and_finite(self, bandwidth):
-        with pytest.raises(ValueError, match=rf"bandwidth must be positive and finite, got {bandwidth}"):
-            estimate_density(np.array([0.2, 0.7]), bandwidth)
+            estimate_density(np.array([0.2, np.nan, 0.7]))
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(7)
@@ -200,67 +188,80 @@ class TestEstimateDensity:
     )
     @settings(max_examples=60, deadline=None)
     def test_bit_equal_to_full_matrix_formula(self, sample, bandwidth):
-        xs = np.array(sample)
-        est = estimate_density(xs, bandwidth)
-        assert est.values.tobytes() == one_shot_density(xs, est.bandwidth).tobytes()
+        assert_bit_equal_to_one_shot(np.array(sample), bandwidth, rows=GRID_SIZE)
 
     @pytest.mark.parametrize("bandwidth", [None, 1.0 / 512, 0.01, 0.5])
     def test_bimodal_4096_bit_equal_to_full_matrix_formula(self, bandwidth):
         # At the Silverman bandwidth about 26% of the terms are near and 13%
         # have a subnormal or zero np.exp; at 0.5 every block is computed in full.
-        xs = bimodal(4096)
-        est = estimate_density(xs, bandwidth)
-        assert est.values.tobytes() == one_shot_density(xs, est.bandwidth, rows=32).tobytes()
+        assert_bit_equal_to_one_shot(bimodal(4096), bandwidth)
 
     def test_bimodal_16384_bit_equal_to_full_matrix_formula(self):
         # One grid row per block, and about 17% of the terms near.
-        xs = bimodal(16384)
-        est = estimate_density(xs)
-        assert est.values.tobytes() == one_shot_density(xs, est.bandwidth, rows=32).tobytes()
+        assert_bit_equal_to_one_shot(bimodal(16384))
 
-    @pytest.mark.parametrize("bandwidth", [1e-300, 1e-200, 1e-20])
-    def test_tiny_bandwidth_warns_nothing(self, bandwidth):
-        # Sources on grid points keep a nonzero density; the others are far
-        # enough away, in bandwidths, for z or k to overflow.
-        xs = np.concatenate([[0.0, 1.0, 10.0 / 511.0], np.random.default_rng(1).random(40)])
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_floor_keeps_every_density_finite_and_positive(self, data):
+        """The argument in estimate_density's docstring, on n = 1 to 3000
+        with duplicates, constant columns, values only at 0 and 1, values on
+        grid points, subnormal gaps and heavy tails: no RuntimeWarning, every
+        value finite, non-negative and at most 3 / (bw sqrt(2 pi)), and a
+        positive maximum."""
+        n = data.draw(st.integers(1, 3000))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kind = data.draw(st.sampled_from(["uniform", "pool", "constant", "ends", "grid", "subnormal", "cauchy"]))
+        if kind == "uniform":
+            xs = rng.random(n)
+        elif kind == "pool":
+            xs = rng.choice(rng.random(data.draw(st.integers(1, 5))), n)
+        elif kind == "constant":
+            xs = np.full(n, data.draw(st.floats(0.0, 1.0)))
+        elif kind == "ends":
+            xs = rng.choice(np.array([0.0, 1.0]), n)
+        elif kind == "grid":
+            xs = DensityEstimate.grid[rng.integers(0, GRID_SIZE, n)]
+        elif kind == "subnormal":
+            xs = rng.choice(np.array([0.0, 5e-324, 1e-323, 1.5e-323, 1.0]), n, p=rng.dirichlet(np.ones(5)))
+        else:
+            xs = normalized(rng.standard_cauchy(n + 1))
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            est = estimate_density(xs, bandwidth)
-        with np.errstate(over="ignore"):
-            want = one_shot_density(xs, bandwidth)
-        assert est.values.tobytes() == want.tobytes()
-        assert est.values[0] > 0 and est.values[10] > 0
-
-    @pytest.mark.parametrize("xs,bandwidth", [
-        ([0.2, 0.5, 0.7], 1e-5),  # every source between grid points
-        ([0.3], 1e-300),
-    ])
-    def test_bandwidth_below_grid_spacing_named_in_error(self, xs, bandwidth):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=rf"bandwidth {bandwidth!r} .*density is 0 at every grid point"):
-                estimate_density(np.array(xs), bandwidth=bandwidth)
-
-    def test_overflowing_density_rejected(self):
-        # A source on a grid point at a subnormal bandwidth: 1 / (n bw sqrt(2 pi)) overflows.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="bandwidth 5e-324 .*overflows"):
-                estimate_density(np.array([0.0, 0.5]), bandwidth=5e-324)
+            warnings.simplefilter("error", RuntimeWarning)
+            est = estimate_density(xs)
+        bw = silverman_bandwidth(xs)
+        assert np.all(np.isfinite(est.values)) and np.all(est.values >= 0)
+        assert est.d_max > 0
+        assert np.all(est.values <= 3.0 / (bw * np.sqrt(2.0 * np.pi)))
 
 
-def one_shot_density(xs, bw, rows=GRID_SIZE):
-    """The one-shot formula over the whole (grid, sources) matrix. With
-    ``rows`` < GRID_SIZE it is evaluated that many grid rows at a time, to
-    bound memory: each row's terms and sum do not depend on the rows around
-    it."""
-    sources = np.concatenate([xs, -xs, 2.0 - xs])
+def reflected(xs):
+    """The KDE's sources: the sample and its reflections at 0 and 1."""
+    return np.concatenate([xs, -xs, 2.0 - xs])
+
+
+def one_shot_sums(xs, bw, rows):
+    """The one-shot formula's row sums over the whole (grid, sources)
+    matrix. With ``rows`` < GRID_SIZE it is evaluated that many grid rows at
+    a time, to bound memory: each row's terms and sum do not depend on the
+    rows around it."""
+    sources = reflected(xs)
     grid = np.linspace(0.0, 1.0, GRID_SIZE)
-    sums = np.concatenate([
+    return np.concatenate([
         np.exp(-0.5 * z * z).sum(axis=1)
         for z in ((grid[a : a + rows, None] - sources[None, :]) / bw for a in range(0, GRID_SIZE, rows))
     ])
-    return sums / (xs.size * bw * np.sqrt(2.0 * np.pi))
+
+
+def assert_bit_equal_to_one_shot(xs, bw=None, rows=32):
+    """With bw None, estimate_density's values are the one-shot formula's
+    at the Silverman bandwidth, bit for bit; with a bandwidth, so are the
+    kernel sums it scales."""
+    if bw is None:
+        bw = silverman_bandwidth(xs)
+        got, want = estimate_density(xs).values, one_shot_sums(xs, bw, rows) / (xs.size * bw * np.sqrt(2.0 * np.pi))
+    else:
+        got, want = density._kernel_sums(DensityEstimate.grid, reflected(xs), bw), one_shot_sums(xs, bw, rows)
+    assert got.tobytes() == want.tobytes()
 
 
 def normalized(values):
@@ -316,8 +317,7 @@ class TestBracket:
     def test_rows_that_fall_back_bit_equal_to_full_matrix_formula(self, monkeypatch, name):
         xs, bandwidth = FALLBACK_INPUTS[name]
         full = rows_in_full(monkeypatch, xs.size)
-        est = estimate_density(xs, bandwidth)
-        assert est.values.tobytes() == one_shot_density(xs, est.bandwidth, rows=32).tobytes()
+        assert_bit_equal_to_one_shot(xs, bandwidth)
         assert sum(full) > 0
 
     @pytest.mark.parametrize("bw", [0.03, 0.01, 1.0 / 512, 1e-4])
@@ -329,8 +329,7 @@ class TestBracket:
         xs = np.abs(xs)
         xs = np.where(xs > 1.0, 2.0 - xs, xs)
         xs = xs[(xs >= 0.0) & (xs <= 1.0)]
-        est = estimate_density(xs, bw)
-        assert est.values.tobytes() == one_shot_density(xs, bw, rows=32).tobytes()
+        assert_bit_equal_to_one_shot(xs, bw)
 
     @pytest.mark.parametrize("xs,bandwidth", [(bimodal(256), 0.01), *FALLBACK_INPUTS.values()])
     def test_near_run_checked_at_its_ends(self, monkeypatch, xs, bandwidth):
@@ -339,8 +338,7 @@ class TestBracket:
         # block's run must send those rows to the full computation.
         monkeypatch.setattr(density, "_FAR_Z", 3.0)
         full = rows_in_full(monkeypatch, xs.size)
-        est = estimate_density(xs, bandwidth)
-        assert est.values.tobytes() == one_shot_density(xs, est.bandwidth, rows=32).tobytes()
+        assert_bit_equal_to_one_shot(xs, bandwidth)
         assert sum(full) > 0
 
 
@@ -444,14 +442,14 @@ class TestAutomaticHeight:
 
 
 def constant_density(value: float) -> DensityEstimate:
-    return DensityEstimate(values=np.full(GRID_SIZE, value), bandwidth=0.1)
+    return DensityEstimate(values=np.full(GRID_SIZE, value))
 
 
 def empty_beyond_16() -> DensityEstimate:
     """A density of 4 on the first 16 grid points and 0 beyond."""
     values = np.full(GRID_SIZE, 0.0)
     values[:16] = 4.0
-    return DensityEstimate(values=values, bandwidth=0.1)
+    return DensityEstimate(values=values)
 
 
 class TestHeightProfile:

@@ -128,6 +128,20 @@ class TestRenderSvg:
         tiny = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=1e-9)
         assert 'r="0.000001"' in render_svg(DotLayout(x=np.array([0.5]), y=np.array([0.1]), domain=tiny))
 
+    @pytest.mark.parametrize("height", [1e-300, 6e-10])
+    def test_canvas_height_written_as_zero_rejected(self, height):
+        """800 px * 6e-10 is 4.8e-7 px, which six decimals write as 0: the
+        SVG's height and viewBox would be 0.000000 and draw nothing. 800 px
+        * 1e-9 writes as 1e-6."""
+        dom = PlotDomain(x_min=0.0, x_max=1.0, height=height, radius=0.01)
+        lay = DotLayout(x=np.array([0.5]), y=np.array([0.0]), domain=dom)
+        with pytest.raises(ValueError, match="canvas height .* is written as 0.000000 px"):
+            canvas_size(dom)
+        with pytest.raises(ValueError, match="canvas height"):
+            render_svg(lay)
+        tiny = PlotDomain(x_min=0.0, x_max=1.0, height=1e-9, radius=0.01)
+        assert 'height="0.000001"' in render_svg(DotLayout(x=np.array([0.5]), y=np.array([0.0]), domain=tiny))
+
 
 def _oracle_fmt(v: float) -> str:
     return f"{v:.6f}"

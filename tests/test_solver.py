@@ -6,7 +6,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import dense_assign, oracle_cost, oracle_nearest_dot_scan, oracle_pairwise_min_distance
+from conftest import dense_assign, density_at, oracle_cost, oracle_nearest_dot_scan, oracle_pairwise_min_distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,7 +68,7 @@ class TestJitterInit:
         height_profile(x) = max(2r, r^2 d(x) n); a constant density of 2.5
         gives 0.05 at n = 200, r = 0.01."""
         xs = np.random.default_rng(3).random(200)
-        flat = DensityEstimate(values=np.full(GRID_SIZE, 2.5), bandwidth=0.1)
+        flat = DensityEstimate(values=np.full(GRID_SIZE, 2.5))
         lay = jitter(xs, seed=4, metric=MetricSpec(kind=MetricKind.DENSITY_WARPED, density=flat))
         lo, hi = DOM.height / 2 - 0.025, DOM.height / 2 + 0.025
         assert np.all(lay.y >= lo - 1e-15) and np.all(lay.y <= hi + 1e-15)
@@ -386,7 +386,8 @@ class TestBandedExactness:
         """The grid's per-site weight bound is at most the encoding weight of
         the site to every x within its reach, on sharp and flat densities."""
         xs = np.array(sample)
-        spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=estimate_density(xs, bandwidth))
+        density = estimate_density(xs) if bandwidth is None else density_at(xs, bandwidth)
+        spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=density)
         m = min(len(sx), len(reach))
         sx, reach = np.array(sx[:m]), np.array(reach[:m])
         with patch.object(solver, "_WIDE", 1):
