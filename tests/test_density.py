@@ -233,6 +233,48 @@ class TestEstimateDensity:
         assert est.d_max > 0
         assert np.all(est.values <= 3.0 / (bw * np.sqrt(2.0 * np.pi)))
 
+    @pytest.mark.parametrize("name", ["one", "constant", "ends", "subnormal gap", "uniform 3000", "cauchy 5000"])
+    def test_edge_sample_warns_nothing_and_matches_formula(self, name):
+        """Fixed instances of the samples the property test draws from:
+        no RuntimeWarning, and the one-shot formula's values, bit for bit."""
+        xs = edge_sample(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = estimate_density(xs)
+        assert np.all(np.isfinite(est.values)) and est.d_max > 0
+        assert_bit_equal_to_one_shot(xs)
+
+    @pytest.mark.parametrize("i", [0, 255, 510])
+    def test_value_midway_between_grid_points_keeps_a_positive_density(self, i):
+        # Half a cell, 1/1022, is the farthest a value lies from every grid
+        # point; at the floor its term there is exp(-0.5 (512/1022)^2).
+        xs = np.array([(i + 0.5) / (GRID_SIZE - 1)])
+        bw = silverman_bandwidth(xs)
+        assert bw == density.BANDWIDTH_FLOOR
+        assert estimate_density(xs).values[i] >= np.exp(-0.126) / (bw * np.sqrt(2.0 * np.pi))
+
+    @pytest.mark.parametrize("x", [0.0, 1.0])
+    def test_constant_column_at_an_end_stays_under_the_bound(self, x):
+        # A value at an end coincides with its reflection there, so that
+        # grid point's terms sum to 2 per value, against the bound's 3.
+        bw = density.BANDWIDTH_FLOOR
+        est = estimate_density(np.full(50, x))
+        assert est.d_max == pytest.approx(2.0 / (bw * np.sqrt(2.0 * np.pi)), rel=1e-12)
+        assert est.d_max <= 3.0 / (bw * np.sqrt(2.0 * np.pi)) < 614
+
+
+def edge_sample(name):
+    """Samples at the edges of what estimate_density accepts."""
+    rng = np.random.default_rng(0)
+    return {
+        "one": lambda: np.array([0.3]),
+        "constant": lambda: np.full(200, 0.37),
+        "ends": lambda: np.repeat([0.0, 1.0], 50),
+        "subnormal gap": lambda: np.array([0.0, 5e-324, 1e-323, 1.0]),
+        "uniform 3000": lambda: rng.random(3000),
+        "cauchy 5000": lambda: normalized(rng.standard_cauchy(5000)),
+    }[name]()
+
 
 def reflected(xs):
     """The KDE's sources: the sample and its reflections at 0 and 1."""
