@@ -2,11 +2,13 @@
 
 Input CSVs are read by ``bluedots.datasets.load_csv``, the same reader the
 bundled fixtures go through; its ``CliError``, every ``ValueError`` from the
-library and a ``MemoryError`` from an allocation that cannot succeed end the
-command with a one-line diagnostic and exit status 1. Each command builds
-all of its outputs before ``_write`` writes them, so a command that fails
-writes no file. Every layout comes from one of the ``TREATMENTS`` through
-one call, ``_make_layout(treatment, data, domain, config)``: ``blue``, the
+library, a ``MemoryError`` from an allocation that cannot succeed and an
+``OSError`` from an output path that cannot be written end the command with
+a one-line diagnostic and exit status 1. Each command builds all of its
+outputs before ``_write`` writes them, and a write that fails removes the
+files the command wrote, so a command that fails leaves no file. Every
+layout comes from one of the ``TREATMENTS`` through one call,
+``_make_layout(treatment, data, domain, config)``: ``blue``, the
 data-constrained relaxation (``relax``, or ``relax_multiclass`` for two or
 more classes), or ``jitter``, its seeded start (``jitter_init``). The solver
 derives x, the centrality band and the labels; ``--centrality`` only picks
@@ -89,12 +91,20 @@ def _make_layout(treatment: str, data: DataSet, domain: PlotDomain, config: Solv
 
 def _write(out, texts: dict[str, str]) -> None:
     """Make the directory of the path prefix ``out``, then write each text to
-    ``out`` plus its suffix, exactly as given."""
+    ``out`` plus its suffix, exactly as given. If a write fails, the files
+    this call has written are removed before the error propagates."""
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    for suffix, text in texts.items():
-        with open(f"{out}{suffix}", "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+    written = []
+    try:
+        for suffix, text in texts.items():
+            with open(f"{out}{suffix}", "w", newline="", encoding="utf-8") as fh:
+                written.append(Path(fh.name))
+                fh.write(text)
+    except OSError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _csv_text(fieldnames: list[str], rows) -> str:
@@ -172,7 +182,11 @@ def cmd_plot(args) -> int:
 
     out = Path(args.out)
     save_layout(layout, data, metric.kind, f"{out}.json")
-    _write(out, {".svg": svg})
+    try:
+        _write(out, {".svg": svg})
+    except OSError:
+        Path(f"{out}.json").unlink(missing_ok=True)
+        raise
     print(f"wrote {out}.json and {out}.svg ({layout.iterations_run} iterations)")
     return 0
 
@@ -328,7 +342,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, MemoryError) as exc:
+    except (CliError, ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

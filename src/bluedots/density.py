@@ -4,24 +4,18 @@ The density estimate drives two things: the automatic plot height (tall
 enough to stack the dots at the densest data coordinate) and the varying
 height profile used by the centrality variant.
 
-The KDE is bit for bit the one-shot formula over the whole (grid, sources)
-matrix, but it computes only the kernel terms that can change a row sum.
-At large n most terms are far: their exponent is at most _FAR_K, so each is
-at most _FAR_TERM. A row is summed twice, as one contiguous row in data
-order: with every far term 0, and with every term raised to at least
-_FAR_TERM. The formula's sum lies between the two (the argument is in
-``_kernel_sums``), so where they agree it is their value. Then ``np.exp``
-saw only terms within _FAR_Z bandwidths of the rows' grid points, and none
-of the far ones whose subnormal or zero results leave its fast path. The
-other rows are computed in full.
+The KDE is binned on a lattice finer than the grid and stays within
+1e-4 d_max of the exact kernel sum at every bandwidth (``estimate_density``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import _readonly
 
@@ -29,15 +23,6 @@ GRID_SIZE = 512
 # The bandwidth's floor: one grid cell. Guards against zero-spread samples
 # where Silverman's rule collapses, and keeps every density finite.
 BANDWIDTH_FLOOR = 1.0 / GRID_SIZE
-# Kernel terms estimate_density holds at once, in at most _KDE_ROWS grid rows.
-_KDE_TERMS = 65536
-_KDE_ROWS = 32
-# A kernel exponent k = (-0.5 z) z at or below _FAR_K is far: np.exp(k) is
-# at most _FAR_TERM (about 1.8e-26), which a test pins. Sources _FAR_Z
-# bandwidths or more from a grid point give far terms there, up to rounding.
-_FAR_K = -60.0
-_FAR_TERM = 2.0 * np.exp(_FAR_K)
-_FAR_Z = np.sqrt(-2.0 * _FAR_K)
 
 
 @dataclass(frozen=True)
@@ -79,99 +64,6 @@ class DensityEstimate:
         t *= self._slope[i0]
         t += self.values[i0]
         return t if t.ndim else t[()]
-
-
-def _terms(g: np.ndarray, s: np.ndarray, bw: float, z: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The one-shot formula's terms np.exp((-0.5 * z) * z), z = (g - s) / bw,
-    of grid points g (rows) against sources s, with its operations, in a
-    view of the flat buffer k; z is a work buffer."""
-    n = g.size * s.size
-    z, k = z[:n].reshape(g.size, s.size), k[:n].reshape(g.size, s.size)
-    np.subtract(g[:, None], s, out=z)
-    z /= bw
-    np.multiply(-0.5, z, out=k)
-    k *= z
-    return np.exp(k, out=k)
-
-
-def _exponent(g, s, bw: float):
-    """The formula's kernel exponent (-0.5 z) z of g against s, elementwise."""
-    z = (g - s) / bw
-    return (-0.5 * z) * z
-
-
-def _kernel_sums(grid: np.ndarray, sources: np.ndarray, bw: float) -> np.ndarray:
-    """Row sums of the Gaussian kernel terms of each point of the ascending
-    grid against every source, bit for bit those of the one-shot formula
-    ``np.exp(-0.5 * z * z).sum(axis=1)`` with z = (grid - sources) / bw.
-
-    Rows go a block at a time (about _KDE_TERMS terms, at most _KDE_ROWS
-    rows). A block whose smallest term is a normal float is computed in
-    full, as the formula computes it: there every np.exp stays on its fast
-    vector path, while a subnormal or zero result costs 20 to 100 times as
-    much.
-
-    In the other blocks most terms are far. The sources are sorted once.
-    Along them k rises to 0 at a grid point g and falls again, since every
-    rounding step is monotone, so the near terms of g (k > _FAR_K) lie in
-    one run of sorted sources within _FAR_Z bandwidths of g, found by
-    ``searchsorted``. A block computes the terms over the union of its
-    rows' runs with the formula's operations, places them at their sources'
-    data positions in a row of zeros, sums each row, raises every lane to at
-    least _FAR_TERM and sums again.
-
-    Exactness. np.exp is elementwise, and a lane's bits do not depend on its
-    neighbours in the call, so every placed term is the formula's. Each lane
-    outside the block's run has k <= _FAR_K: the first lane beyond each end
-    of the run is checked with the formula's operations, and k only falls
-    further out. There np.exp(k) lies in [0, _FAR_TERM], so lane by lane the
-    first row is at most, and the raised row at least, the formula's row.
-    np.sum adds the lanes of a contiguous row of one length in one fixed
-    order, and IEEE addition is monotone in each operand, so the formula's
-    sum lies between the two sums, and where they are equal it is their
-    value. A row whose sums differ, or whose check fails, is computed in
-    full. Tests pin the facts about np.exp and np.sum this relies on.
-    """
-    m = sources.size
-    rows = max(1, min(_KDE_ROWS, _KDE_TERMS // m))
-    z, k = np.empty(rows * m), np.empty(rows * m)
-    sums = np.empty(grid.size)
-    first = np.arange(0, grid.size, rows)
-    last = np.minimum(first + rows, grid.size) - 1
-    # A block's smallest term pairs an end row with the farthest source.
-    smallest = np.exp(np.minimum(_exponent(grid[first], sources.max(), bw), _exponent(grid[last], sources.min(), bw)))
-    bracket = smallest < np.finfo(np.float64).tiny
-    if bracket.any():
-        order = np.argsort(sources)
-        by_value = sources[order]
-        reach = _FAR_Z * bw
-        lo = np.searchsorted(by_value, grid - reach, side="left")
-        hi = np.searchsorted(by_value, grid + reach, side="right")
-        # Per row, k at the first lane beyond each end of its block's run;
-        # the infinities stand for lanes past the ends of the sources.
-        block = np.arange(grid.size) // rows
-        padded = np.concatenate([[-np.inf], by_value, [np.inf]])
-        below = _exponent(grid, padded[lo[first[block]]], bw)
-        above = _exponent(grid, padded[hi[last[block]] + 1], bw)
-        checked = (below <= _FAR_K) & (above <= _FAR_K)
-    for a, b, bracketed in zip(first.tolist(), (last + 1).tolist(), bracket.tolist()):
-        full = slice(a, b)
-        # With no near terms the first sums are 0 and the raised ones are not.
-        if bracketed and hi[b - 1] > lo[a]:
-            l, h = lo[a], hi[b - 1]
-            near = _terms(grid[a:b], by_value[l:h], bw, z, k)
-            row = z[: (b - a) * m].reshape(b - a, m)
-            row.fill(0.0)
-            for out, terms in zip(row, near):
-                out[order[l:h]] = terms
-            row.sum(axis=1, out=sums[a:b])
-            np.maximum(row, _FAR_TERM, out=row)
-            settled = (row.sum(axis=1) == sums[a:b]) & checked[a:b]
-            if settled.all():
-                continue
-            full = a + np.flatnonzero(~settled)
-        sums[full] = _terms(grid[full], sources, bw, z, k).sum(axis=1)
-    return sums
 
 
 def _quartiles(xs: np.ndarray) -> tuple[float, float]:
@@ -229,18 +121,38 @@ def estimate_density(xs) -> DensityEstimate:
     the Silverman bandwidth bw (``silverman_bandwidth``).
 
     Kernel mass falling outside [0, 1] is reflected back at both endpoints,
-    so the result stays a density on the normalized domain.
+    so the result stays a density on the normalized domain: the sources are
+    each value x and its reflections -x and 2 - x.
 
-    Each value is bit-identical to the one-shot formula
-    ``np.exp(-0.5 * z * z).sum(axis=1)`` over the whole (grid, sources)
-    matrix, scaled as below, with memory linear in n: ``_kernel_sums``
-    skips the far terms where bracketing the sum shows they cannot change it.
+    Binning. The lattice step is delta = 1/L, L = 511 j, with
+    j = max(1, ceil(64 / (511 bw))): delta <= bw/64, grid point i is lattice
+    point i j, and j = 65 at the floor. Each source's unit weight is split
+    linearly between the lattice points around it (a value at 0 or 1 meets
+    its own reflection there). Each grid point sums the weights within 9 bw
+    of it, each times phi(z) = exp(-z^2 / 2), z its distance in bw.
 
-    The floor bw >= 1/512 makes every density finite and positive. Sources
-    lie in [-1, 2] and grid points in [0, 1], so |z| <= 1024 and z * z
-    cannot overflow. Every data value lies within 1/1022 of a grid point,
-    where its term is at least exp(-0.126), so d_max > 0. Each term is at
-    most 1, so each value is at most 3 / (bw sqrt(2 pi)) < 614.
+    Bound: every value is within 1e-4 d_max of the one-shot formula
+    ``np.exp(-0.5 * z * z).sum(axis=1)``, z = (grid - sources) / bw, scaled
+    as below, d_max being the formula's. Let S(y) be the formula's sum at y.
+    Binning replaces a source's term by the chord of phi over its lattice
+    interval, at most h = delta / bw <= 1/64 long in z, which is off by at
+    most h^2/8 times the largest |phi''| there. That is at most
+    phi(z) + 0.61 (phi(z - a) + phi(z + a)) for every a in [1, 2.002] (a
+    test pins this); take a the first multiple of the grid step
+    1/(511 bw) <= 1.002 that is at least 1. As bw <= 0.45 (std <= 1/2 on
+    [0, 1]), a bw < 1, so g - a bw and g + a bw are grid points or mirror
+    images of grid points at 0 or 1, where S is no larger: S(-y) <= S(y) and
+    S(1 + y) <= S(1 - y) for y in [0, 1], term by term. So the error at g is
+    at most h^2/8 (1 + 2 * 0.61) max S < 6.8e-5 max S. The terms beyond 9
+    bandwidths add under 3n exp(-40.5) < 1e-14 max S, as
+    max S >= n exp(-0.126) / 512 (each value lies within 1/1022 of a grid
+    point).
+
+    Floor. The floor bw >= 1/512 makes every density finite and positive.
+    The lattice weights are >= 0 and sum to 3n, and each tap is at most 1,
+    so each value is at most 3 / (bw sqrt(2 pi)) < 614. A value's lattice
+    points lie within 1/1022 + delta, at most 0.517 bw, of its nearest grid
+    point, so its weight adds at least exp(-0.134) there and d_max > 0.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 1 or xs.size == 0:
@@ -248,10 +160,25 @@ def estimate_density(xs) -> DensityEstimate:
     if not np.all((xs >= 0) & (xs <= 1)):  # NaN fails too
         raise ValueError("xs must lie in [0, 1]")
     bw = silverman_bandwidth(xs)
-    # Direct summation over the sample plus its reflections at 0 and 1.
-    sources = np.concatenate([xs, -xs, 2.0 - xs])
-    values = _kernel_sums(DensityEstimate.grid, sources, bw) / (xs.size * bw * np.sqrt(2.0 * np.pi))
-    return DensityEstimate(values=values)
+    j = max(1, math.ceil(64 / ((GRID_SIZE - 1) * bw)))
+    L = (GRID_SIZE - 1) * j
+    reach = math.ceil(9 * bw * L)
+    pad = max(reach - L, 0)
+    t = xs * L
+    lo = np.minimum(t.astype(np.intp), L - 1)
+    frac = t - lo
+    counts = np.bincount(lo, 1.0 - frac, L + 1) + np.bincount(lo + 1, frac, L + 1)
+    # The counts over [-1, 2], mirrored at 0 and 1 (sharing the end bins),
+    # with zero margins out to a kernel's reach from every grid point.
+    ext = np.zeros(3 * L + 2 * pad + 1)
+    for a, w in ((pad, counts[::-1]), (pad + L, counts), (pad + 2 * L, counts[::-1])):
+        ext[a : a + L + 1] += w
+    kernel = np.exp(-0.5 * (np.arange(-reach, reach + 1) / (bw * L)) ** 2)
+    start = L + pad - reach  # the window of grid point 0
+    windows = sliding_window_view(ext, 2 * reach + 1)[start : start + L + 1 : j]
+    # einsum, not a BLAS product, whose bits can depend on its thread count.
+    sums = np.einsum("ij,j->i", windows, kernel)
+    return DensityEstimate(values=sums / (xs.size * bw * np.sqrt(2.0 * np.pi)))
 
 
 def automatic_height(d_max: float, n: int, r: float) -> float:

@@ -6,15 +6,23 @@ import math
 import numpy as np
 
 from bluedots import DensityEstimate, MetricKind
-from bluedots.density import GRID_SIZE, _kernel_sums
+from bluedots.density import GRID_SIZE
 
 
 def density_at(xs, bw) -> DensityEstimate:
-    """The KDE of xs as estimate_density computes it, at the bandwidth bw
-    in place of Silverman's."""
+    """The exact KDE of xs at the bandwidth bw, the reference estimate_density
+    stays within 1e-4 d_max of: the one-shot formula
+    ``np.exp(-0.5 * z * z).sum(axis=1)`` with z = (grid - sources) / bw over
+    the sample and its reflections at 0 and 1, scaled to a density. It is
+    evaluated 32 grid rows at a time to bound memory (each row's terms and
+    sum do not depend on the rows around it)."""
     xs = np.asarray(xs, dtype=np.float64)
     sources = np.concatenate([xs, -xs, 2.0 - xs])
-    sums = _kernel_sums(DensityEstimate.grid, sources, bw)
+    grid = DensityEstimate.grid
+    sums = np.concatenate([
+        np.exp(-0.5 * z * z).sum(axis=1)
+        for z in ((grid[a : a + 32, None] - sources[None, :]) / bw for a in range(0, GRID_SIZE, 32))
+    ])
     return DensityEstimate(values=sums / (xs.size * bw * np.sqrt(2.0 * np.pi)))
 
 

@@ -630,6 +630,39 @@ class TestAllocationThatCannotSucceed:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written: exit status 1, one ``error: ``
+    line, and no file left by the command."""
+
+    PLOT = ["plot"]
+    OVERLAP = ["analyze", "overlap", "--counts", "16", "--seeds", "1", "--height", "0.2"]
+    SPECTRUM = ["analyze", "spectrum", "--realizations", "1", "--kmax", "8"]
+
+    def run(self, capsys, args, out):
+        code = main([*args, "--input", GEYSER, "--column", "waiting", "--iterations", "2",
+                     "--sites", "512", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("args", [PLOT, OVERLAP, SPECTRUM], ids=["plot", "overlap", "spectrum"])
+    def test_prefix_under_a_regular_file(self, tmp_path, capsys, args):
+        (tmp_path / "F").write_text("kept\n")
+        self.run(capsys, args, tmp_path / "F" / "x")
+        assert [p.name for p in tmp_path.iterdir()] == ["F"]
+        assert (tmp_path / "F").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("args, blocked", [
+        (PLOT, ".svg"), (PLOT, ".json"), (OVERLAP, "_summary.csv"), (SPECTRUM, "_summary.csv"),
+    ], ids=["plot-svg", "plot-json", "overlap-summary", "spectrum-summary"])
+    def test_output_file_that_is_a_directory(self, tmp_path, capsys, args, blocked):
+        # A later output in the way: the outputs written before it are removed.
+        (tmp_path / f"x{blocked}").mkdir()
+        self.run(capsys, args, tmp_path / "x")
+        assert [p.name for p in tmp_path.iterdir()] == [f"x{blocked}"]
+        assert not any((tmp_path / f"x{blocked}").iterdir())
+
+
 class TestLayoutRoundTrip:
     def test_svg_parse_back_within_tolerance(self, tmp_path):
         out = tmp_path / "rt"
