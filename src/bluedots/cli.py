@@ -244,27 +244,16 @@ def cmd_analyze_overlap(args) -> int:
         raise CliError("--seeds must be positive")
 
     config = _solver_config(args)
-    values = {}
-    for count in counts:
-        subset = DataSet(values=data.values[:count], name=data.name)
-        domain, _ = _resolve_domain(subset, args.radius, args.height)
-        for treatment in TREATMENTS:
-            values[treatment, count] = [
-                overlap_metric(_make_layout(treatment, subset, domain, replace(config, seed=seed)))
-                for seed in range(args.seeds)
-            ]
+    subsets = [DataSet(values=data.values[:count], name=data.name) for count in counts]
+    domains = [_resolve_domain(subset, args.radius, args.height)[0] for subset in subsets]
     dataset = data.name or ""
-    rows = [
-        {"dataset": dataset, "treatment": t, "seed": seed, "n": c, "value": v}
-        for t in TREATMENTS
-        for c in counts
-        for seed, v in enumerate(values[t, c])
-    ]
-    summary = []
+    rows, summary = [], []
     for t in TREATMENTS:
-        for c in counts:
+        for c, subset, domain in zip(counts, subsets, domains):
+            layouts = (_make_layout(t, subset, domain, replace(config, seed=seed)) for seed in range(args.seeds))
+            v = np.array([overlap_metric(layout) for layout in layouts])
+            rows += [dict(dataset=dataset, treatment=t, seed=s, n=c, value=x) for s, x in enumerate(v.tolist())]
             # Not np.percentile and np.median, which import numpy.ma.
-            v = np.array(values[t, c], dtype=np.float64)
             q75, q25 = _quartiles(v)
             summary.append({"dataset": dataset, "treatment": t, "n": c, "median": _median(v), "iqr": q75 - q25})
 

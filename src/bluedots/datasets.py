@@ -30,8 +30,9 @@ def load_csv(path, column: str, class_column: str | None = None) -> DataSet:
     """Read one numeric column (and an optional class column) from a CSV.
 
     Rows are numbered as in the file, the header being row 1. Blank or
-    non-numeric cells abort with the offending location. The dataset is
-    named after the file's stem.
+    non-numeric cells, and rows the csv module rejects (such as a cell past
+    its field limit), abort with the offending location, and bytes that are
+    not UTF-8 with the file's name. The dataset is named after the file's stem.
 
     The file is UTF-8, with or without the byte-order mark that Excel's
     "CSV UTF-8" export writes, and reads as ``csv.DictReader`` reads it:
@@ -42,32 +43,36 @@ def load_csv(path, column: str, class_column: str | None = None) -> DataSet:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    values = []
-    labels = []
+    values, labels = [], []
     with fh:
         reader = csv.reader(fh)
-        fields = next(reader, None) or []
-        last = {name: i for i, name in enumerate(fields)}  # a repeated name reads its last column
-        for name in [column] + ([class_column] if class_column else []):
-            if name not in last:
-                raise CliError(f"{path}: column {name!r} not found (have {fields})")
-        at, label_at = last[column], last.get(class_column)
-        for row in reader:
-            if not row:
-                continue
-            cell = row[at] if at < len(row) else None
-            try:
-                value = float(cell)
-            except (TypeError, ValueError):
-                value = math.nan
-            if not math.isfinite(value):
-                raise CliError(f"{path}: row {reader.line_num}, column {column!r}: not a number: {cell!r}")
-            values.append(value)
-            if class_column:
-                label = row[label_at] if label_at < len(row) else None
-                if label is None or label.strip() == "":
-                    raise CliError(f"{path}: row {reader.line_num}, column {class_column!r}: blank class label")
-                labels.append(label)
+        try:
+            fields = next(reader, None) or []
+            last = {name: i for i, name in enumerate(fields)}  # a repeated name reads its last column
+            for name in [column] + ([class_column] if class_column else []):
+                if name not in last:
+                    raise CliError(f"{path}: column {name!r} not found (have {fields})")
+            at, label_at = last[column], last.get(class_column)
+            for row in reader:
+                if not row:
+                    continue
+                cell = row[at] if at < len(row) else None
+                try:
+                    value = float(cell)
+                except (TypeError, ValueError):
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise CliError(f"{path}: row {reader.line_num}, column {column!r}: not a number: {cell!r}")
+                values.append(value)
+                if class_column:
+                    label = row[label_at] if label_at < len(row) else None
+                    if label is None or label.strip() == "":
+                        raise CliError(f"{path}: row {reader.line_num}, column {class_column!r}: blank class label")
+                    labels.append(label)
+        except csv.Error as exc:
+            raise CliError(f"{path}: row {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})") from None
     if not values:
         raise CliError(f"{path}: no data rows")
     return DataSet(

@@ -49,7 +49,9 @@ the grid's sites whose owner moved or whose box holds a moved dot. A site's
 box is the grid cells its last search reached, around its distance to the
 dot that search started from, so it holds every dot as near as the owner.
 Every other site keeps its owner bit for bit, because the dots that could
-beat or tie it are unmoved and score as before.
+beat or tie it are unmoved and score as before. The band's first call is
+incremental too, against a last y of NaN. The grid's reach in x takes the
+metric's weight bound, ``MetricSpec.min_weight``.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DataSet, DotLayout, MetricKind, MetricSpec, PlotDomain, _class_codes, _ranges
-from .density import GRID_SIZE, height_profile
+from .density import height_profile
 
 # Most distance terms one band block stores (a call's distances for it are
 # as many), and about the most (site, dot) pairs and (site, column) ranges the
@@ -110,6 +112,8 @@ class SolverConfig:
             raise ValueError("max_iterations must be non-negative")
         if self.convergence_eps < 0:
             raise ValueError("convergence_eps must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 class VoronoiAssignment(NamedTuple):
@@ -120,8 +124,8 @@ class VoronoiAssignment(NamedTuple):
 
 
 class RelaxTrace(NamedTuple):
-    """Per-run artifacts needed by the analysis module: the initialization
-    and the fixed site set the run was scored against."""
+    """Per-run artifacts for callers that inspect a run (``relax_traced``):
+    the initialization and the fixed site set the run was scored against."""
 
     initial: DotLayout
     sites: np.ndarray
@@ -219,23 +223,21 @@ class _BandAssigner:
     fl(fl|s - y| + xp) keep the metric's float order (``MetricSpec.distance``).
 
     The search is incremental. The assigner keeps the y of its last call and
-    the owners it found, and later calls re-score only the blocks one of
+    the owners it found, and each call re-scores only the blocks one of
     whose candidate dots moved. That is exact: no dot outside a block's
     candidates can own or tie for its sites at any y, and the distances to
     unmoved candidates are the same floats as before, so the block's owners
-    are too.
+    are too. The first call is such a call, against a kept y of NaN.
     """
 
     def __init__(self, m: int, blocks: list[_Block]):
-        widths = [blk.cols.size for blk in blocks]
+        widths = np.array([blk.cols.size for blk in blocks], dtype=np.intp)
         # All blocks' candidates in one array, the blocks holding views of it,
         # so one gather and one reduceat tell which blocks have a moved dot.
         self.cols = np.concatenate([blk.cols for blk in blocks]) if blocks else np.empty(0, dtype=np.intp)
-        self.offsets = np.cumsum(widths, dtype=np.intp) - widths
-        self.blocks = [
-            blk._replace(cols=self.cols[o : o + w]) for blk, o, w in zip(blocks, self.offsets.tolist(), widths)
-        ]
-        self._y = None
+        self.offsets = np.cumsum(widths) - widths
+        self.blocks = [blk._replace(cols=cols) for blk, cols in zip(blocks, np.split(self.cols, self.offsets[1:]))]
+        self._y = np.nan
         self._owner = np.empty(m, dtype=np.intp)
         self._view = self._owner.view()
         self._view.flags.writeable = False
@@ -243,11 +245,8 @@ class _BandAssigner:
     def assign(self, y: np.ndarray) -> np.ndarray:
         """Owner of every site; ties go to the lowest dot index. The owners
         are a read-only view of the assigner's own, valid until its next call."""
-        if self._y is None:
-            dirty = range(len(self.blocks))
-        else:
-            moved = y != self._y
-            dirty = np.flatnonzero(np.logical_or.reduceat(moved[self.cols], self.offsets)).tolist()
+        moved = y != self._y
+        dirty = np.flatnonzero(np.logical_or.reduceat(moved[self.cols], self.offsets)).tolist()
         owner = self._owner
         for i in dirty:
             rows, s, cols, xp = self.blocks[i]
@@ -333,13 +332,10 @@ class _GridAssigner:
     float order, the dense search's, and among the dots at the site's minimum
     the lowest index wins.
 
-    W is per site (``_weight``). For the uniform metric it is 2. For the
-    warped one, w = 1 + d(m)/d_max at the midpoint m of the dot and the site,
-    and every dot within R has |x - s_x| <= R (w >= 1), so its m lies within
-    R/2 of s_x. Since d interpolates linearly between grid values, W is 1 +
-    the smallest grid value it can interpolate between there, over d_max,
-    less a margin for the rounding of w. Where the data is dense that nearly
-    halves the reach in x against w_min = 1.
+    W is per site, the metric's bound ``MetricSpec.min_weight(s_x, R)``: every
+    dot within R has |x - s_x| <= R (w >= 1). For the uniform metric it is 2.
+    For the warped one it comes from the density values around s_x, and where
+    the data is dense that nearly halves the reach in x against w_min = 1.
 
     The known dot is the site's owner in the previous call: any dot is a
     valid bound, so a changed y only loosens it. On the first call it is the
@@ -366,14 +362,6 @@ class _GridAssigner:
         self.x, self.metric = x, metric
         self.sx, self.sy = sites[:, 0], sites[:, 1]
         self.w_min = 2.0 if metric.kind is MetricKind.UNIFORM else 1.0
-        if metric.kind is MetricKind.DENSITY_WARPED:
-            # Row k holds the minimum of the density values i..i + 2^k - 1 at i.
-            v = metric.density.values
-            self._mins = np.full((int(v.size).bit_length(), v.size), np.inf)
-            self._mins[0] = v
-            for k in range(1, self._mins.shape[0]):
-                h = 1 << (k - 1)
-                np.minimum(self._mins[k - 1, :-h], self._mins[k - 1, h:], out=self._mins[k, :-h])
         self.scale = float(np.abs(sites).max())
         self.grid = grid = _Grid.over(x, y_range, self.w_min / _CELL_ASPECT, _CELLS_PER_DOT * x.size)
         col = grid.col(x)
@@ -400,26 +388,6 @@ class _GridAssigner:
         d_before, d_after = (self.metric.distance(x[i], y[i], sx, sy) for i in (before, after))
         nearer = d_after < d_before
         return np.where(nearer, after, before), np.where(nearer, d_after, d_before)
-
-    def _weight(self, sx: np.ndarray, reach: np.ndarray):
-        """A lower bound on the encoding weight of each of these sites to
-        every dot within ``reach`` of it: w_min for the uniform metric; for
-        the warped one, 1 + the smallest density value at the grid points
-        the weight can interpolate between, over d_max, less a rounding margin."""
-        if self.metric.kind is MetricKind.UNIFORM:
-            return np.full(sx.shape, self.w_min)
-        # The midpoints of those dots lie within reach / 2 of the site; the
-        # grid points around them, one more on each side for rounding.
-        g, half = GRID_SIZE - 1, reach / 2.0
-        lo = np.clip(np.floor((sx - half) * g) - 1.0, 0, g - 1).astype(np.intp)
-        hi = np.clip(np.floor((sx + half) * g) + 2.0, 1, g).astype(np.intp)
-        # The minimum over [lo, hi] from two overlapping power-of-two runs.
-        k = np.frexp(hi - lo + 1)[1] - 1
-        w = np.minimum(self._mins[k, lo], self._mins[k, hi - (1 << k) + 1])
-        w /= self.metric.density.d_max
-        w += 1.0
-        w *= 1.0 - 16 * np.finfo(np.float64).eps
-        return w
 
     def _prefix_counts(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For the dots in the grid cells ``key``: the dots in cells before
@@ -512,17 +480,17 @@ class _GridAssigner:
 
     def _reach(self, sites, bound: np.ndarray, below: np.ndarray):
         """The reach around each of these sites, ``bound`` widened by its
-        tolerance, its weight bound (``_weight``), the first column and the
-        number of columns of its box, and the dots in the box. The box, the
-        grid columns [c0, c1) and rows [r0, r1) the reach spans, is kept as
-        the site's: the flat indices into the prefix counts of its corners
-        (c0, r0), (c0, r1), (c1, r0) and (c1, r1). (A method of its own so
-        that the box's temporaries are freed before the search loop, whose
-        chunks set the assigner's peak memory.)"""
+        tolerance, its weight bound (``MetricSpec.min_weight``), the first
+        column and the number of columns of its box, and the dots in the box.
+        The box, the grid columns [c0, c1) and rows [r0, r1) the reach spans,
+        is kept as the site's: the flat indices into the prefix counts of its
+        corners (c0, r0), (c0, r1), (c1, r0) and (c1, r1). (A method of its
+        own so that the box's temporaries are freed before the search loop,
+        whose chunks set the assigner's peak memory.)"""
         grid = self.grid
         reach = bound + 16 * np.finfo(np.float64).eps * (self.scale + bound)
         sx, sy = self.sx[sites], self.sy[sites]
-        w = self._weight(sx, reach)
+        w = self.metric.min_weight(sx, reach)
         c0, c1 = grid.col(sx - reach / w), grid.col(sx + reach / w) + 1
         r0, r1 = grid.row(sy - reach), grid.row(sy + reach) + 1
         left, right = c0 * (grid.ny + 1), c1 * (grid.ny + 1)
@@ -657,21 +625,15 @@ def _class_schedule(labels: Sequence, n: int) -> list[np.ndarray]:
     class unions, the full union last. The stop rule does not depend on the
     order: it looks at the whole iteration.
 
-    For up to 3 classes every non-singleton union is visited (smallest
-    first); beyond that only the full union is, since the number of unions
-    grows exponentially. Classes and unions follow the sorted labels of
-    ``_class_codes``, and each group lists its dots in index order.
+    For up to 3 classes every union is visited (smallest first); beyond that
+    only the full union is, since the number of unions grows exponentially.
+    Classes and unions follow the sorted labels of ``_class_codes``, and
+    each group lists its dots in index order. ``n`` is unused.
     """
     classes, codes = _class_codes(labels)
     k = len(classes)
-    groups = [np.flatnonzero(codes == i) for i in range(k)]
-    if k <= 3:
-        for size in range(2, k + 1):
-            for combo in combinations(range(k), size):
-                groups.append(np.flatnonzero(np.isin(codes, combo)))
-    else:
-        groups.append(np.arange(n))
-    return groups
+    sizes = range(1, k + 1) if k <= 3 else (1, k)
+    return [np.flatnonzero(np.isin(codes, combo)) for size in sizes for combo in combinations(range(k), size)]
 
 
 def relax_multiclass(data: DataSet, domain: PlotDomain, config: SolverConfig) -> DotLayout:

@@ -663,6 +663,41 @@ class TestUnwritableOutput:
         assert not any((tmp_path / f"x{blocked}").iterdir())
 
 
+class TestRejectedInput:
+    """Input the reader or the solver cannot take: exit status 1, one
+    ``error: `` line that names the file (or the seed), and no output file."""
+
+    LONG = "9" * 200_000
+
+    @pytest.mark.parametrize("content, named", [
+        # A cell past the csv module's field limit, in the column read and in another one.
+        (f"v\n1\n{LONG}\n".encode(), "row 3"),
+        (f"v,w\n1,2\n3,{LONG}\n".encode(), "row 3"),
+        # Bytes that are not UTF-8.
+        (b"v\n1\n\xff\n", "not UTF-8"),
+    ], ids=["long-cell-read", "long-cell-other-column", "byte-0xff"])
+    @pytest.mark.parametrize("command", [["plot"], ["analyze", "overlap", "--counts", "1"]], ids=["plot", "overlap"])
+    def test_unreadable_csv_named_in_one_error_line(self, tmp_path, capsys, content, named, command):
+        path = tmp_path / "in.csv"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        code = main([*command, "--input", str(path), "--column", "v", "--out", str(out / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and named in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["plot"], ["analyze", "overlap", "--counts", "16", "--height", "0.2"], ["analyze", "spectrum", "--realizations", "1"],
+    ], ids=["plot", "overlap", "spectrum"])
+    def test_negative_seed_named_in_one_error_line(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        code = main([*command, "--input", GEYSER, "--column", "waiting", "--seed", "-1", "--out", str(out / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be non-negative, got -1"]
+        assert not out.exists()
+
+
 class TestLayoutRoundTrip:
     def test_svg_parse_back_within_tolerance(self, tmp_path):
         out = tmp_path / "rt"

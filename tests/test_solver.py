@@ -383,16 +383,15 @@ class TestBandedExactness:
     )
     @settings(max_examples=200, deadline=None)
     def test_warped_weight_bound_holds_within_reach(self, sample, bandwidth, sx, reach):
-        """The grid's per-site weight bound is at most the encoding weight of
-        the site to every x within its reach, on sharp and flat densities."""
+        """The metric's weight bound, which the grid search takes per site, is
+        at most the encoding weight of the site to every x within its reach,
+        on sharp and flat densities."""
         xs = np.array(sample)
         density = estimate_density(xs) if bandwidth is None else density_at(xs, bandwidth)
         spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=density)
         m = min(len(sx), len(reach))
         sx, reach = np.array(sx[:m]), np.array(reach[:m])
-        with patch.object(solver, "_WIDE", 1):
-            assigner = _site_assigner(xs, np.column_stack([sx, np.zeros(m)]), spec, np.array([0.0, 0.2]))
-        w = assigner._weight(sx, reach)
+        w = spec.min_weight(sx, reach)
         # Dots across each reach, its ends, and the sample itself.
         x = np.concatenate([np.linspace(-1.0, 1.0, 401)[:, None] * reach + sx, (sx - reach)[None], xs[:, None] + 0 * sx])
         x = np.clip(x, 0.0, 1.0)
@@ -473,6 +472,13 @@ class TestSiteAssigner:
         """Original site indices of every block, with the block, in block order."""
         for blk in assigner.blocks:
             yield blk.rows, blk
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_no_sites_give_empty_intp_owners(self, kind):
+        lay = DotLayout(x=np.array([0.2, 0.7]), y=np.array([0.05, 0.1]), domain=DOM)
+        spec = MetricSpec(kind=kind, density=estimate_density(lay.x))
+        owner = assign_sites(lay, np.empty((0, 2)), spec).owner
+        assert owner.shape == (0,) and owner.dtype == np.intp
 
     def test_blockwise_xpart_matches_full_matrix(self):
         # A low plot keeps the band's windows narrow at n = 1024.
@@ -704,6 +710,10 @@ class TestRelax:
         dom = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
         with pytest.raises(ValueError):
             relax(data, dom, SolverConfig(n_sites=50))
+
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            SolverConfig(seed=-1)
 
     def test_trace_initial_matches_jitter(self):
         data = DataSet(values=np.random.default_rng(3).random(60))
