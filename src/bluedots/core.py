@@ -125,6 +125,9 @@ class DotLayout:
             raise ValueError("x must be a non-empty 1-D array")
         if y.shape != x.shape:
             raise ValueError(f"y shape {y.shape} != x shape {x.shape}")
+        bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
+        if bad.size:
+            raise ValueError(f"non-finite coordinate at dot {int(bad[0])}: x={x[bad[0]]!r}, y={y[bad[0]]!r}")
         if self.labels is not None and len(self.labels) != x.size:
             raise ValueError("labels length does not match dot count")
         object.__setattr__(self, "x", _readonly(x))

@@ -10,16 +10,16 @@ into a layout that carries ``data.labels``. ``_start`` builds the start
 layout: x from ``domain.normalize_x``, y uniform on [0, h], or with the
 warped metric on the centered band of the centrality variant.
 ``jitter_init`` is that start, so the jitter plot is the relaxation at
-iteration 0. ``_run`` draws the sites from the same generator and runs the
-one relaxation loop (``_relax_groups``, whose step, the cell mean of each
-dot's sites, is ``_cell_update``) over a schedule of dot index groups:
-``[all dots]`` for ``relax``, every class and class union for
-``relax_multiclass``. Sites are drawn once per run, so the Monte Carlo cost
-estimate has a fixed objective across iterations: ``config.n_sites`` of
-them, or by default max(8192, 2n) for n dots. ``_draw_sites`` rejects a
-height at which a cell's sum of site y could overflow. A run stops at the
-cap or after the first iteration, all of its group steps together, that
-moves no dot by ``convergence_eps`` times the height.
+iteration 0. ``_run`` draws the sites from the same generator and pulls
+the one relaxation loop (``_relax_groups``, a stream that yields y after
+each iteration; its step, the cell mean of each dot's sites, is
+``_cell_update``) over a schedule of dot index groups: ``[all dots]`` for
+``relax``, every class and class union for ``relax_multiclass``. Sites are
+drawn once per run, so the Monte Carlo cost estimate has a fixed objective
+across iterations: ``config.n_sites`` of them, or by default max(8192, 2n)
+for n dots. ``_draw_sites`` rejects a height at which a cell's sum of site
+y could overflow. ``_run`` stops the loop at the cap or after the first
+whole iteration that moves no dot by ``convergence_eps`` times the height.
 
 The nearest-dot search is exact: its owners are the dense (m, n) search's bit
 for bit, ties going to the lowest dot index, since every distance keeps the
@@ -532,11 +532,10 @@ def _start(data: DataSet, domain: PlotDomain, config: SolverConfig) -> tuple[Dot
     rng = np.random.default_rng(config.seed)
     u = rng.random(xs.size)
     h = domain.height
-    if config.metric.kind is not MetricKind.DENSITY_WARPED:
-        y0 = u * h
-    else:
-        band = np.minimum(height_profile(config.metric.density, xs.size, domain.radius)(xs), h)
-        y0 = (h - band) / 2.0 + u * band
+    warped = config.metric.kind is MetricKind.DENSITY_WARPED
+    band = np.minimum(height_profile(config.metric.density, xs.size, domain.radius)(xs), h) if warped else h
+    # Uniform: 0.0 + u * h, the bits of u * h (u * h >= +0).
+    y0 = (h - band) / 2.0 + u * band
     return DotLayout(x=xs, y=y0, domain=domain, labels=data.labels, seed=config.seed), rng
 
 
@@ -551,6 +550,9 @@ def assign_sites(dots: DotLayout, sites, metric: MetricSpec) -> VoronoiAssignmen
     sites = np.asarray(sites, dtype=np.float64)
     if sites.ndim != 2 or sites.shape[1] != 2:
         raise ValueError("sites must be an (m, 2) array")
+    bad = np.flatnonzero(~np.isfinite(sites).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite site at index {int(bad[0])}: {sites[bad[0]].tolist()}")
     return VoronoiAssignment(sites, _site_assigner(dots.x, sites, metric, dots.y).assign(dots.y))
 
 
@@ -569,44 +571,45 @@ def _cell_update(owner: np.ndarray, site_y: np.ndarray, y: np.ndarray, height: f
     return new
 
 
-def _relax_groups(xs, y0, sites, groups, h: float, config: SolverConfig) -> tuple[np.ndarray, int]:
-    """The relaxation loop: each iteration runs one assign + cell-mean step
-    per index group, the group's dots competing for all sites alone.
-
-    Convergence is measured over the whole iteration: the largest |dy| of
-    any dot between its y at the start of the iteration and at its end.
-    Returns the final y and the number of iterations run.
-    """
+def _relax_groups(xs, y0, sites, groups, h: float, metric: MetricSpec):
+    """The relaxation loop as an endless stream: each pull runs one assign +
+    cell-mean step per index group (its dots competing for all sites alone)
+    and yields y, the loop's own array, which the next pull updates in place.
+    The first pull builds the site index and the groups' assigners."""
     y = np.array(y0)
-    if config.max_iterations == 0:
-        return y, 0
     site_y = sites[:, 1]
     # Every y the loop sees is y0 or clamped to [0, h].
     y_range = np.append(y, [0.0, h])
     # One site index for every group's assigner. It is not kept past the
     # build, so only the band's blocks hold it, and a grid-only run none.
     index = _site_index(sites)
-    assigners = [_site_assigner(xs[idx], sites, config.metric, y_range, index) for idx in groups]
+    assigners = [_site_assigner(xs[idx], sites, metric, y_range, index) for idx in groups]
     del index
-    for iterations in range(1, config.max_iterations + 1):
-        start = y.copy()
+    while True:
         for idx, assigner in zip(groups, assigners):
             old = y[idx]
             y[idx] = _cell_update(assigner.assign(old), site_y, old, h)
-        if float(np.max(np.abs(y - start))) < config.convergence_eps * h:
-            break
-    return y, iterations
+        yield y
 
 
 def _run(data: DataSet, domain: PlotDomain, config: SolverConfig, groups) -> tuple[DotLayout, RelaxTrace]:
     """The one relaxation run: the jitter start, then the run's sites from the
     same generator (``config.n_sites``, or max(8192, 2n) for n dots), then
-    the loop over the index ``groups``."""
+    the loop over the index ``groups``, which the run stops: at the cap, or
+    after the first iteration that moves no dot by ``convergence_eps`` times
+    the height. The cap comes first in the ``zip``, so reaching it pulls no
+    extra iteration and a cap of 0 builds no assigner."""
     initial, rng = _start(data, domain, config)
     n = len(initial)
     n_sites = config.n_sites if config.n_sites is not None else max(8192, 2 * n)
     sites = _draw_sites(rng, n_sites, n, domain.height)
-    y, iterations = _relax_groups(initial.x, initial.y, sites, groups, domain.height, config)
+    stream = _relax_groups(initial.x, initial.y, sites, groups, domain.height, config.metric)
+    y, iterations = initial.y, 0
+    for iterations, new in zip(range(1, config.max_iterations + 1), stream):
+        moved = float(np.max(np.abs(new - y)))
+        y = new.copy()  # before the next pull overwrites new
+        if moved < config.convergence_eps * domain.height:
+            break
     return replace(initial, y=y, iterations_run=iterations), RelaxTrace(initial, sites)
 
 

@@ -716,6 +716,19 @@ class TestLayoutRoundTrip:
         assert np.max(np.abs(np.array(xs) - layout.x)) < 1e-6
         assert np.max(np.abs(np.array(ys) - layout.y)) < 1e-6
 
+    @pytest.mark.parametrize("key, value", [("x_norm", "NaN"), ("y", "Infinity"), ("y", "-Infinity")])
+    def test_non_finite_coordinate_rejected_naming_the_dot(self, tmp_path, key, value):
+        """Python's json reads NaN and +/-Infinity tokens; the layout does not."""
+        out = tmp_path / "g"
+        main(["plot", "--input", GEYSER, "--column", "waiting", "--iterations", "0", "--out", str(out)])
+        doc = json.loads(Path(f"{out}.json").read_text())
+        doc["dots"][3][key] = float(value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc, indent=2))
+        assert f'"{key}": {value}' in path.read_text()
+        with pytest.raises(ValueError, match="non-finite coordinate at dot 3"):
+            load_layout(path)
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 

@@ -224,3 +224,12 @@ class TestDotLayout:
             DotLayout(x=np.array([0.1, 0.2]), y=np.array([0.1]), domain=dom)
         with pytest.raises(ValueError):
             DotLayout(x=np.array([0.1]), y=np.array([0.1]), domain=dom, labels=("a", "b"))
+
+    @pytest.mark.parametrize(
+        "x, y, dot",
+        [([0.2, np.nan], [0.1, 0.1], 1), ([0.2, 0.5], [np.inf, 0.1], 0), ([0.2, 0.5, 0.7], [0.1, 0.1, -np.inf], 2)],
+    )
+    def test_rejects_non_finite_coordinate_naming_the_dot(self, x, y, dot):
+        dom = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
+        with pytest.raises(ValueError, match=f"non-finite coordinate at dot {dot}"):
+            DotLayout(x=np.array(x), y=np.array(y), domain=dom)

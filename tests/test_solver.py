@@ -155,6 +155,20 @@ class TestAssignSites:
         assert a.owner.shape == (200,)
         assert np.all((a.owner >= 0) & (a.owner < 16))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("search", [_BandAssigner, _GridAssigner])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_site_rejected_naming_it(self, bad, search, column):
+        """On both searches, and through ``cost_estimate``."""
+        rng = np.random.default_rng(8)
+        lay = DotLayout(x=rng.random(16), y=rng.random(16) * DOM.height, domain=DOM)
+        sites = np.column_stack([rng.random(200), rng.random(200) * DOM.height])
+        sites[7, column] = bad
+        with patch.object(solver, "_WIDE", solver._WIDE if search is _BandAssigner else 1):
+            for call in (assign_sites, cost_estimate):
+                with pytest.raises(ValueError, match="non-finite site at index 7"):
+                    call(lay, sites, MetricSpec())
+
 
 # Multiples of 1/64: sums and differences are exact, so mirrored dots tie exactly.
 _grid = st.integers(-8, 72).map(lambda k: k / 64.0)
@@ -640,6 +654,17 @@ class TestRelax:
         ref = jitter_init(data, dom, SolverConfig(seed=3))
         assert np.array_equal(out.y, ref.y)
         assert out.iterations_run == 0
+
+    def test_zero_iterations_build_no_assigner(self, monkeypatch):
+        """The cap is checked before the loop is pulled: a run of 0
+        iterations assigns no site, and draws the sites a default run does."""
+        data = load_fixture("geyser")
+        dom = PlotDomain(x_min=0.0, x_max=100.0, height=0.2, radius=0.01)
+        calls = record_assign_calls(monkeypatch)
+        out, trace = relax_traced(data, dom, SolverConfig(seed=2, max_iterations=0))
+        assert calls == [] and out.iterations_run == 0
+        assert np.array_equal(trace.sites, relax_traced(data, dom, SolverConfig(seed=2))[1].sites)
+        assert calls  # the recorder does see the default run's calls
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     @pytest.mark.filterwarnings("error::RuntimeWarning")
