@@ -54,7 +54,7 @@ from .analysis import (
     spectrum_to_pgm,
 )
 from .datasets import CliError, load_csv
-from .render import canvas_size, check_palette, render_svg
+from .render import _DOT_PART, canvas_size, check_palette, render_svg
 
 LAYOUT_FILE_VERSION = 1
 TREATMENTS = ("blue", "jitter")
@@ -121,7 +121,17 @@ def save_layout(layout: DotLayout, data: DataSet, metric_kind: MetricKind, path)
     """Write the layout file: the bytes ``json.dump(doc, fh, indent=2)`` and a
     newline give, with each dot formatted from a template instead of by the
     pure-Python encoder. Every value is finite (``DataSet`` rejects others and
-    y lies in [0, height]), so ``repr`` spells each float as JSON does."""
+    y lies in [0, height]), so ``repr`` spells each float as JSON does. The
+    data must hold one value per dot."""
+    if len(data) != len(layout):
+        raise ValueError(f"layout has {len(layout)} dots but the data has {len(data)} values")
+    _write(path, {"": _layout_text(layout, data, metric_kind)})
+
+
+def _layout_text(layout: DotLayout, data: DataSet, metric_kind: MetricKind) -> str:
+    """The layout file's text, its dots formatted ``_DOT_PART`` at a time, one
+    string per part, and joined once from the parts. The parts are freed on
+    return, before the text is written."""
     doc = {
         "version": LAYOUT_FILE_VERSION,
         "dataset_name": data.name or "",
@@ -136,15 +146,22 @@ def save_layout(layout: DotLayout, data: DataSet, metric_kind: MetricKind, path)
         "metric": {"kind": metric_kind.value},
     }
     dot = '    {\n      "x_raw": %r,\n      "x_norm": %r,\n      "y": %r'
-    columns = zip(data.values.tolist(), layout.x.tolist(), layout.y.tolist())
     if layout.labels is None:
-        dots = [(dot + "\n    }") % row for row in columns]
+        dot += "\n    }"
     else:
         dot += ',\n      "class": %s\n    }'
-        dots = [dot % (*row, json.dumps(label)) for row, label in zip(columns, layout.labels)]
     # The header's closing "\n}" reopened for the last key, "dots".
-    text = json.dumps(doc, indent=2)[:-2] + ',\n  "dots": [\n' + ",\n".join(dots) + "\n  ]\n}\n"
-    _write(path, {"": text})
+    pieces = [json.dumps(doc, indent=2)[:-2] + ',\n  "dots": [\n']
+    for a in range(0, len(layout), _DOT_PART):
+        b = a + _DOT_PART
+        rows = zip(data.values[a:b].tolist(), layout.x[a:b].tolist(), layout.y[a:b].tolist())
+        if layout.labels is not None:
+            rows = ((*row, json.dumps(label)) for row, label in zip(rows, layout.labels[a:b]))
+        if a:
+            pieces.append(",\n")
+        pieces.append(",\n".join([dot % row for row in rows]))
+    pieces.append("\n  ]\n}\n")
+    return "".join(pieces)
 
 
 def load_layout(path) -> tuple[DotLayout, dict]:

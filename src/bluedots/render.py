@@ -21,6 +21,9 @@ PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
+# The writers format dots this many at a time, so that a large layout's
+# per-dot strings never all exist at once.
+_DOT_PART = 512
 BACKGROUND = "#ffffff"
 ENVELOPE_STROKE = "#444444"
 ENVELOPE_STROKE_PX = 1.0
@@ -63,6 +66,8 @@ def _to_px(x, y, w: float, canvas_h: float) -> tuple[list, list]:
 
 
 def _document(width: float, height: float, body: list[str]) -> str:
+    """The document's lines: its head, the ``body`` (whose items may hold
+    several lines each) and its tail, in one join."""
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" '
@@ -70,7 +75,7 @@ def _document(width: float, height: float, body: list[str]) -> str:
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
     )
-    return "\n".join([head] + body + ["</svg>"]) + "\n"
+    return "\n".join([head, *body, "</svg>\n"])
 
 
 def _base_elements(layout: DotLayout, envelope_profile: Optional[Callable],
@@ -103,6 +108,8 @@ def render_svg(layout: DotLayout, envelope_profile: Optional[Callable] = None) -
     y is flipped so y = 0 sits on the bottom edge. Class colors come from
     the palette, indexed by the label's rank among the sorted class labels.
     A height profile, when given, is traced as the centrality envelope.
+    The circles are formatted ``_DOT_PART`` dots at a time, one string per
+    part, and the document is joined once from the parts.
     """
     # Unlabelled dots are one class.
     classes, codes = _class_codes(layout.labels if layout.labels is not None else (0,) * len(layout))
@@ -111,7 +118,9 @@ def render_svg(layout: DotLayout, envelope_profile: Optional[Callable] = None) -
     body = _base_elements(layout, envelope_profile, w, canvas_h)
     # One template per class, its radius and fill written once; '%.6f' is _fmt.
     circle = [f'<circle cx="%.6f" cy="%.6f" r="{_fmt(r)}" fill="{color}"/>' for color in PALETTE]
-    px, py = _to_px(layout.x, layout.y, w, canvas_h)
-    body += [circle[c] % xy for c, xy in zip(codes.tolist(), zip(px, py))]
+    for a in range(0, len(layout), _DOT_PART):
+        b = a + _DOT_PART
+        px, py = _to_px(layout.x[a:b], layout.y[a:b], w, canvas_h)
+        body.append("\n".join([circle[c] % xy for c, xy in zip(codes[a:b].tolist(), zip(px, py))]))
     return _document(w, canvas_h, body)
 

@@ -39,7 +39,9 @@ the store grows as m*n, so there a grid search scores each site only against
 the dots within its distance to a known dot (``_GridAssigner``): a few dots
 per site once the layout settles, and nothing of size m*n is stored. Its grid
 is fixed for the run, built once over x and the y range, so only the dots'
-rows change.
+rows change. It searches the sites a call re-scores in parts of at most
+``_SITE_PART``, so that its per-site temporaries stay bounded however many
+sites a call re-scores, and the run's own O(m + n) state sets its peak memory.
 
 Both forms are incremental, since with fixed sites a dot's cell changes only
 where dots moved, and late in a run few do. Each assigner keeps the y and the
@@ -77,6 +79,17 @@ from .density import height_profile
 # 3% of the same time; at 8192 the peak stays (the run's O(m + n) state sets
 # it) and relax ran 13-14% slower (medians of 11 interleaved runs).
 _CHUNK_ELEMENTS = 16384
+# The grid search re-scores at most this many sites at once (``_search``), so
+# its per-site temporaries stay bounded and the run's own O(m + n) state sets
+# the peak. Relax at n = 4096 bimodal, uniform / warped metric, peaked at
+# 2.11 / 2.11 MB with every call in one part, 1.72 / 1.81 at 4096 sites and
+# 1.59 / 1.66 at 2048, where it ran 10-11% slower (medians of 21 interleaved
+# runs; 4096 was level with one part); at n = 16384 and 32768 sites, at 8.40
+# MB in one part and 5.77 at either size. A call's parts are equal: full parts
+# and a remainder doubled a warped relax's minor page faults (553 -> 1381, the
+# allocator trimming and regrowing its heap) and read about 7% slower in
+# separate processes, where equal parts fault less than one part does.
+_SITE_PART = _CHUNK_ELEMENTS // 4
 # A dot group whose band would have a block spanning at least _WIDE dots
 # goes to the grid search. The threshold only has to separate the measured
 # sizes: fixture windows span at most 111 dots and run 2-3x slower on the
@@ -348,14 +361,22 @@ class _GridAssigner:
     owners of its last call, and for each site one piece of state, its box:
     the grid cells its last search reached, around the known dot's distance
     D, stored as the four corners' flat indices into the prefix counts
-    (``_prefix_counts``), so that counting the moved dots in every box takes
-    four gathers. A later call re-scores exactly the sites whose owner moved
-    or whose box holds a moved dot. Any other site keeps its owner: the
-    owner is unmoved, so it is still at the distance the search found, at
-    most D; the other unmoved dots have the distances they had, so none
-    beats it or wins a tie; and by the argument above every dot within D of
-    the site lies in the box, so a moved dot outside it is strictly farther
-    than D. The first call is the case where every site is re-scored.
+    (``_prefix_counts``; int32 counts, as no count exceeds the n dots), so
+    that counting the moved dots in every box takes four gathers. A later
+    call re-scores exactly the sites whose owner moved or whose box holds a
+    moved dot. Any other site keeps its owner: the owner is unmoved, so it
+    is still at the distance the search found, at most D; the other unmoved
+    dots have the distances they had, so none beats it or wins a tie; and
+    by the argument above every dot within D of the site lies in the box,
+    so a moved dot outside it is strictly farther than D. The first call is the case where every site is re-scored.
+
+    A call searches the sites it re-scores in parts of at most
+    ``_SITE_PART`` (``_search``): the dots' cell order and prefix counts are
+    built once per call, then each part's bound, box and scan run before the
+    next part starts. Each site's owner and box depend only on the site, the
+    dots and its own known dot, so the parts give the owners one search of
+    all the sites gives. Most calls after the first few re-score fewer sites
+    than a part and run as one.
     """
 
     def __init__(self, x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray):
@@ -375,6 +396,8 @@ class _GridAssigner:
         self._owner = np.empty(m, dtype=np.intp)
         # The corners of each site's box (``_reach``).
         self._boxes = np.empty((4, m), dtype=np.int32 if (grid.nx + 1) * (grid.ny + 1) < 2**31 else np.intp)
+        # Dot counts (``_prefix_counts``) never exceed the n dots.
+        self._count_dtype = np.int32 if x.size < 2**31 else np.intp
         self._view = self._owner.view()
         self._view.flags.writeable = False
 
@@ -395,10 +418,10 @@ class _GridAssigner:
         prefix counts, the dots in columns < c and rows < r at (c, r), so
         that any box's count takes four lookups."""
         nx, ny = self.grid.nx, self.grid.ny
-        start = np.zeros(nx * ny + 1, dtype=np.intp)
+        start = np.zeros(nx * ny + 1, dtype=self._count_dtype)
         np.cumsum(np.bincount(key, minlength=nx * ny), out=start[1:])
         # Column c's counts below each row, cumulated over the columns.
-        below = np.zeros((nx + 1, ny + 1), dtype=np.intp)
+        below = np.zeros((nx + 1, ny + 1), dtype=self._count_dtype)
         np.subtract(sliding_window_view(start, ny + 1)[::ny], start[:-1:ny, None], out=below[1:])
         np.cumsum(below[1:], axis=0, out=below[1:])
         return start, below.reshape(-1)
@@ -433,24 +456,33 @@ class _GridAssigner:
         return np.flatnonzero(moved[self._owner] | (inbox > 0))
 
     def _search(self, y: np.ndarray, sites: np.ndarray, key: np.ndarray) -> None:
-        """Owner and box of each of these sites, into the kept ones."""
-        grid = self.grid
+        """Owner and box of each of these sites, into the kept ones. The dots'
+        cell order and prefix counts are built once; the sites are searched in
+        as few equal parts as hold at most ``_SITE_PART`` sites each, each
+        part's bound, box and scan done before the next part starts, so that
+        no per-site temporary outgrows a part."""
         perm = np.argsort(key)
         gx, gy = self.x[perm], y[perm]
         start, below = self._prefix_counts(key)
-        # The known dot, the owner where it is the only dot in reach.
-        if self._y is None:
-            self._owner[sites], bound = self._first_bound(y, sites, perm, start)
-        else:
-            o = self._owner[sites]
-            bound = self.metric.distance(self.x[o], y[o], self.sx[sites], self.sy[sites])
-            del o  # not held through the search loop, which sets the peak memory
-        reach, w, c0, ncols, cands = self._reach(sites, bound, below)
-        del bound  # likewise
-        scan = np.flatnonzero(cands > 1)  # the rest hold only the known dot
-        at, reach, w, c0, ncols, cands = (v[scan] for v in (sites, reach, w, c0, ncols, cands))
-        cuts = np.flatnonzero(np.diff((np.cumsum(cands + ncols) - 1) // _CHUNK_ELEMENTS)) + 1
+        for part in np.array_split(sites, math.ceil(sites.size / _SITE_PART)):
+            # The known dot, the owner where it is the only dot in reach.
+            if self._y is None:
+                self._owner[part], bound = self._first_bound(y, part, perm, start)
+            else:
+                o = self._owner[part]
+                bound = self.metric.distance(self.x[o], y[o], self.sx[part], self.sy[part])
+                del o  # not held through the scan, which sets the peak memory
+            reach, w, c0, ncols, cands = self._reach(part, bound, below)
+            del bound  # likewise
+            scan = np.flatnonzero(cands > 1)  # the rest hold only the known dot
+            at, reach, w, c0, ncols, cands = (v[scan] for v in (part, reach, w, c0, ncols, cands))
+            self._scan(at, reach, w, c0, ncols, cands, perm, gx, gy, start)
 
+    def _scan(self, at, reach, w, c0, ncols, cands, perm, gx, gy, start) -> None:
+        """Score the sites ``at`` against the dots in their boxes, in chunks of
+        about ``_CHUNK_ELEMENTS`` (site, dot) pairs and (site, column) ranges."""
+        grid = self.grid
+        cuts = np.flatnonzero(np.diff((np.cumsum(cands + ncols) - 1) // _CHUNK_ELEMENTS)) + 1
         sx, sy = self.sx[at], self.sy[at]
         for a, b in zip(np.r_[0, cuts].tolist(), np.r_[cuts, at.size].tolist()):
             # One range of grid-sorted dots per column a site's box meets,
@@ -484,9 +516,8 @@ class _GridAssigner:
         column and the number of columns of its box, and the dots in the box.
         The box, the grid columns [c0, c1) and rows [r0, r1) the reach spans,
         is kept as the site's: the flat indices into the prefix counts of its
-        corners (c0, r0), (c0, r1), (c1, r0) and (c1, r1). (A method of its
-        own so that the box's temporaries are freed before the search loop,
-        whose chunks set the assigner's peak memory.)"""
+        corners (c0, r0), (c0, r1), (c1, r0) and (c1, r1), each written
+        straight into the kept boxes."""
         grid = self.grid
         reach = bound + 16 * np.finfo(np.float64).eps * (self.scale + bound)
         sx, sy = self.sx[sites], self.sy[sites]
@@ -494,8 +525,9 @@ class _GridAssigner:
         c0, c1 = grid.col(sx - reach / w), grid.col(sx + reach / w) + 1
         r0, r1 = grid.row(sy - reach), grid.row(sy + reach) + 1
         left, right = c0 * (grid.ny + 1), c1 * (grid.ny + 1)
-        corners = np.stack([left + r0, left + r1, right + r0, right + r1])
-        self._boxes[:, sites] = corners
+        corners = (left + r0, left + r1, right + r0, right + r1)
+        for i, corner in enumerate(corners):
+            self._boxes[i, sites] = corner
         return reach, w, c0, c1 - c0, self._count(below, corners)
 
 

@@ -9,6 +9,13 @@ from bluedots import DensityEstimate, MetricKind
 from bluedots.density import GRID_SIZE
 
 
+def bimodal_sample(n: int, seed: int) -> np.ndarray:
+    """n values from an even mix of N(55, 7) and N(80, 7), drawn with data
+    seed ``seed``."""
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random(n) < 0.5, rng.normal(55.0, 7.0, n), rng.normal(80.0, 7.0, n))
+
+
 def density_at(xs, bw) -> DensityEstimate:
     """The exact KDE of xs at the bandwidth bw, the reference estimate_density
     stays within 1e-4 d_max of: the one-shot formula

@@ -1,14 +1,20 @@
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from conftest import bimodal_sample
 
 from bluedots import (
+    DataSet,
     DotLayout,
     PlotDomain,
+    SolverConfig,
     estimate_density,
     height_profile,
+    jitter_init,
+    normalize,
     render_svg,
 )
 from bluedots.render import PALETTE, canvas_size
@@ -218,10 +224,30 @@ class TestBytesMatchPerDotLoop:
         lay = self.layout(300, 1, height=height, radius=radius)
         assert render_svg(lay) == oracle_render_svg(lay)
 
-    def test_classes(self):
-        labels = tuple(np.random.default_rng(2).choice(["setosa", "versicolor", "virginica"], 200))
-        lay = self.layout(200, 3, labels=labels)
+    # 1300 dots span three of the writer's 512-dot parts, the last one partial.
+    @pytest.mark.parametrize("n", [200, 1300])
+    def test_classes(self, n):
+        labels = tuple(np.random.default_rng(2).choice(["setosa", "versicolor", "virginica"], n))
+        lay = self.layout(n, 3, labels=labels)
         assert render_svg(lay) == oracle_render_svg(lay)
+
+    def test_peak_memory_at_most_4x_the_document(self):
+        """The jitter layout of the n = 16384 bimodal sample (data seed 5), a
+        1.14 MB document. With every circle's string and pixel coordinate held
+        at once and the text copied twice, rendering peaked at 5.52 MB, 4.8x
+        the document's length; with 512 dots formatted at a time and one
+        join, at 2.45 MB, 2.2x."""
+        data = DataSet(values=bimodal_sample(16384, 5))
+        _, (lo, hi) = normalize(data)
+        lay = jitter_init(data, PlotDomain(x_min=lo, x_max=hi, height=0.3, radius=0.01), SolverConfig(seed=0))
+        render_svg(lay)  # one-time allocations
+        tracemalloc.start()
+        try:
+            svg = render_svg(lay)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(svg)
 
     @pytest.mark.parametrize("n", [4, 64, 4096])
     def test_envelope(self, n):

@@ -6,7 +6,14 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import dense_assign, density_at, oracle_cost, oracle_nearest_dot_scan, oracle_pairwise_min_distance
+from conftest import (
+    bimodal_sample,
+    dense_assign,
+    density_at,
+    oracle_cost,
+    oracle_nearest_dot_scan,
+    oracle_pairwise_min_distance,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -292,7 +299,8 @@ class TestBandedExactness:
     @settings(max_examples=200, deadline=None)
     def test_tightened_blocks_match_oracles(self, inputs, data):
         """Every group on the grid search, with its first-call bound or
-        arbitrary owners as that bound, and over a further call at moved y."""
+        arbitrary owners as that bound, and over a further call at moved y;
+        with its sites searched in one part or in parts of 5."""
         lay, sites, spec = inputs
         m, n = sites.shape[0], len(lay)
         if data.draw(st.booleans()):  # every site above every dot
@@ -300,16 +308,17 @@ class TestBandedExactness:
         arbitrary = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.intp)
         want_owner = dense_assign(lay.x, lay.y, sites, spec)[0]
         assert np.array_equal(want_owner, oracle_nearest_dot_scan(lay, sites, spec))
-        for arbitrary_bound in (False, True):
-            with patch.object(solver, "_WIDE", 1):
-                assigner = _site_assigner(lay.x, sites, spec, lay.y)
-            assert isinstance(assigner, _GridAssigner)
-            if arbitrary_bound:
-                assigner._first_bound = bound_by(assigner, arbitrary)
-            assign_checked(assigner, lay.x, lay.y, sites, spec)
-        # The sites a move affects, re-scored after the arbitrary bound.
-        moved = replace(lay, y=np.array(data.draw(st.lists(_grid.map(lambda v: v / 4), min_size=n, max_size=n))))
-        owner = assigner.assign(moved.y)
+        with patch.object(solver, "_SITE_PART", data.draw(st.sampled_from([solver._SITE_PART, 5]))):
+            for arbitrary_bound in (False, True):
+                with patch.object(solver, "_WIDE", 1):
+                    assigner = _site_assigner(lay.x, sites, spec, lay.y)
+                assert isinstance(assigner, _GridAssigner)
+                if arbitrary_bound:
+                    assigner._first_bound = bound_by(assigner, arbitrary)
+                assign_checked(assigner, lay.x, lay.y, sites, spec)
+            # The sites a move affects, re-scored after the arbitrary bound.
+            moved = replace(lay, y=np.array(data.draw(st.lists(_grid.map(lambda v: v / 4), min_size=n, max_size=n))))
+            owner = assigner.assign(moved.y)
         assert np.array_equal(owner, oracle_nearest_dot_scan(moved, sites, spec))
 
     @pytest.mark.parametrize("x,y", [
@@ -338,7 +347,8 @@ class TestBandedExactness:
         site, with every dot moved, with a site's owner moved toward it
         (alone, or with a lower-index rival moved to the owner's new
         distance), or with dots moved outside the y range the grid search
-        was built for."""
+        was built for. The grid searches its sites in one part or in parts
+        of 5."""
         lay, sites, spec = inputs
         m, n = sites.shape[0], len(lay)
         moved_y = _grid.map(lambda v: v / 4)
@@ -379,8 +389,9 @@ class TestBandedExactness:
         if on_grid and data.draw(st.booleans()):
             arbitrary = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.intp)
             assigner._first_bound = bound_by(assigner, arbitrary)
-        for y in ys:
-            assign_checked(assigner, lay.x, y, sites, spec)
+        with patch.object(solver, "_SITE_PART", data.draw(st.sampled_from([solver._SITE_PART, 5]))):
+            for y in ys:
+                assign_checked(assigner, lay.x, y, sites, spec)
 
     @staticmethod
     def move_to_distance(y, x, site, spec, i, d, data):
@@ -583,6 +594,18 @@ class TestRelaxMemory:
         dens, dom = self.auto_domain(data)
         spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens) if warped else MetricSpec()
         assert traced_peak(lambda: relax(data, dom, SolverConfig(seed=0, metric=spec))) <= 3.0e6
+
+    def test_bimodal_16384_two_iterations_peak(self):
+        """The data of ``test_grid_search_memory_stays_linear_at_n_16384`` at
+        its default 32768 sites, whose first call re-scores every site. With
+        all of a call's sites searched at once, relax peaked at 9.46 MB with
+        either metric; in parts of ``_SITE_PART`` sites, at 5.77 MB. The
+        warped run, the same peak, takes seconds longer, so only the uniform
+        one runs here."""
+        data = DataSet(values=bimodal_sample(16384, 5))
+        _, dom = self.auto_domain(data)
+        config = SolverConfig(seed=0, max_iterations=2, convergence_eps=0.0)
+        assert traced_peak(lambda: relax(data, dom, config)) <= 7.5e6
 
     def test_iris_multiclass_peak(self):
         data = load_fixture("iris")
