@@ -291,7 +291,8 @@ def _add_common_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iterations", type=int, default=SolverConfig.max_iterations)
     p.add_argument("--sites", type=int, default=None,
-                   help="number of Monte Carlo sites (default: max(8192, 2n) for n input rows)")
+                   help="number of Monte Carlo sites, stratified one per cell of a jittered grid "
+                        "(default: max(4096, 2n) for n input rows)")
     p.add_argument("--out", required=True, help="output path prefix")
 
 

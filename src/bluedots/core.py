@@ -178,9 +178,9 @@ class MetricSpec:
         """Weight applied to |x1 - x2| in the metric, elementwise; uniform: the scalar 2."""
         if self.kind is MetricKind.UNIFORM:
             return np.float64(2.0)
-        ref = np.add(x1, x2, dtype=np.float64)
+        ref = np.asarray(np.add(x1, x2, dtype=np.float64))
         ref /= 2.0
-        w = self.density.evaluate(ref)
+        w = self.density._interpolate(ref)
         w /= self.density.d_max
         w += 1.0
         return w
@@ -207,9 +207,11 @@ class MetricSpec:
 
     def encoding_term(self, x, sx) -> np.ndarray:
         """The encoding-axis term fl(w * fl|x - sx|) of the distance, elementwise."""
+        # The weight first, so that its temporaries are gone before xp is made.
+        w = self.encoding_weight(x, sx)
         xp = np.asarray(np.subtract(x, sx))
         np.abs(xp, out=xp)
-        return np.multiply(self.encoding_weight(x, sx), xp, out=xp)
+        return np.multiply(w, xp, out=xp)
 
     def distance(self, x, y, sx, sy) -> np.ndarray:
         """Distance fl(fl|sy - y| + encoding_term(x, sx)) between the points

@@ -55,7 +55,11 @@ class DensityEstimate:
     def evaluate(self, x) -> np.ndarray:
         """Linearly interpolated density at x (scalar or array), clamped to
         [0, 1]: v[i] + (v[i + 1] - v[i]) * frac, computed in one buffer."""
-        t = np.array(x, dtype=np.float64)
+        return self._interpolate(np.array(x, dtype=np.float64))
+
+    def _interpolate(self, t: np.ndarray) -> np.ndarray:
+        """``evaluate`` in the buffer of the float64 array ``t``, which it
+        overwrites: no copy of a caller's own temporary."""
         np.clip(t, 0.0, 1.0, out=t)
         t *= GRID_SIZE - 1
         i0 = t.astype(np.intp)

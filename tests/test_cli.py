@@ -614,7 +614,7 @@ class TestCmdAnalyze:
                      "--height", "1e307", "--realizations", "1", "--out", str(tmp_path / "x")])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "too large for 8192 sites" in err[0]
+        assert len(err) == 1 and err[0].startswith("error: ") and "too large for 4096 sites" in err[0]
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args, message", [

@@ -122,7 +122,7 @@ class TestWhatTheBenchmarkReads:
         ref = jitter_init(data, DOM, config)
         assert trace.initial.x.tobytes() == ref.x.tobytes() and trace.initial.y.tobytes() == ref.y.tobytes()
         assert (trace.initial.labels, trace.initial.seed, trace.initial.iterations_run) == (data.labels, 5, 0)
-        assert trace.sites.shape == (max(8192, 2 * n), 2)
+        assert trace.sites.shape == (max(4096, 2 * n), 2)
 
 
 class TestAssignSites:
@@ -622,6 +622,59 @@ class TestRelaxMemory:
         assert len({id(blk.rows.base) for assigner, *_ in calls for blk in assigner.blocks}) == 1
 
 
+def largest_accepted_height(m: int) -> float:
+    """The largest height that keeps 2 * m * height finite."""
+    h = float(np.finfo(np.float64).max) / (2 * m)
+    while not np.isfinite(2.0 * m * h):
+        h = float(np.nextafter(h, 0.0))
+    return h
+
+
+class TestDrawSites:
+    """The run's sites: a jittered grid of m equal-area strata, nx about
+    square columns of q + 1 (the first r) or q strata (q, r = divmod(m, nx))."""
+
+    @staticmethod
+    def strata(sites: np.ndarray, h: float):
+        """The column and row of the stratum each site lies in, with the
+        columns' stratum counts."""
+        m = sites.shape[0]
+        nx = min(max(round(np.sqrt(min(m / h, float(m) ** 2))), 1), m)
+        rows = np.full(nx, m // nx)
+        rows[: m % nx] += 1
+        start = np.cumsum(rows) - rows
+        col = np.searchsorted(start / m, sites[:, 0], side="right") - 1
+        row = np.floor(sites[:, 1] / h * rows[col]).astype(np.intp)
+        return col, row, rows
+
+    @pytest.mark.parametrize("m", [4096, 4099])
+    def test_exactly_n_sites(self, m):
+        assert solver._draw_sites(np.random.default_rng(0), m, 1, 0.2).shape == (m, 2)
+
+    @pytest.mark.parametrize(
+        "m, h", [(4096, 0.2), (4099, 0.2), (8192, 0.847), (4099, 1e-6), (4099, largest_accepted_height(4099)), (37, 3.0)]
+    )
+    def test_one_site_per_stratum(self, m, h):
+        sites = solver._draw_sites(np.random.default_rng(1), m, 1, h)
+        col, row, rows = self.strata(sites, h)
+        assert np.all((row >= 0) & (row < rows[col]))
+        assert np.array_equal(np.bincount((np.cumsum(rows) - rows)[col] + row, minlength=m), np.ones(m))
+
+    @pytest.mark.parametrize("h, columns", [(1e-6, 4099), (largest_accepted_height(4099), 1)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sites_in_the_domain_at_both_column_clamps(self, h, columns):
+        """At h = 1e-6 each of the m columns holds one stratum; at the largest
+        height the overflow check accepts, one column holds all m."""
+        sites = solver._draw_sites(np.random.default_rng(2), 4099, 1, h)
+        assert len(self.strata(sites, h)[2]) == columns
+        assert np.all((sites[:, 0] >= 0.0) & (sites[:, 0] <= 1.0))
+        assert np.all((sites[:, 1] >= 0.0) & (sites[:, 1] <= h))
+
+    def test_same_seed_same_bytes(self):
+        a, b = (solver._draw_sites(np.random.default_rng(7), 4099, 1, 0.2) for _ in range(2))
+        assert a.tobytes() == b.tobytes()
+
+
 class TestLloydStep:
     """The Lloyd step, ``_cell_update``, on the owners ``assign_sites`` gives."""
 
@@ -699,9 +752,7 @@ class TestRelax:
         data = load_fixture("geyser")
         xs, (lo, hi) = normalize(data)
         config = SolverConfig(n_sites=1024, seed=0, metric=MetricSpec(kind=kind, density=estimate_density(xs)))
-        h = float(np.finfo(np.float64).max) / 2048
-        while not np.isfinite(2.0 * 1024 * h):
-            h = float(np.nextafter(h, 0.0))
+        h = largest_accepted_height(1024)
         out = relax(data, PlotDomain(x_min=lo, x_max=hi, height=h, radius=0.01), config)
         assert np.all(out.y < h) and 0.4 < float(np.mean(out.y)) / h < 0.6
         for too_tall in (float(np.nextafter(h, np.inf)), 1e307, 1e308):
@@ -769,15 +820,16 @@ class TestRelax:
         final, trace = relax_traced(data, dom, SolverConfig(seed=7, max_iterations=5))
         ref = jitter_init(data, dom, SolverConfig(seed=7))
         assert np.array_equal(trace.initial.y, ref.y)
-        assert trace.sites.shape == (8192, 2)
+        assert trace.sites.shape == (4096, 2)
         assert np.all(trace.sites[:, 1] <= dom.height)
 
     def test_default_sites_scale_with_dots(self):
-        """Without n_sites the run draws max(8192, 2n) sites, as the CLI does."""
-        data = DataSet(values=np.random.default_rng(6).random(8193))
+        """Without n_sites the run draws max(4096, 2n) sites, as the CLI does."""
         dom = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
-        _, trace = relax_traced(data, dom, SolverConfig(max_iterations=0))
-        assert trace.sites.shape == (16386, 2)
+        for n, m in [(100, 4096), (2048, 4096), (2049, 4098), (8193, 16386)]:
+            data = DataSet(values=np.random.default_rng(6).random(n))
+            _, trace = relax_traced(data, dom, SolverConfig(max_iterations=0))
+            assert trace.sites.shape == (m, 2)
 
 
 @st.composite
