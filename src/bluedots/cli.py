@@ -292,7 +292,7 @@ def _add_common_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iterations", type=int, default=SolverConfig.max_iterations)
     p.add_argument("--sites", type=int, default=None,
                    help="number of Monte Carlo sites, stratified one per cell of a jittered grid "
-                        "(default: max(4096, 2n) for n input rows)")
+                        "(default: max(4096, min(16n, 6144), 2n) for n input rows)")
     p.add_argument("--out", required=True, help="output path prefix")
 
 

@@ -59,7 +59,8 @@ class DensityEstimate:
 
     def _interpolate(self, t: np.ndarray) -> np.ndarray:
         """``evaluate`` in the buffer of the float64 array ``t``, which it
-        overwrites: no copy of a caller's own temporary."""
+        overwrites: no copy of a caller's own temporary. ``core.MetricSpec.
+        encoding_weight`` calls it on its fresh midpoint array."""
         np.clip(t, 0.0, 1.0, out=t)
         t *= GRID_SIZE - 1
         i0 = t.astype(np.intp)

@@ -122,7 +122,7 @@ class TestWhatTheBenchmarkReads:
         ref = jitter_init(data, DOM, config)
         assert trace.initial.x.tobytes() == ref.x.tobytes() and trace.initial.y.tobytes() == ref.y.tobytes()
         assert (trace.initial.labels, trace.initial.seed, trace.initial.iterations_run) == (data.labels, 5, 0)
-        assert trace.sites.shape == (max(4096, 2 * n), 2)
+        assert trace.sites.shape == ({60: 4096, 4100: 8200}[n], 2)
 
 
 class TestAssignSites:
@@ -635,11 +635,10 @@ class TestDrawSites:
     square columns of q + 1 (the first r) or q strata (q, r = divmod(m, nx))."""
 
     @staticmethod
-    def strata(sites: np.ndarray, h: float):
+    def strata(sites: np.ndarray, h: float, nx: int):
         """The column and row of the stratum each site lies in, with the
-        columns' stratum counts."""
+        columns' stratum counts, for nx columns."""
         m = sites.shape[0]
-        nx = min(max(round(np.sqrt(min(m / h, float(m) ** 2))), 1), m)
         rows = np.full(nx, m // nx)
         rows[: m % nx] += 1
         start = np.cumsum(rows) - rows
@@ -651,22 +650,30 @@ class TestDrawSites:
     def test_exactly_n_sites(self, m):
         assert solver._draw_sites(np.random.default_rng(0), m, 1, 0.2).shape == (m, 2)
 
+    # nx = round(sqrt(m / h)) by hand, clamped to [1, m].
     @pytest.mark.parametrize(
-        "m, h", [(4096, 0.2), (4099, 0.2), (8192, 0.847), (4099, 1e-6), (4099, largest_accepted_height(4099)), (37, 3.0)]
+        "m, h, nx",
+        [(4096, 0.2, 143), (4099, 0.2, 143), (8192, 0.847, 98), (37, 3.0, 4),
+         (4099, 1e-6, 4099), (4099, largest_accepted_height(4099), 1)],
     )
-    def test_one_site_per_stratum(self, m, h):
+    def test_one_site_per_stratum(self, m, h, nx):
         sites = solver._draw_sites(np.random.default_rng(1), m, 1, h)
-        col, row, rows = self.strata(sites, h)
+        col, row, rows = self.strata(sites, h, nx)
         assert np.all((row >= 0) & (row < rows[col]))
         assert np.array_equal(np.bincount((np.cumsum(rows) - rows)[col] + row, minlength=m), np.ones(m))
+        if 1 < nx < m:
+            # About square: a column's width c/m and its strata's height h/c
+            # are within a factor of 2 of each other.
+            aspect = (rows / m) / (h / rows)
+            assert np.all((aspect > 0.5) & (aspect < 2.0))
 
-    @pytest.mark.parametrize("h, columns", [(1e-6, 4099), (largest_accepted_height(4099), 1)])
+    @pytest.mark.parametrize("h", [1e-6, largest_accepted_height(4099)])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_sites_in_the_domain_at_both_column_clamps(self, h, columns):
+    def test_sites_in_the_domain_at_both_column_clamps(self, h):
         """At h = 1e-6 each of the m columns holds one stratum; at the largest
-        height the overflow check accepts, one column holds all m."""
+        height the overflow check accepts, one column holds all m (both
+        counted in ``test_one_site_per_stratum``)."""
         sites = solver._draw_sites(np.random.default_rng(2), 4099, 1, h)
-        assert len(self.strata(sites, h)[2]) == columns
         assert np.all((sites[:, 0] >= 0.0) & (sites[:, 0] <= 1.0))
         assert np.all((sites[:, 1] >= 0.0) & (sites[:, 1] <= h))
 
@@ -824,9 +831,10 @@ class TestRelax:
         assert np.all(trace.sites[:, 1] <= dom.height)
 
     def test_default_sites_scale_with_dots(self):
-        """Without n_sites the run draws max(4096, 2n) sites, as the CLI does."""
+        """Without n_sites the run draws max(4096, min(16n, 6144), 2n) sites,
+        as the CLI does."""
         dom = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
-        for n, m in [(100, 4096), (2048, 4096), (2049, 4098), (8193, 16386)]:
+        for n, m in [(100, 4096), (256, 4096), (300, 4800), (1024, 6144), (3072, 6144), (3073, 6146), (8193, 16386)]:
             data = DataSet(values=np.random.default_rng(6).random(n))
             _, trace = relax_traced(data, dom, SolverConfig(max_iterations=0))
             assert trace.sites.shape == (m, 2)

@@ -1,10 +1,11 @@
 """Record the benchmark's end-to-end metrics over repeated runs.
 
-    python3 tools/record_bench.py 26600e7=. --runs 5
-    python3 tools/record_bench.py parent=../parent-checkout change=. --runs 10
+    python3 tools/record_bench.py 26600e7=.
+    python3 tools/record_bench.py parent=../parent-checkout change=.
 
 Each TAG=TREE names a checkout to benchmark. ``perfbench/run.py --workload
-all --seconds S`` (default 30) runs N times in each, one process at a time.
+all --seconds S``, S the ``run_seconds`` of this checkout's BENCHMARK.json,
+runs N times (``--runs``, default 10) in each, one process at a time.
 With more than one checkout the runs go in rounds, one run of each per round,
 the order reversed every other round, so that drift in the machine's load
 falls on every side alike. For each tag the script writes ``BENCH_<tag>.json``
@@ -75,8 +76,7 @@ def record(runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="+", metavar="TAG=TREE", help="writes BENCH_<TAG>.json for the checkout TREE")
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--runs", type=int, default=10)
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
@@ -86,7 +86,8 @@ def main(argv=None) -> int:
         if not (sep and tag and tree) or tag in trees:
             parser.error(f"expected distinct TAG=TREE arguments, got {arg!r}")
         trees[tag] = Path(tree)
-    command = ["perfbench/run.py", "--workload", "all", "--seconds", repr(args.seconds)]
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+    command = ["perfbench/run.py", "--workload", "all", "--seconds", str(seconds)]
     runs = {tag: [] for tag in trees}
     for i in range(args.runs):
         for tag in list(trees)[:: 1 if i % 2 == 0 else -1]:
