@@ -14,10 +14,10 @@ more classes), or ``jitter``, its seeded start (``jitter_init``). The solver
 derives x, the centrality band and the labels; ``--centrality`` only picks
 the warped metric and the SVG envelope. ``plot`` checks its canvas and its
 class count before the layout runs, and ``analyze spectrum`` sums its
-realizations one layout at a time. ``--sites`` and ``--iterations`` default
-to ``SolverConfig``'s. The written layout file records the seed, iterations
-run, domain and metric; the site count and iteration cap come from the
-command line.
+realizations one layout at a time. ``--iterations`` defaults to
+``SolverConfig``'s cap, and the solver derives the site count from the row
+count. The written layout file records the seed, iterations run, domain and
+metric; the iteration cap comes from the command line.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def _resolve_domain(data: DataSet, radius: float, height_arg: str):
 
 
 def _solver_config(args, metric: MetricSpec = MetricSpec()) -> SolverConfig:
-    """The run's solver settings; without ``--sites`` the solver picks the count."""
-    return SolverConfig(n_sites=args.sites, max_iterations=args.iterations, seed=args.seed, metric=metric)
+    """The run's solver settings; the solver derives the site count."""
+    return SolverConfig(max_iterations=args.iterations, seed=args.seed, metric=metric)
 
 
 def _make_layout(treatment: str, data: DataSet, domain: PlotDomain, config: SolverConfig) -> DotLayout:
@@ -290,9 +290,6 @@ def _add_common_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--height", default="auto", help="'auto' or a normalized height")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iterations", type=int, default=SolverConfig.max_iterations)
-    p.add_argument("--sites", type=int, default=None,
-                   help="number of Monte Carlo sites, stratified one per cell of a jittered grid "
-                        "(default: max(4096, min(16n, 6144), 2n) for n input rows)")
     p.add_argument("--out", required=True, help="output path prefix")
 
 

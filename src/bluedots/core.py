@@ -162,17 +162,8 @@ class MetricSpec:
     density: Optional["DensityEstimate"] = None
 
     def __post_init__(self):
-        if self.kind is MetricKind.DENSITY_WARPED:
-            if self.density is None:
-                raise ValueError("DENSITY_WARPED metric requires a density estimate")
-            # Row k holds the minimum of the density values i..i + 2^k - 1 at i.
-            v = self.density.values
-            mins = np.full((int(v.size).bit_length(), v.size), np.inf)
-            mins[0] = v
-            for k in range(1, mins.shape[0]):
-                h = 1 << (k - 1)
-                np.minimum(mins[k - 1, :-h], mins[k - 1, h:], out=mins[k, :-h])
-            object.__setattr__(self, "_mins", mins)
+        if self.kind is MetricKind.DENSITY_WARPED and self.density is None:
+            raise ValueError("DENSITY_WARPED metric requires a density estimate")
 
     def encoding_weight(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """Weight applied to |x1 - x2| in the metric, elementwise; uniform: the scalar 2."""
@@ -183,26 +174,6 @@ class MetricSpec:
         w = self.density._interpolate(ref)
         w /= self.density.d_max
         w += 1.0
-        return w
-
-    def min_weight(self, sx: np.ndarray, reach: np.ndarray) -> np.ndarray:
-        """A lower bound on ``encoding_weight(x, sx)`` for every x within
-        ``reach`` of each ``sx``: 2 for the uniform metric; for the warped
-        one, 1 + the smallest density value at the grid points the weight can
-        interpolate between, over d_max, less a rounding margin."""
-        if self.kind is MetricKind.UNIFORM:
-            return np.full(np.shape(sx), 2.0)
-        # The midpoints of x and sx lie within reach / 2 of sx; the grid
-        # points around them, one more on each side for rounding.
-        g, half = self.density.values.size - 1, reach / 2.0
-        lo = np.clip(np.floor((sx - half) * g) - 1.0, 0, g - 1).astype(np.intp)
-        hi = np.clip(np.floor((sx + half) * g) + 2.0, 1, g).astype(np.intp)
-        # The minimum over [lo, hi] from two overlapping power-of-two runs.
-        k = np.frexp(hi - lo + 1)[1] - 1
-        w = np.minimum(self._mins[k, lo], self._mins[k, hi - (1 << k) + 1])
-        w /= self.density.d_max
-        w += 1.0
-        w *= 1.0 - 16 * np.finfo(np.float64).eps
         return w
 
     def encoding_term(self, x, sx) -> np.ndarray:

@@ -65,7 +65,7 @@ dot that search started from, so it holds every dot as near as the owner.
 Every other site keeps its owner bit for bit, because the dots that could
 beat or tie it are unmoved and score as before. The band's first call is
 incremental too, against a last y of NaN. The grid's reach in x takes the
-metric's weight bound, ``MetricSpec.min_weight``.
+smallest weight the metric can give, 2 uniform and 1 warped.
 """
 
 from __future__ import annotations
@@ -358,10 +358,12 @@ class _GridAssigner:
     float order, the dense search's, and among the dots at the site's minimum
     the lowest index wins.
 
-    W is per site, the metric's bound ``MetricSpec.min_weight(s_x, R)``: every
-    dot within R has |x - s_x| <= R (w >= 1). For the uniform metric it is 2.
-    For the warped one it comes from the density values around s_x, and where
-    the data is dense that nearly halves the reach in x against w_min = 1.
+    W is w_min. The uniform weight is exactly 2. Every warped weight
+    fl(1 + fl(v / d_max)) is at least 1, because the interpolated density v
+    is never negative. Rounding is monotone, and the grid values v_i are not
+    negative, so the slope fl(v_(i+1) - v_i) is at least -v_i; for t in
+    [0, 1], fl(slope t) is then at least min(slope, 0) >= -v_i, and
+    v = fl(v_i + fl(slope t)) >= fl(v_i - v_i) = 0.
 
     The known dot is the site's owner in the previous call: any dot is a
     valid bound, so a changed y only loosens it. On the first call it is the
@@ -485,13 +487,13 @@ class _GridAssigner:
                 o = self._owner[part]
                 bound = self.metric.distance(self.x[o], y[o], self.sx[part], self.sy[part])
                 del o  # not held through the scan, which sets the peak memory
-            reach, w, c0, ncols, cands = self._reach(part, bound, below)
+            reach, c0, ncols, cands = self._reach(part, bound, below)
             del bound  # likewise
             scan = np.flatnonzero(cands > 1)  # the rest hold only the known dot
-            at, reach, w, c0, ncols, cands = (v[scan] for v in (part, reach, w, c0, ncols, cands))
-            self._scan(at, reach, w, c0, ncols, cands, perm, gx, gy, start)
+            at, reach, c0, ncols, cands = (v[scan] for v in (part, reach, c0, ncols, cands))
+            self._scan(at, reach, c0, ncols, cands, perm, gx, gy, start)
 
-    def _scan(self, at, reach, w, c0, ncols, cands, perm, gx, gy, start) -> None:
+    def _scan(self, at, reach, c0, ncols, cands, perm, gx, gy, start) -> None:
         """Score the sites ``at`` against the dots in their boxes, in chunks of
         about ``_CHUNK_ELEMENTS`` (site, dot) pairs and (site, column) ranges."""
         grid = self.grid
@@ -505,7 +507,7 @@ class _GridAssigner:
             s_x = np.repeat(sx[a:b], cols)
             rest = np.maximum(self.col_lo[c] - s_x, s_x - self.col_hi[c])
             np.maximum(rest, 0.0, out=rest)
-            rest *= np.repeat(w[a:b], cols)
+            rest *= self.w_min
             np.subtract(np.repeat(reach[a:b], cols), rest, out=rest)
             s_y = np.repeat(sy[a:b], cols)
             c *= grid.ny
@@ -526,8 +528,8 @@ class _GridAssigner:
 
     def _reach(self, sites, bound: np.ndarray, below: np.ndarray):
         """The reach around each of these sites, ``bound`` widened by its
-        tolerance, its weight bound (``MetricSpec.min_weight``), the first
-        column and the number of columns of its box, and the dots in the box.
+        tolerance, the first column and the number of columns of its box (the
+        reach in x is the reach over ``w_min``), and the dots in the box.
         The box, the grid columns [c0, c1) and rows [r0, r1) the reach spans,
         is kept as the site's: the flat indices into the prefix counts of its
         corners (c0, r0), (c0, r1), (c1, r0) and (c1, r1), each written
@@ -535,14 +537,13 @@ class _GridAssigner:
         grid = self.grid
         reach = bound + 16 * np.finfo(np.float64).eps * (self.scale + bound)
         sx, sy = self.sx[sites], self.sy[sites]
-        w = self.metric.min_weight(sx, reach)
-        c0, c1 = grid.col(sx - reach / w), grid.col(sx + reach / w) + 1
+        c0, c1 = grid.col(sx - reach / self.w_min), grid.col(sx + reach / self.w_min) + 1
         r0, r1 = grid.row(sy - reach), grid.row(sy + reach) + 1
         left, right = c0 * (grid.ny + 1), c1 * (grid.ny + 1)
         corners = (left + r0, left + r1, right + r0, right + r1)
         for i, corner in enumerate(corners):
             self._boxes[i, sites] = corner
-        return reach, w, c0, c1 - c0, self._count(below, corners)
+        return reach, c0, c1 - c0, self._count(below, corners)
 
 
 def _draw_sites(rng: np.random.Generator, n_sites: int, n: int, height: float) -> np.ndarray:

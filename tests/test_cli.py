@@ -266,7 +266,7 @@ class TestCmdPlot:
 
     def test_identical_invocations_identical_bytes(self, tmp_path):
         args = ["plot", "--input", GEYSER, "--column", "waiting", "--iterations", "8",
-                "--sites", "2048", "--seed", "1"]
+                "--seed", "1"]
         assert self.run(args + ["--out", str(tmp_path / "r1")]) == 0
         assert self.run(args + ["--out", str(tmp_path / "r2")]) == 0
         assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
@@ -278,7 +278,7 @@ class TestCmdPlot:
         marked = tmp_path / "bom" / "geyser.csv"
         marked.parent.mkdir()
         marked.write_bytes(b"\xef\xbb\xbf" + Path(GEYSER).read_bytes())
-        args = ["plot", "--column", "waiting", "--iterations", "8", "--sites", "2048", "--seed", "1"]
+        args = ["plot", "--column", "waiting", "--iterations", "8", "--seed", "1"]
         assert self.run(args + ["--input", GEYSER, "--out", str(tmp_path / "plain")]) == 0
         assert self.run(args + ["--input", str(marked), "--out", str(tmp_path / "marked")]) == 0
         for ext in ("json", "svg"):
@@ -306,7 +306,7 @@ class TestCmdPlot:
     def test_layout_file_contract(self, tmp_path):
         out = tmp_path / "t"
         self.run(["plot", "--input", TIPS, "--column", "bill", "--class-column", "time",
-                  "--iterations", "4", "--sites", "1024", "--out", str(out)])
+                  "--iterations", "4", "--out", str(out)])
         doc = json.loads((tmp_path / "t.json").read_text())
         assert doc["version"] == 1
         assert doc["metric"]["kind"] == "uniform"
@@ -322,7 +322,7 @@ class TestCmdPlot:
     def test_explicit_height_and_centrality(self, tmp_path):
         out = tmp_path / "c"
         code = self.run(["plot", "--input", GEYSER, "--column", "waiting", "--height",
-                         "0.25", "--centrality", "--iterations", "3", "--sites", "1024",
+                         "0.25", "--centrality", "--iterations", "3",
                          "--out", str(out)])
         assert code == 0
         doc = json.loads((tmp_path / "c.json").read_text())
@@ -342,7 +342,17 @@ class TestCmdPlot:
         path = write_csv(tmp_path, "big.csv", "v\n" + rows + "\n")
         common = ["plot", "--input", path, "--column", "v", "--iterations", "0"]
         assert self.run(common + ["--out", str(tmp_path / "big")]) == 0
-        assert self.run(common + ["--sites", "8192", "--out", str(tmp_path / "few")]) == 1
+
+    @pytest.mark.parametrize("command", [["plot"], ["analyze", "overlap"], ["analyze", "spectrum"]])
+    def test_site_count_is_not_an_option(self, tmp_path, capsys, command):
+        """The solver derives the site count from the row count, so ``--sites``
+        is a usage error (exit status 2) that writes nothing."""
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--input", GEYSER, "--column", "waiting", "--sites", "4096",
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sites 4096" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name,column,classes", [("tips", "bill", "time"),
                                                      ("iris", "sepal_length", "species")])
@@ -386,7 +396,7 @@ class TestCmdPlot:
         (["--radius", "inf"], "radius must be finite"),
         # The canvas's pixel height, 800 * 1e306, overflows; plot checks it
         # before the layout runs.
-        (["--height", "1e306", "--iterations", "1", "--sites", "1024"], "canvas height"),
+        (["--height", "1e306", "--iterations", "1"], "canvas height"),
         (["--height", "1e308", "--centrality"], "canvas height"),
         (["--radius", "1e200"], "automatic height"),
         # The dot radius in pixels, 800 * 1e306, overflows.
@@ -463,7 +473,7 @@ class TestCmdAnalyze:
         out = tmp_path / "ov"
         code = main(["analyze", "overlap", "--input", GEYSER, "--column", "waiting",
                      "--height", "0.2", "--seeds", "1", "--counts", "16,32",
-                     "--iterations", "4", "--sites", "512", "--out", str(out)])
+                     "--iterations", "4", "--out", str(out)])
         assert code == 0
         rows = (tmp_path / "ov_overlap.csv").read_text().strip().split("\n")[1:]
         assert len(rows) == 4  # 2 treatments x 2 counts x 1 seed
@@ -474,7 +484,7 @@ class TestCmdAnalyze:
         out = tmp_path / "ord"
         assert main(["analyze", "overlap", "--input", GEYSER, "--column", "waiting",
                      "--height", "0.2", "--seeds", "2", "--counts", "32,16",
-                     "--iterations", "2", "--sites", "512", "--out", str(out)]) == 0
+                     "--iterations", "2", "--out", str(out)]) == 0
         rows = (tmp_path / "ord_overlap.csv").read_text().strip().split("\n")[1:]
         keys = [tuple(r.split(",")[1:4]) for r in rows]
         assert keys == [(t, s, c) for t in ("blue", "jitter") for c in ("32", "16")
@@ -498,7 +508,7 @@ class TestCmdAnalyze:
         out = tmp_path / "ov2"
         main(["analyze", "overlap", "--input", GEYSER, "--column", "waiting",
               "--height", "0.2", "--seeds", "2", "--counts", "16",
-              "--iterations", "2", "--sites", "512", "--out", str(out)])
+              "--iterations", "2", "--out", str(out)])
         lines = (tmp_path / "ov2_summary.csv").read_text().strip().split("\n")
         assert lines[0] == "dataset,treatment,n,median,iqr"
         assert len(lines) == 3
@@ -644,20 +654,17 @@ class TestCmdAnalyze:
 
         monkeypatch.setattr(cli, name, fail)
         code = main(["analyze", *args, "--input", GEYSER, "--column", "waiting", "--iterations", "2",
-                     "--sites", "512", "--out", str(tmp_path / "out" / "x")])
+                     "--out", str(tmp_path / "out" / "x")])
         assert code == 1
         assert list(tmp_path.iterdir()) == []
 
 
 class TestAllocationThatCannotSucceed:
-    # Both sizes exceed a 48-bit address space (7.11 PiB and 2.84 PiB), so
-    # the allocation fails at once under any overcommit policy.
-    @pytest.mark.parametrize("args", [
-        ["plot", "--sites", "1000000000000000"],
-        ["analyze", "spectrum", "--kmax", "10000000", "--realizations", "1", "--iterations", "0"],
-    ])
-    def test_one_error_line_and_no_file(self, tmp_path, capsys, args):
-        code = main([*args, "--input", GEYSER, "--column", "waiting", "--out", str(tmp_path / "x")])
+    # The spectrum's 2.84 PiB exceeds a 48-bit address space, so the
+    # allocation fails at once under any overcommit policy.
+    def test_one_error_line_and_no_file(self, tmp_path, capsys):
+        code = main(["analyze", "spectrum", "--kmax", "10000000", "--realizations", "1", "--iterations", "0",
+                     "--input", GEYSER, "--column", "waiting", "--out", str(tmp_path / "x")])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
@@ -674,7 +681,7 @@ class TestUnwritableOutput:
 
     def run(self, capsys, args, out):
         code = main([*args, "--input", GEYSER, "--column", "waiting", "--iterations", "2",
-                     "--sites", "512", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
@@ -736,7 +743,7 @@ class TestLayoutRoundTrip:
     def test_svg_parse_back_within_tolerance(self, tmp_path):
         out = tmp_path / "rt"
         main(["plot", "--input", GEYSER, "--column", "waiting", "--iterations", "6",
-              "--sites", "1024", "--out", str(out)])
+              "--out", str(out)])
         layout, doc = load_layout(f"{out}.json")
         svg = (tmp_path / "rt.svg").read_text()
         ns = "{http://www.w3.org/2000/svg}"
@@ -788,9 +795,6 @@ def plot_inputs(draw):
         f"--treatment={draw(st.sampled_from(cli.TREATMENTS))}",
         f"--seed={draw(st.integers(0, 2**32))}",
     ]
-    sites = draw(st.one_of(st.none(), st.integers(-1, 100)))
-    if sites is not None:
-        options.append(f"--sites={sites}")
     if draw(st.booleans()):
         options.append("--centrality")
     return values, labels, options

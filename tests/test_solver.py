@@ -408,20 +408,42 @@ class TestBandedExactness:
     )
     @settings(max_examples=200, deadline=None)
     def test_warped_weight_bound_holds_within_reach(self, sample, bandwidth, sx, reach):
-        """The metric's weight bound, which the grid search takes per site, is
-        at most the encoding weight of the site to every x within its reach,
-        on sharp and flat densities."""
+        """The grid search's weight bound w_min is at most the encoding weight
+        of each site to every x within its reach: every warped weight is at
+        least 1, on sharp and flat densities and over zero-density gaps, and
+        the uniform weight is exactly 2."""
         xs = np.array(sample)
         density = estimate_density(xs) if bandwidth is None else density_at(xs, bandwidth)
-        spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=density)
         m = min(len(sx), len(reach))
         sx, reach = np.array(sx[:m]), np.array(reach[:m])
-        w = spec.min_weight(sx, reach)
         # Dots across each reach, its ends, and the sample itself.
         x = np.concatenate([np.linspace(-1.0, 1.0, 401)[:, None] * reach + sx, (sx - reach)[None], xs[:, None] + 0 * sx])
         x = np.clip(x, 0.0, 1.0)
-        within = np.abs(x - sx) <= reach
-        assert np.all(spec.encoding_weight(x, sx)[within] >= np.broadcast_to(w, x.shape)[within])
+        sites = np.stack([np.clip(sx, 0.0, 1.0), np.zeros(m)], axis=1)
+        for kind, w_min in ((MetricKind.DENSITY_WARPED, 1.0), (MetricKind.UNIFORM, 2.0)):
+            spec = MetricSpec(kind=kind, density=density)
+            assert _GridAssigner(xs, sites, spec, np.array([0.0, 1.0])).w_min == w_min
+            w = spec.encoding_weight(x, sx)
+            assert np.all(w >= w_min) if kind is MetricKind.DENSITY_WARPED else w == w_min
+
+    def test_owner_at_the_reach_edge_over_a_zero_density_gap(self):
+        """A site at (0.5, 0) over a gap where the density is 0, so that every
+        warped weight here is exactly 1. Dot 0, 0.25 to its right, owns it at
+        distance 0.25; the known dot 1 straight above it bounds the search at
+        0.25 + 2^-24. The grid has two columns, split at x = 0.75, so only a
+        reach in x of the bound over w_min = 1 gets to dot 0's column: the
+        bound over a weight of 1 + 2^-21 stops short of it."""
+        values = np.zeros(GRID_SIZE)
+        values[0] = 1.0
+        spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=DensityEstimate(values=values))
+        x, y = np.array([0.75, 0.5, 1.0]), np.array([0.0, 0.25 + 2**-24, 0.3])
+        sites = np.array([[0.5, 0.0]])
+        with patch.object(solver, "_WIDE", 1):
+            assigner = _site_assigner(x, sites, spec, np.array([0.0, 0.3]))
+        assert isinstance(assigner, _GridAssigner)
+        assert (assigner.grid.nx, assigner.grid.col(np.array([0.75 - 2**-22, 0.75])).tolist()) == (2, [0, 1])
+        assigner._first_bound = bound_by(assigner, np.array([1, 1, 1]))
+        assert assign_checked(assigner, x, y, sites, spec)[0] == 0
 
     @pytest.mark.parametrize("second", [
         # Dot 0 to just below a row edge, at the owner's distance 0.75 after
@@ -816,6 +838,8 @@ class TestRelax:
         dom = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
         with pytest.raises(ValueError):
             relax(data, dom, SolverConfig(n_sites=50))
+        with pytest.raises(ValueError, match="n_sites must be positive"):
+            SolverConfig(n_sites=0)
 
     def test_negative_seed_rejected_by_name(self):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):

@@ -30,7 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def parse_run(stdout: str) -> dict:
     """Each workload's JSON result, ``layout_digest`` and ``env`` line from
-    one ``perfbench/run.py`` run's standard output."""
+    one ``perfbench/run.py`` run's standard output. A ``ValueError`` names
+    the first workload whose result is not ``correct``: run.py exits 0 on
+    wrong outputs, and such a run is no measurement."""
     workloads, name = {}, None
     for line in stdout.splitlines():
         if line.startswith("# workload "):
@@ -42,6 +44,9 @@ def parse_run(stdout: str) -> dict:
             workloads[name]["layout_digest"] = line.split()[2]
         elif line.startswith("{"):
             workloads[name]["result"] = json.loads(line)
+    for name, workload in workloads.items():
+        if not workload["result"]["correct"]:
+            raise ValueError(f"workload {name} is not correct ({workload['result']['failed']} ops failed)")
     return workloads
 
 
@@ -95,7 +100,11 @@ def main(argv=None) -> int:
             if proc.returncode != 0:
                 sys.stderr.write(proc.stderr)
                 return f"error: {tag} run {i + 1} of {args.runs} exited with status {proc.returncode}"
-            runs[tag].append(parse_run(proc.stdout))
+            try:
+                runs[tag].append(parse_run(proc.stdout))
+            except ValueError as exc:
+                sys.stderr.write(proc.stderr)
+                return f"error: {tag} run {i + 1} of {args.runs}: {exc}"
             print(f"{tag} run {i + 1} of {args.runs} done", file=sys.stderr)
     for tag in trees:
         summary = {"command": ["python3", *command], "n_runs": args.runs, "workloads": record(runs[tag])}
