@@ -16,8 +16,8 @@ the warped metric and the SVG envelope. ``plot`` checks its canvas and its
 class count before the layout runs, and ``analyze spectrum`` sums its
 realizations one layout at a time. ``--iterations`` defaults to
 ``SolverConfig``'s cap, and the solver derives the site count from the row
-count. The written layout file records the seed, iterations run, domain and
-metric; the iteration cap comes from the command line.
+count. The layout file records the seed, iterations run, domain and metric:
+``plot`` rerun with them (``--iterations`` the iterations run) rewrites it.
 """
 
 from __future__ import annotations
@@ -168,6 +168,8 @@ def load_layout(path) -> tuple[DotLayout, dict]:
     """Rebuild a DotLayout from a layout file; also returns the raw document."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if doc.get("version") != LAYOUT_FILE_VERSION:
+        raise ValueError(f"layout file version {doc.get('version')!r} is not {LAYOUT_FILE_VERSION}")
     domain = PlotDomain(**doc["domain"])
     dots = doc["dots"]
     labels = tuple(d["class"] for d in dots) if dots and "class" in dots[0] else None
@@ -261,15 +263,16 @@ def cmd_analyze_overlap(args) -> int:
         raise CliError("--seeds must be positive")
 
     config = _solver_config(args)
+    seeds = range(args.seed, args.seed + args.seeds)
     subsets = [DataSet(values=data.values[:count], name=data.name) for count in counts]
     domains = [_resolve_domain(subset, args.radius, args.height)[0] for subset in subsets]
     dataset = data.name or ""
     rows, summary = [], []
     for t in TREATMENTS:
         for c, subset, domain in zip(counts, subsets, domains):
-            layouts = (_make_layout(t, subset, domain, replace(config, seed=seed)) for seed in range(args.seeds))
+            layouts = (_make_layout(t, subset, domain, replace(config, seed=seed)) for seed in seeds)
             v = np.array([overlap_metric(layout) for layout in layouts])
-            rows += [dict(dataset=dataset, treatment=t, seed=s, n=c, value=x) for s, x in enumerate(v.tolist())]
+            rows += [dict(dataset=dataset, treatment=t, seed=s, n=c, value=x) for s, x in zip(seeds, v.tolist())]
             # Not np.percentile and np.median, which import numpy.ma.
             q75, q25 = _quartiles(v)
             summary.append({"dataset": dataset, "treatment": t, "n": c, "median": _median(v), "iqr": q75 - q25})

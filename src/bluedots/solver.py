@@ -37,15 +37,14 @@ The nearest-dot search is exact: its owners are the dense (m, n) search's bit
 for bit, ties going to the lowest dot index, since every distance keeps the
 metric's float order (``core.MetricSpec.distance``, which also gives callers
 the owners' distances). It comes in two forms, and ``_site_assigner`` picks
-one per dot group. A run sorts its sites by x once (``_site_index``), and
-every group's assigner shares that one index: the band's blocks hold views
-of it, and a run whose groups all take the grid search keeps none of it.
-Because x is frozen, the encoding-axis term w*|dx| of every
-dot-to-site distance is constant for the whole run, and so is which dots can
-own which sites: with every |dy| at most delta (the height, or the initial y's
-span), a dot whose term exceeds the smallest one by more than delta is
-strictly farther than that dot whatever the y. Where those candidate windows
-are narrow, blocks of x-sorted sites store their windows' terms once
+one per dot group. Every group's assigner reads the run's one site array as
+drawn, x-local column by column, and the band's blocks hold views of it.
+Because x is frozen, the encoding-axis term w*|dx| of every dot-to-site
+distance is constant for the whole run, and so is which dots can own which
+sites: with every |dy| at most delta (the height, or the initial y's span),
+a dot whose term exceeds the smallest one by more than delta is strictly
+farther than that dot whatever the y. Where those candidate windows are
+narrow, blocks of consecutive sites store their windows' terms once
 (``_BandAssigner``). At large n with the auto height they span most dots and
 the store grows as m*n, so there a grid search scores each site only against
 the dots within its distance to a known dot (``_GridAssigner``): a few dots
@@ -157,34 +156,26 @@ class RelaxTrace(NamedTuple):
     sites: np.ndarray
 
 
-def _site_index(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sites sorted by x: the sort order, and the sorted x and y."""
-    # Sort order among equal keys never matters: sites are scattered back
-    # by index, and each block's dots are re-sorted.
-    order = np.argsort(sites[:, 0])
-    return order, sites[order, 0], sites[order, 1]
-
-
 class _Block(NamedTuple):
-    """x-sorted sites, their indices ``rows`` and ``s`` (a column of their y),
-    with their candidate dots ``cols``, in ascending index, and terms ``xp``
-    (one row per site)."""
+    """A run of consecutive sites, the slice ``rows`` and ``s`` (a column of
+    their y, a view of the sites), with their candidate dots ``cols``, in
+    ascending index, and terms ``xp`` (one row per site)."""
 
-    rows: np.ndarray
+    rows: slice
     s: np.ndarray
     cols: np.ndarray
     xp: np.ndarray
 
 
-def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray, index=None):
+def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray):
     """The exact nearest-dot search for dots at fixed ``x`` and these sites,
     for any dot y within the range of ``y_range``: the band where each of
     its blocks would span fewer than ``_WIDE`` dots, else the grid search.
-    ``index`` is the sites' ``_site_index``, built here if not given; the
-    band's blocks hold views of it.
 
-    Sites are sorted by x into consecutive blocks, each scored only against
-    its candidate window of dots. A site's distance to dot i is
+    The band cuts the sites, as given, into blocks of consecutive sites, each
+    scored only against the candidate window of its sites' x-extent. Owners
+    are exact in any site order; the windows are narrow, and the band fast,
+    where consecutive sites lie close in x. A site's distance to dot i is
     fl(fl|s_y - y_i| + xp_i) with xp_i = fl(w * fl|x_i - s_x|), which lies in
     [xp_i, fl(xp_i + delta)]. So a dot whose xp exceeds fl(min_j xp_j + delta)
     is strictly farther than the dot with the smallest xp: it can neither own
@@ -194,7 +185,7 @@ def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range
     anything of size m*n is allocated.
     """
     n, m = x.size, sites.shape[0]
-    order, sx, sy = _site_index(sites) if index is None else index
+    sx, sy = sites[:, 0], sites[:, 1]
     if m == 0:  # no sites: nothing to own
         return _BandAssigner(0, [])
     delta = max(float(sy.max()) - float(np.min(y_range)), float(np.max(y_range)) - float(sy.min()))
@@ -207,13 +198,13 @@ def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range
     reach = metric.encoding_term(np.where(sx - left <= right - sx, left, right), sx) + delta
     # Covers the rounding of fl|x - s_x| and of the window ends.
     tol = 8 * np.finfo(np.float64).eps * (
-        np.abs(x_sorted[[0, -1]]).max() + np.abs(sx[[0, -1]]).max() + reach.max()
+        np.abs(x_sorted[[0, -1]]).max() + max(-float(sx.min()), float(sx.max())) + reach.max()
     )
 
     # A block spans about a quarter of the mean window's x-width and
     # holds at most _CHUNK_ELEMENTS terms. A mean that overflows (a height
     # near the largest float) starts the size at m, as any wide window does.
-    span = float(sx[-1] - sx[0])
+    span = float(sx.max()) - float(sx.min())
     with np.errstate(over="ignore"):
         mean = float(reach.mean())
     size = int(min(max(m * mean / (2.0 * span) if span > 0 else m, 1), m))
@@ -221,8 +212,8 @@ def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range
         starts = np.arange(0, m, size)
         ends = np.minimum(starts + size, m)
         r = np.maximum.reduceat(reach, starts)
-        lo = np.searchsorted(x_sorted, sx[starts] - r - tol, side="left")
-        hi = np.searchsorted(x_sorted, sx[ends - 1] + r + tol, side="right")
+        lo = np.searchsorted(x_sorted, np.minimum.reduceat(sx, starts) - r - tol, side="left")
+        hi = np.searchsorted(x_sorted, np.maximum.reduceat(sx, starts) + r + tol, side="right")
         terms = int(((ends - starts) * (hi - lo)).max())
         if size == 1 or terms <= _CHUNK_ELEMENTS:
             break
@@ -237,12 +228,12 @@ def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range
         keep = np.flatnonzero((xp <= (xp.min(axis=1) + delta)[:, None]).any(axis=0))
         if keep.size < cols.size:
             cols, xp = cols[keep], xp.take(keep, axis=1)
-        blocks.append(_Block(order[a:b], sy[a:b, None], cols, xp))
+        blocks.append(_Block(slice(a, b), sy[a:b, None], cols, xp))
     return _BandAssigner(m, blocks)
 
 
 class _BandAssigner:
-    """Exact nearest-dot search over blocks of x-sorted sites, each scored
+    """Exact nearest-dot search over blocks of consecutive sites, each scored
     against its stored candidate dots and their precomputed terms (built by
     ``_site_assigner``). Dots are stored in ascending index, so ``argmin``
     gives the lowest index among tied dots. A block's distances
@@ -563,6 +554,9 @@ def _draw_sites(rng: np.random.Generator, n_sites: int, n: int, height: float) -
     x <= (s_j + c_j) / m <= 1 and y <= height: k + v rounds to at most
     k + 1 <= c_j.
 
+    Each column's sites are consecutive and lie in its x-interval, so runs
+    of consecutive sites are narrow in x, as the band (``_site_assigner``) needs.
+
     The height must keep 2 * n_sites * height finite, which keeps every cell
     sum of site y (``_cell_means``) finite. Proof: each site y is at most
     height, as above, and a cell holds at most m sites. ``np.bincount`` adds
@@ -622,14 +616,19 @@ def jitter_init(data: DataSet, domain: PlotDomain, config: SolverConfig) -> DotL
 
 
 def assign_sites(dots: DotLayout, sites, metric: MetricSpec) -> VoronoiAssignment:
-    """Map each site to its nearest dot; ties go to the lowest dot index."""
+    """Map each site, in any order, to its nearest dot; ties go to the lowest
+    dot index. The search runs over the sites sorted by x; the owners are read-only."""
     sites = np.asarray(sites, dtype=np.float64)
     if sites.ndim != 2 or sites.shape[1] != 2:
         raise ValueError("sites must be an (m, 2) array")
     bad = np.flatnonzero(~np.isfinite(sites).all(axis=1))
     if bad.size:
         raise ValueError(f"non-finite site at index {int(bad[0])}: {sites[bad[0]].tolist()}")
-    return VoronoiAssignment(sites, _site_assigner(dots.x, sites, metric, dots.y).assign(dots.y))
+    order = np.argsort(sites[:, 0])
+    owner = np.empty(order.size, dtype=np.intp)
+    owner[order] = _site_assigner(dots.x, sites[order], metric, dots.y).assign(dots.y)
+    owner.flags.writeable = False
+    return VoronoiAssignment(sites, owner)
 
 
 def _cell_means(owner: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -651,16 +650,12 @@ def _relax_groups(xs, y0, sites, groups, h: float, metric: MetricSpec):
     """The relaxation loop as an endless stream: each pull runs one assign +
     cell-mean step per index group (its dots competing for all sites alone)
     and yields y, the loop's own array, which the next pull updates in place.
-    The first pull builds the site index and the groups' assigners."""
+    The first pull builds the groups' assigners, each over ``sites`` as drawn."""
     y = np.array(y0)
     site_y = sites[:, 1]
     # Every y the loop sees is y0 or clamped to [0, h].
     y_range = np.append(y, [0.0, h])
-    # One site index for every group's assigner. It is not kept past the
-    # build, so only the band's blocks hold it, and a grid-only run none.
-    index = _site_index(sites)
-    assigners = [_site_assigner(xs[idx], sites, metric, y_range, index) for idx in groups]
-    del index
+    assigners = [_site_assigner(xs[idx], sites, metric, y_range) for idx in groups]
     while True:
         for idx, assigner in zip(groups, assigners):
             old = y[idx]

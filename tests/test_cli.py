@@ -493,6 +493,21 @@ class TestCmdAnalyze:
         assert [tuple(r.split(",")[1:3]) for r in summary] == [
             ("blue", "32"), ("blue", "16"), ("jitter", "32"), ("jitter", "16")]
 
+    def test_overlap_seeds_realizations_from_seed(self, tmp_path):
+        """Realization i runs at seed --seed + i, and the CSV's seed column
+        says so: the seed-4 rows of --seed 3 --seeds 2 are those of --seed 4."""
+        def rows(seed, seeds):
+            out = tmp_path / f"s{seed}"
+            assert main(["analyze", "overlap", "--input", GEYSER, "--column", "waiting", "--height", "0.2",
+                         "--seed", str(seed), "--seeds", str(seeds), "--counts", "16",
+                         "--iterations", "2", "--out", str(out)]) == 0
+            return [r.split(",") for r in Path(f"{out}_overlap.csv").read_text().strip().split("\n")[1:]]
+
+        pair, single = rows(3, 2), rows(4, 1)
+        assert [(r[1], r[2]) for r in pair] == [("blue", "3"), ("blue", "4"), ("jitter", "3"), ("jitter", "4")]
+        assert [r for r in pair if r[2] == "4"] == single
+        assert pair[0][4] != pair[1][4]
+
     @pytest.mark.parametrize("args, message", [
         (["--counts", "16,16"], "distinct"),
         (["--counts", "16", "--seeds", "0"], "--seeds must be positive"),
@@ -769,6 +784,45 @@ class TestLayoutRoundTrip:
         assert f'"{key}": {value}' in path.read_text()
         with pytest.raises(ValueError, match="non-finite coordinate at dot 3"):
             load_layout(path)
+
+
+    @pytest.mark.parametrize("version", [2, 0, "1", None])
+    def test_other_version_rejected_naming_it(self, tmp_path, version):
+        out = tmp_path / "g"
+        main(["plot", "--input", GEYSER, "--column", "waiting", "--iterations", "0", "--out", str(out)])
+        doc = json.loads(Path(f"{out}.json").read_text())
+        if version is None:
+            del doc["version"]
+        else:
+            doc["version"] = version
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(doc, indent=2))
+        with pytest.raises(ValueError, match=re.escape(f"layout file version {version!r} is not 1")) as err:
+            load_layout(path)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("options", [
+        ["--centrality", "--seed", "4"],
+        ["--height", "0.2", "--seed", "3"],
+        ["--class-column", "time", "--seed", "2"],
+    ], ids=["geyser-centrality", "geyser-height", "tips-multiclass"])
+    def test_layout_file_reproduces_its_run(self, tmp_path, options):
+        """The file's seed, iterations run, height, radius and metric, with
+        the input columns, rerun ``plot`` to the same JSON and SVG bytes."""
+        source, column = (TIPS, ["--column", "bill"]) if "--class-column" in options else (GEYSER, ["--column", "waiting"])
+        first = tmp_path / "first"
+        assert main(["plot", "--input", source, *column, *options, "--out", str(first)]) == 0
+        doc = json.loads(Path(f"{first}.json").read_text())
+        replay = ["--seed", str(doc["seed"]), "--iterations", str(doc["iterations_run"]),
+                  "--height", repr(doc["domain"]["height"]), "--radius", repr(doc["domain"]["radius"])]
+        if doc["metric"]["kind"] == MetricKind.DENSITY_WARPED.value:
+            replay.append("--centrality")
+        if "--class-column" in options:
+            replay += ["--class-column", "time"]
+        again = tmp_path / "again"
+        assert main(["plot", "--input", source, *column, *replay, "--out", str(again)]) == 0
+        for suffix in (".json", ".svg"):
+            assert Path(f"{again}{suffix}").read_bytes() == Path(f"{first}{suffix}").read_bytes()
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -43,6 +43,12 @@ from bluedots.solver import _BandAssigner, _cell_update, _class_schedule, _GridA
 DOM = PlotDomain(x_min=0.0, x_max=1.0, height=0.2, radius=0.01)
 
 
+def x_sorted(sites: np.ndarray) -> np.ndarray:
+    """The sites in x order, so that the band's blocks of consecutive sites
+    are narrow in x, as those of a run's drawn sites are."""
+    return sites[np.argsort(sites[:, 0])]
+
+
 def jitter(xs, seed: int, metric: MetricSpec = MetricSpec()) -> DotLayout:
     """The jitter layout of values already in [0, 1], which DOM keeps as x."""
     return jitter_init(DataSet(values=xs), DOM, SolverConfig(seed=seed, metric=metric))
@@ -104,7 +110,7 @@ class TestWhatTheBenchmarkReads:
         x = rng.random(300)
         spec = MetricSpec() if kind is MetricKind.UNIFORM else MetricSpec(kind=kind, density=estimate_density(x))
         lay = DotLayout(x=x, y=rng.random(300) * DOM.height, domain=DOM)
-        sites = np.column_stack([rng.random(2000), rng.random(2000) * DOM.height])
+        sites = x_sorted(np.column_stack([rng.random(2000), rng.random(2000) * DOM.height]))
         with patch.object(solver, "_WIDE", solver._WIDE if search is _BandAssigner else 1):
             assert isinstance(_site_assigner(lay.x, sites, spec, lay.y), search)
             got, owner = assign_sites(lay, sites, spec)
@@ -152,6 +158,22 @@ class TestAssignSites:
         sites = np.column_stack([rng.random(512), rng.random(512) * DOM.height])
         got = assign_sites(lay, sites, spec).owner
         assert np.array_equal(got, oracle_nearest_dot_scan(lay, sites, spec))
+
+    @pytest.mark.parametrize("kind", [MetricKind.UNIFORM, MetricKind.DENSITY_WARPED])
+    def test_iid_sites_give_dense_owners_read_only(self, kind):
+        """Sites in no x order: the owners are the dense search's, in the
+        caller's site order, and the caller cannot write them."""
+        rng = np.random.default_rng(17)
+        x = rng.random(300)
+        spec = MetricSpec() if kind is MetricKind.UNIFORM else MetricSpec(kind=kind, density=estimate_density(x))
+        lay = DotLayout(x=x, y=rng.random(300) * DOM.height, domain=DOM)
+        sites = np.column_stack([rng.random(2000), rng.random(2000) * DOM.height])
+        got, owner = assign_sites(lay, sites, spec)
+        assert got is sites
+        assert np.array_equal(owner, dense_assign(lay.x, lay.y, sites, spec)[0])
+        assert not owner.flags.writeable
+        with pytest.raises(ValueError):
+            owner[0] = 1
 
     def test_sites_conserved(self):
         rng = np.random.default_rng(8)
@@ -225,8 +247,8 @@ def record_assign_calls(monkeypatch) -> list:
     calls = []
     build = solver._site_assigner
 
-    def building(x, sites, metric, y_range, index=None):
-        assigner = build(x, sites, metric, y_range, index)
+    def building(x, sites, metric, y_range):
+        assigner = build(x, sites, metric, y_range)
         assign = assigner.assign
 
         def recording(y):
@@ -511,14 +533,8 @@ class TestSiteAssigner:
     def warped_inputs(n, m, h=DOM.height):
         rng = np.random.default_rng(9)
         x = rng.random(n)
-        sites = np.column_stack([rng.random(m), rng.random(m) * h])
+        sites = x_sorted(np.column_stack([rng.random(m), rng.random(m) * h]))
         return x, sites, MetricSpec(kind=MetricKind.DENSITY_WARPED, density=estimate_density(x))
-
-    @staticmethod
-    def block_rows(assigner):
-        """Original site indices of every block, with the block, in block order."""
-        for blk in assigner.blocks:
-            yield blk.rows, blk
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     def test_no_sites_give_empty_intp_owners(self, kind):
@@ -535,11 +551,12 @@ class TestSiteAssigner:
         assigner = _site_assigner(x, sites, spec, np.array([0.0, 0.05]))
         assert isinstance(assigner, _BandAssigner)
         assert len(assigner.blocks) > 1
-        for rows, blk in self.block_rows(assigner):
-            assert np.array_equal(blk.xp, full[np.ix_(rows, blk.cols)])
+        for blk in assigner.blocks:
+            assert np.array_equal(blk.xp, full[blk.rows][:, blk.cols])
             # Ascending dot index, so argmin ties go low.
             assert np.all(np.diff(blk.cols) > 0)
-        assert sorted(np.concatenate([r for r, _ in self.block_rows(assigner)])) == list(range(300))
+        # The blocks are runs of consecutive sites that cover them in order.
+        assert np.array_equal(np.concatenate([np.arange(300)[blk.rows] for blk in assigner.blocks]), np.arange(300))
 
     def test_warped_build_holds_no_full_size_temporaries(self):
         x, sites, spec = self.warped_inputs(1024, 8192, h=0.05)
@@ -573,13 +590,22 @@ class TestSiteAssigner:
         assert final.iterations_run == 2
         assert peak <= 128e6
 
-    def test_prunes_most_terms_on_geyser(self):
+    @pytest.mark.parametrize("drawn", [False, True])
+    def test_prunes_most_terms_on_geyser(self, drawn):
+        """On 8192 i.i.d. sites sorted by x, and on the run's own sites in
+        the order drawn: the band reads those as they come, so this fails if
+        the draw stops emitting runs of consecutive sites narrow in x."""
         data = load_fixture("geyser")
-        xs, _ = normalize(data)
+        xs, (lo, hi) = normalize(data)
         h = automatic_height(estimate_density(xs).d_max, xs.size, 0.01)
-        rng = np.random.default_rng(0)
-        sites = np.column_stack([rng.random(8192), rng.random(8192) * h])
+        if drawn:
+            dom = PlotDomain(x_min=lo, x_max=hi, height=h, radius=0.01)
+            sites = relax_traced(data, dom, SolverConfig(seed=0, max_iterations=0))[1].sites
+        else:
+            rng = np.random.default_rng(0)
+            sites = x_sorted(np.column_stack([rng.random(8192), rng.random(8192) * h]))
         assigner = _site_assigner(xs, sites, MetricSpec(), np.array([0.0, h]))
+        assert isinstance(assigner, _BandAssigner)
         assert sum(blk.xp.size for blk in assigner.blocks) <= 0.15 * sites.shape[0] * xs.size
 
 
@@ -596,9 +622,10 @@ def traced_peak(run) -> int:
 
 
 class TestRelaxMemory:
-    """Working-memory ceilings of whole runs. The search's chunk and the
-    shared site index set them: at a 131072-element chunk and one index per
-    group, the bimodal runs peaked at 5.1 / 5.4 MB and iris at 5.7 MB."""
+    """Working-memory ceilings of whole runs. The search's chunk sets them,
+    and every group's band blocks view the run's one site array: at a
+    131072-element chunk the bimodal runs peaked at 5.1 / 5.4 MB, and with
+    one sorted copy of the sites per group iris peaked at 5.7 MB."""
 
     @staticmethod
     def auto_domain(data):
@@ -634,14 +661,21 @@ class TestRelaxMemory:
         _, dom = self.auto_domain(data)
         assert traced_peak(lambda: relax_multiclass(data, dom, SolverConfig(seed=0))) <= 4.6e6
 
-    def test_groups_share_one_site_index(self, monkeypatch):
-        """Every group's band blocks view one sort order of the sites."""
+    def test_groups_view_the_runs_sites(self, monkeypatch):
+        """Every group's assigner gets the run's one site array, and every
+        block of every group's band views it: no group holds a copy."""
         data = load_fixture("iris")
         _, dom = self.auto_domain(data)
+        config = SolverConfig(seed=0, max_iterations=1)
+        drawn = relax_traced(data, dom, replace(config, max_iterations=0))[1].sites
         calls = record_assign_calls(monkeypatch)
-        relax_multiclass(data, dom, SolverConfig(seed=0, max_iterations=1))
+        relax_multiclass(data, dom, config)
         assert len(calls) == len(_class_schedule(data.labels, len(data)))
-        assert len({id(blk.rows.base) for assigner, *_ in calls for blk in assigner.blocks}) == 1
+        sites = calls[0][2]
+        assert np.array_equal(sites, drawn)
+        assert all(call_sites is sites for _, _, call_sites, *_ in calls)
+        blocks = [blk for assigner, *_ in calls for blk in assigner.blocks]
+        assert blocks and all(np.shares_memory(blk.s, sites) for blk in blocks)
 
 
 def largest_accepted_height(m: int) -> float:
