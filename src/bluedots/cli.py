@@ -77,6 +77,8 @@ def _resolve_domain(data: DataSet, radius: float, height_arg: str):
 
 def _solver_config(args, metric: MetricSpec = MetricSpec()) -> SolverConfig:
     """The run's solver settings; the solver derives the site count."""
+    if args.iterations < 0:
+        raise CliError(f"--iterations must be non-negative, got {args.iterations}")
     return SolverConfig(max_iterations=args.iterations, seed=args.seed, metric=metric)
 
 
@@ -164,22 +166,42 @@ def _layout_text(layout: DotLayout, data: DataSet, metric_kind: MetricKind) -> s
     return "".join(pieces)
 
 
+def _fields(obj, keys: tuple[str, ...], where: str) -> list:
+    """The values of ``keys`` in the JSON object ``obj``, or a ``ValueError``
+    that names ``where`` and the first key missing."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"{where} lacks field {missing[0]!r}")
+    return [obj[key] for key in keys]
+
+
 def load_layout(path) -> tuple[DotLayout, dict]:
-    """Rebuild a DotLayout from a layout file; also returns the raw document."""
+    """Rebuild a DotLayout from a layout file; also returns the raw document.
+    A document that is not a JSON object, or lacks a field the layout needs
+    (``class`` on every dot once the first dot has one), raises one
+    ``ValueError`` that names the field."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"layout file must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != LAYOUT_FILE_VERSION:
         raise ValueError(f"layout file version {doc.get('version')!r} is not {LAYOUT_FILE_VERSION}")
-    domain = PlotDomain(**doc["domain"])
-    dots = doc["dots"]
-    labels = tuple(d["class"] for d in dots) if dots and "class" in dots[0] else None
+    seed, iterations_run, domain, dots = _fields(doc, ("seed", "iterations_run", "domain", "dots"), "layout file")
+    domain = PlotDomain(*_fields(domain, ("x_min", "x_max", "height", "radius"), "layout file's domain"))
+    if not isinstance(dots, list):
+        raise ValueError(f"layout file's dots must be a JSON array, got {type(dots).__name__}")
+    labelled = bool(dots) and isinstance(dots[0], dict) and "class" in dots[0]
+    keys = ("x_norm", "y", "class") if labelled else ("x_norm", "y")
+    rows = [_fields(dot, keys, f"layout file's dot {i}") for i, dot in enumerate(dots)]
     layout = DotLayout(
-        x=np.array([d["x_norm"] for d in dots]),
-        y=np.array([d["y"] for d in dots]),
+        x=np.array([row[0] for row in rows]),
+        y=np.array([row[1] for row in rows]),
         domain=domain,
-        labels=labels,
-        seed=doc["seed"],
-        iterations_run=doc["iterations_run"],
+        labels=tuple(row[2] for row in rows) if labelled else None,
+        seed=seed,
+        iterations_run=iterations_run,
     )
     return layout, doc
 

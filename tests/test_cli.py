@@ -753,6 +753,17 @@ class TestRejectedInput:
         assert capsys.readouterr().err.splitlines() == ["error: seed must be non-negative, got -1"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["plot"], ["analyze", "overlap", "--counts", "16", "--height", "0.2"], ["analyze", "spectrum", "--realizations", "1"],
+    ], ids=["plot", "overlap", "spectrum"])
+    def test_negative_iterations_named_as_typed(self, tmp_path, capsys, command):
+        """The message names the option, not the solver's field."""
+        out = tmp_path / "out"
+        code = main([*command, "--input", GEYSER, "--column", "waiting", "--iterations", "-1", "--out", str(out / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: --iterations must be non-negative, got -1"]
+        assert not out.exists()
+
 
 class TestLayoutRoundTrip:
     def test_svg_parse_back_within_tolerance(self, tmp_path):
@@ -785,6 +796,33 @@ class TestLayoutRoundTrip:
         with pytest.raises(ValueError, match="non-finite coordinate at dot 3"):
             load_layout(path)
 
+    @pytest.mark.parametrize("field, named", [
+        ((), "layout file must be a JSON object, got list"),
+        *(((key,), f"layout file lacks field {key!r}") for key in ("seed", "iterations_run", "domain", "dots")),
+        *((("domain", key), f"layout file's domain lacks field {key!r}") for key in ("x_min", "x_max", "height", "radius")),
+        *((("dots", 5, key), f"layout file's dot 5 lacks field {key!r}") for key in ("x_norm", "y", "class")),
+    ])
+    def test_malformed_document_rejected_naming_the_field(self, tmp_path, field, named):
+        """One ``ValueError`` that names the field, not a ``KeyError``,
+        ``AttributeError`` or ``TypeError`` from deep in the reader. The
+        layout is labelled, so every dot must have a class: dot 5 lacks it."""
+        out = tmp_path / "t"
+        main(["plot", "--input", TIPS, "--column", "bill", "--class-column", "time", "--iterations", "0",
+              "--out", str(out)])
+        doc = json.loads(Path(f"{out}.json").read_text())
+        if field:
+            *parents, key = field
+            parent = doc
+            for step in parents:
+                parent = parent[step]
+            del parent[key]
+        else:  # the document in a list
+            doc = [doc]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc, indent=2))
+        with pytest.raises(ValueError) as err:
+            load_layout(path)
+        assert str(err.value) == named
 
     @pytest.mark.parametrize("version", [2, 0, "1", None])
     def test_other_version_rejected_naming_it(self, tmp_path, version):
