@@ -166,40 +166,65 @@ def _layout_text(layout: DotLayout, data: DataSet, metric_kind: MetricKind) -> s
     return "".join(pieces)
 
 
-def _fields(obj, keys: tuple[str, ...], where: str) -> list:
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number. JSON's true and false are Python
+    bools, which are ints: they are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# What a typed field holds: a test of its JSON value and the words for it.
+_NUMBER = (_is_number, "a number")
+_COUNT = (lambda v: _is_number(v) and isinstance(v, int) and v >= 0, "a non-negative integer")
+
+
+def _fields(obj, keys: tuple[str, ...], where: str, kind=None) -> list:
     """The values of ``keys`` in the JSON object ``obj``, or a ``ValueError``
-    that names ``where`` and the first key missing."""
+    that names ``where`` and the first key missing or, given a ``kind``
+    (``_NUMBER`` or ``_COUNT``), the first whose value is not of it."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
     missing = [key for key in keys if key not in obj]
     if missing:
         raise ValueError(f"{where} lacks field {missing[0]!r}")
-    return [obj[key] for key in keys]
+    values = [obj[key] for key in keys]
+    if kind is not None:
+        valid, want = kind
+        for key, value in zip(keys, values):
+            if not valid(value):
+                got = repr(value) if _is_number(value) else type(value).__name__
+                raise ValueError(f"{where} field {key!r} must be {want}, got {got}")
+    return values
 
 
 def load_layout(path) -> tuple[DotLayout, dict]:
     """Rebuild a DotLayout from a layout file; also returns the raw document.
-    A document that is not a JSON object, or lacks a field the layout needs
-    (``class`` on every dot once the first dot has one), raises one
-    ``ValueError`` that names the field."""
+    A document that is not a JSON object, lacks a field the layout needs
+    (``class`` on every dot once the first dot has one) or holds a value of
+    the wrong type raises one ``ValueError`` that names the field (and the
+    dot). ``version`` must be the integer 1; ``seed`` and ``iterations_run``
+    non-negative integers; the domain's values and each dot's ``x_norm`` and
+    ``y`` JSON numbers, ``true`` and ``false`` refused in all of them."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"layout file must be a JSON object, got {type(doc).__name__}")
-    if doc.get("version") != LAYOUT_FILE_VERSION:
-        raise ValueError(f"layout file version {doc.get('version')!r} is not {LAYOUT_FILE_VERSION}")
-    seed, iterations_run, domain, dots = _fields(doc, ("seed", "iterations_run", "domain", "dots"), "layout file")
-    domain = PlotDomain(*_fields(domain, ("x_min", "x_max", "height", "radius"), "layout file's domain"))
+    version = doc.get("version")
+    if type(version) is not int or version != LAYOUT_FILE_VERSION:
+        raise ValueError(f"layout file version {version!r} is not {LAYOUT_FILE_VERSION}")
+    seed, iterations_run = _fields(doc, ("seed", "iterations_run"), "layout file", _COUNT)
+    domain, dots = _fields(doc, ("domain", "dots"), "layout file")
+    domain = PlotDomain(*_fields(domain, ("x_min", "x_max", "height", "radius"), "layout file's domain", _NUMBER))
     if not isinstance(dots, list):
         raise ValueError(f"layout file's dots must be a JSON array, got {type(dots).__name__}")
-    labelled = bool(dots) and isinstance(dots[0], dict) and "class" in dots[0]
-    keys = ("x_norm", "y", "class") if labelled else ("x_norm", "y")
-    rows = [_fields(dot, keys, f"layout file's dot {i}") for i, dot in enumerate(dots)]
+    rows = [_fields(dot, ("x_norm", "y"), f"layout file's dot {i}", _NUMBER) for i, dot in enumerate(dots)]
+    labels = None
+    if dots and "class" in dots[0]:
+        labels = tuple(_fields(dot, ("class",), f"layout file's dot {i}")[0] for i, dot in enumerate(dots))
     layout = DotLayout(
         x=np.array([row[0] for row in rows]),
         y=np.array([row[1] for row in rows]),
         domain=domain,
-        labels=tuple(row[2] for row in rows) if labelled else None,
+        labels=labels,
         seed=seed,
         iterations_run=iterations_run,
     )

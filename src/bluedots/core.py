@@ -35,6 +35,12 @@ def _ranges(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out
 
 
+def _labels(labels) -> tuple:
+    """The labels as a tuple, each numpy scalar as the equal Python scalar,
+    so that a layout file can write every label as JSON."""
+    return tuple(lab.item() if isinstance(lab, np.generic) else lab for lab in labels)
+
+
 def _class_codes(labels) -> tuple[list, np.ndarray]:
     """The distinct class labels, sorted, and each label's index among them:
     the class order of the solver and the renderer."""
@@ -63,7 +69,7 @@ class DataSet:
             raise ValueError(f"non-finite value at index {int(bad[0])}")
         object.__setattr__(self, "values", _readonly(values))
         if self.labels is not None:
-            labels = tuple(self.labels)
+            labels = _labels(self.labels)
             if len(labels) != values.size:
                 raise ValueError(
                     f"labels length {len(labels)} != values length {values.size}"
@@ -133,7 +139,7 @@ class DotLayout:
         object.__setattr__(self, "x", _readonly(x))
         object.__setattr__(self, "y", _readonly(y))
         if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
+            object.__setattr__(self, "labels", _labels(self.labels))
 
     def __len__(self) -> int:
         return int(self.x.size)

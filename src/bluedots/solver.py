@@ -258,12 +258,10 @@ class _BandAssigner:
         self.blocks = [blk._replace(cols=cols) for blk, cols in zip(blocks, np.split(self.cols, self.offsets[1:]))]
         self._y = np.nan
         self._owner = np.empty(m, dtype=np.intp)
-        self._view = self._owner.view()
-        self._view.flags.writeable = False
 
     def assign(self, y: np.ndarray) -> np.ndarray:
         """Owner of every site; ties go to the lowest dot index. The owners
-        are a read-only view of the assigner's own, valid until its next call."""
+        are the assigner's own array, for the caller to read until the next call."""
         moved = y != self._y
         dirty = np.flatnonzero(np.logical_or.reduceat(moved[self.cols], self.offsets)).tolist()
         owner = self._owner
@@ -274,7 +272,7 @@ class _BandAssigner:
             buf += xp
             owner[rows] = cols[buf.argmin(axis=1)]
         self._y = np.array(y)
-        return self._view
+        return self._owner
 
 
 def _cell(v, lo: float, scale: float, count: int) -> np.ndarray:
@@ -358,12 +356,13 @@ class _GridAssigner:
     [0, 1], fl(slope t) is then at least min(slope, 0) >= -v_i, and
     v = fl(v_i + fl(slope t)) >= fl(v_i - v_i) = 0.
 
-    The known dot is the site's owner in the previous call: any dot is a
-    valid bound, so a changed y only loosens it. On the first call it is the
-    nearer of the two dots next to the site's cell in the dots' cell order
-    (``_first_bound``). The dots in each site's box are counted from prefix
-    counts first: where the known dot is the only one, it is the owner, with
-    no dot scored.
+    The known dot is, by one rule, the owner the assigner holds for the site:
+    any dot is a valid bound, so a changed y only loosens it. Before the
+    first call it holds a seed, the nearer of the two dots next to the site's
+    cell in the dots' cell order (``_first_bound``); after a call, that
+    call's owner. The dots in each site's box are counted from prefix counts
+    first: where the known dot is the only one, it is the owner, with no dot
+    scored.
 
     The search is incremental, by one rule. The assigner keeps the y and the
     owners of its last call, and for each site one piece of state, its box:
@@ -376,7 +375,8 @@ class _GridAssigner:
     is still at the distance the search found, at most D; the other unmoved
     dots have the distances they had, so none beats it or wins a tie; and
     by the argument above every dot within D of the site lies in the box,
-    so a moved dot outside it is strictly farther than D. The first call is the case where every site is re-scored.
+    so a moved dot outside it is strictly farther than D. The first call is
+    the case where every site is re-scored.
 
     A call searches the sites it re-scores in parts of at most
     ``_SITE_PART`` (``_search``), the dots' cell order and prefix counts
@@ -404,19 +404,15 @@ class _GridAssigner:
         self._boxes = np.empty((4, m), dtype=np.int32 if (grid.nx + 1) * (grid.ny + 1) < 2**31 else np.intp)
         # Dot counts (``_prefix_counts``) never exceed the n dots.
         self._count_dtype = np.int32 if x.size < 2**31 else np.intp
-        self._view = self._owner.view()
-        self._view.flags.writeable = False
 
-    def _first_bound(self, y: np.ndarray, sites, perm: np.ndarray, start: np.ndarray):
-        """Each of these sites' nearer of the two dots next to its cell in
-        the dots' cell order ``perm``, and its distance."""
-        x, n, grid = self.x, self.x.size, self.grid
-        sx, sy = self.sx[sites], self.sy[sites]
+    def _first_bound(self, y: np.ndarray, perm: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """Each site's seed owner: the nearer of the two dots next to its cell
+        in the dots' cell order ``perm``."""
+        x, n, grid, sx, sy = self.x, self.x.size, self.grid, self.sx, self.sy
         pos = start[grid.col(sx) * grid.ny + grid.row(sy)]
         before, after = perm[np.maximum(pos - 1, 0)], perm[np.minimum(pos, n - 1)]
         d_before, d_after = (self.metric.distance(x[i], y[i], sx, sy) for i in (before, after))
-        nearer = d_after < d_before
-        return np.where(nearer, after, before), np.where(nearer, d_after, d_before)
+        return np.where(d_after < d_before, after, before)
 
     def _prefix_counts(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For the dots in the grid cells ``key``: the dots in cells before
@@ -444,13 +440,13 @@ class _GridAssigner:
 
     def assign(self, y: np.ndarray) -> np.ndarray:
         """Owner of every site; ties go to the lowest dot index. The owners
-        are a read-only view of the assigner's own, valid until its next call."""
+        are the assigner's own array, for the caller to read until the next call."""
         key = self.col_key + self.grid.row(y)
         sites = np.arange(self.sy.size) if self._y is None else self._dirty(y, key)
         if sites.size:
             self._search(y, sites, key)
         self._y = np.array(y)
-        return self._view
+        return self._owner
 
     def _dirty(self, y: np.ndarray, key: np.ndarray) -> np.ndarray:
         """Sites the move can give another owner: those whose owner moved
@@ -467,14 +463,13 @@ class _GridAssigner:
         perm = np.argsort(key)
         gx, gy = self.x[perm], y[perm]
         start, below = self._prefix_counts(key)
+        if self._y is None:
+            self._owner[:] = self._first_bound(y, perm, start)
         for part in np.array_split(sites, math.ceil(sites.size / _SITE_PART)):
             # The known dot, the owner where it is the only dot in reach.
-            if self._y is None:
-                self._owner[part], bound = self._first_bound(y, part, perm, start)
-            else:
-                o = self._owner[part]
-                bound = self.metric.distance(self.x[o], y[o], self.sx[part], self.sy[part])
-                del o  # not held through the scan, which sets the peak memory
+            o = self._owner[part]
+            bound = self.metric.distance(self.x[o], y[o], self.sx[part], self.sy[part])
+            del o  # not held through the scan, which sets the peak memory
             reach, c0, ncols, cands = self._reach(part, bound, below)
             del bound  # likewise
             scan = np.flatnonzero(cands > 1)  # the rest hold only the known dot
@@ -594,7 +589,17 @@ def _start(data: DataSet, domain: PlotDomain, config: SolverConfig) -> tuple[Dot
     """The start layout, x normalized, and the generator the run draws its
     sites from next. The initial y is uniform on [0, h], or with the warped
     metric on the vertically centered band of height min(h, height_profile(x)),
-    the centrality variant's start."""
+    the centrality variant's start.
+
+    The start lies in [0, h], so the run's searches are built for that band
+    alone (``_relax_groups``). Rounding is monotone, and u < 1:
+
+    - uniform metric: y = 0 + fl(u h) <= h;
+    - warped metric, band >= h / 2: fl(h - band) is exact (Sterbenz), so
+      the sum is at most (h + band) / 2 <= h;
+    - warped metric, band < h / 2: the sum is at most h / 2 + band < h.
+
+    Both terms are non-negative, so y >= 0 too."""
     xs = domain.normalize_x(data.values)
     rng = np.random.default_rng(config.seed)
     u = rng.random(xs.size)
@@ -616,14 +621,16 @@ def assign_sites(dots: DotLayout, sites, metric: MetricSpec) -> VoronoiAssignmen
     """Map each site, in any order, to its nearest dot; ties go to the lowest
     dot index. One call, so the grid search scores it (the band's stored
     terms pay only across a run's calls), in O(m + n) memory for any site
-    count and order; the owners are read-only."""
+    count and order. The owners are read-only."""
     sites = np.asarray(sites, dtype=np.float64)
     if sites.ndim != 2 or sites.shape[1] != 2:
         raise ValueError("sites must be an (m, 2) array")
     bad = np.flatnonzero(~np.isfinite(sites).all(axis=1))
     if bad.size:
         raise ValueError(f"non-finite site at index {int(bad[0])}: {sites[bad[0]].tolist()}")
-    return VoronoiAssignment(sites, _GridAssigner(dots.x, sites, metric, dots.y).assign(dots.y))
+    owner = _GridAssigner(dots.x, sites, metric, dots.y).assign(dots.y)
+    owner.flags.writeable = False
+    return VoronoiAssignment(sites, owner)
 
 
 def _cell_means(owner: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -645,12 +652,13 @@ def _relax_groups(xs, y0, sites, groups, h: float, metric: MetricSpec):
     """The relaxation loop as an endless stream: each pull runs one assign +
     cell-mean step per index group (its dots competing for all sites alone)
     and yields y, the loop's own array, which the next pull updates in place.
-    The first pull builds the groups' assigners, each over ``sites`` as drawn."""
+    The first pull builds the groups' assigners, each over ``sites`` as drawn
+    and for the plot band [0, h]: every y the loop sees is y0, which lies in
+    it (``_start``), or a cell mean clamped to it."""
     y = np.array(y0)
     site_y = sites[:, 1]
-    # Every y the loop sees is y0 or clamped to [0, h].
-    y_range = np.append(y, [0.0, h])
-    assigners = [_site_assigner(xs[idx], sites, metric, y_range) for idx in groups]
+    band = np.array([0.0, h])
+    assigners = [_site_assigner(xs[idx], sites, metric, band) for idx in groups]
     while True:
         for idx, assigner in zip(groups, assigners):
             old = y[idx]

@@ -824,6 +824,56 @@ class TestLayoutRoundTrip:
             load_layout(path)
         assert str(err.value) == named
 
+    @pytest.mark.parametrize("field, value, named", [
+        (("version",), True, "layout file version True is not 1"),
+        (("version",), 1.0, "layout file version 1.0 is not 1"),
+        (("seed",), "x", "layout file field 'seed' must be a non-negative integer, got str"),
+        (("seed",), 1.5, "layout file field 'seed' must be a non-negative integer, got 1.5"),
+        (("seed",), False, "layout file field 'seed' must be a non-negative integer, got bool"),
+        (("iterations_run",), -3, "layout file field 'iterations_run' must be a non-negative integer, got -3"),
+        (("domain", "height"), "0.2", "layout file's domain field 'height' must be a number, got str"),
+        (("domain", "radius"), None, "layout file's domain field 'radius' must be a number, got NoneType"),
+        (("domain", "x_min"), True, "layout file's domain field 'x_min' must be a number, got bool"),
+        (("dots", 3, "y"), "x", "layout file's dot 3 field 'y' must be a number, got str"),
+        (("dots", 3, "y"), "0.01", "layout file's dot 3 field 'y' must be a number, got str"),
+        (("dots", 3, "y"), [1], "layout file's dot 3 field 'y' must be a number, got list"),
+        (("dots", 3, "x_norm"), True, "layout file's dot 3 field 'x_norm' must be a number, got bool"),
+    ])
+    def test_mistyped_value_rejected_naming_the_field(self, tmp_path, field, value, named):
+        """A value of the wrong JSON type, a boolean for a number or a
+        negative count is one ``ValueError`` that names the field and the
+        dot, not a ``TypeError`` from deep in the reader or a layout that
+        silently holds it."""
+        out = tmp_path / "g"
+        main(["plot", "--input", GEYSER, "--column", "waiting", "--iterations", "0", "--out", str(out)])
+        doc = json.loads(Path(f"{out}.json").read_text())
+        *parents, key = field
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        parent[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc, indent=2))
+        with pytest.raises(ValueError) as err:
+            load_layout(path)
+        assert str(err.value) == named
+
+    @pytest.mark.parametrize("labels", [np.array([0, 1, 1]), np.array([0.5, 2.0, 2.0]), np.array(["a", "b", "b"])])
+    def test_numpy_scalar_labels_round_trip(self, tmp_path, labels):
+        """Labels given as a numpy array are held as the equal Python scalars,
+        so the layout file writes each as JSON and reads it back equal."""
+        data = DataSet(values=[1.0, 2.0, 3.0], labels=labels)
+        assert data.labels == tuple(labels.tolist())
+        assert all(type(lab) is type(want) for lab, want in zip(data.labels, labels.tolist()))
+        domain = PlotDomain(x_min=1.0, x_max=3.0, height=0.2, radius=0.01)
+        layout = relax_multiclass(data, domain, SolverConfig(max_iterations=2))
+        direct = DotLayout(x=layout.x, y=layout.y, domain=domain, labels=labels)
+        for lay in (layout, direct):
+            path = tmp_path / "labels.json"
+            cli.save_layout(lay, data, MetricKind.UNIFORM, path)
+            assert f'"class": {json.dumps(labels.tolist()[0])}' in path.read_text()
+            assert load_layout(path)[0].labels == tuple(labels.tolist())
+
     @pytest.mark.parametrize("version", [2, 0, "1", None])
     def test_other_version_rejected_naming_it(self, tmp_path, version):
         out = tmp_path / "g"

@@ -307,13 +307,12 @@ def assign_checked(assigner, x, y, sites, spec) -> np.ndarray:
     return owner
 
 
-def bound_by(assigner, owners):
-    """A stand-in for the grid search's first-call bound: the given owners
-    (any dot is a valid bound) and their distances."""
+def bound_by(owners):
+    """A stand-in for the grid search's seed owners: the given owners, one
+    per site (any dot is a valid bound)."""
 
-    def first_bound(y, sites, perm, start):
-        o = owners[sites]
-        return o, assigner.metric.distance(assigner.x[o], y[o], assigner.sx[sites], assigner.sy[sites])
+    def first_bound(y, perm, start):
+        return owners
 
     return first_bound
 
@@ -347,7 +346,7 @@ class TestBandedExactness:
                     assigner = _site_assigner(lay.x, sites, spec, lay.y)
                 assert isinstance(assigner, _GridAssigner)
                 if arbitrary_bound:
-                    assigner._first_bound = bound_by(assigner, arbitrary)
+                    assigner._first_bound = bound_by(arbitrary)
                 assign_checked(assigner, lay.x, lay.y, sites, spec)
             # The sites a move affects, re-scored after the arbitrary bound.
             moved = replace(lay, y=np.array(data.draw(st.lists(_grid.map(lambda v: v / 4), min_size=n, max_size=n))))
@@ -421,7 +420,7 @@ class TestBandedExactness:
         assert isinstance(assigner, _GridAssigner if on_grid else _BandAssigner)
         if on_grid and data.draw(st.booleans()):
             arbitrary = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.intp)
-            assigner._first_bound = bound_by(assigner, arbitrary)
+            assigner._first_bound = bound_by(arbitrary)
         with patch.object(solver, "_SITE_PART", data.draw(st.sampled_from([solver._SITE_PART, 5]))):
             for y in ys:
                 assign_checked(assigner, lay.x, y, sites, spec)
@@ -475,7 +474,7 @@ class TestBandedExactness:
             assigner = _site_assigner(x, sites, spec, np.array([0.0, 0.3]))
         assert isinstance(assigner, _GridAssigner)
         assert (assigner.grid.nx, assigner.grid.col(np.array([0.75 - 2**-22, 0.75])).tolist()) == (2, [0, 1])
-        assigner._first_bound = bound_by(assigner, np.array([1, 1, 1]))
+        assigner._first_bound = bound_by(np.array([1]))
         assert assign_checked(assigner, x, y, sites, spec)[0] == 0
 
     @pytest.mark.parametrize("second", [
