@@ -126,8 +126,6 @@ def overlap_metric(layout: DotLayout) -> float:
     stays O(n) and the work follows the number of near pairs.
     """
     n = len(layout)
-    if n < 2:
-        return 0.0
     two_r = 2.0 * layout.domain.radius
     order = np.argsort(layout.x, kind="stable")
     x, y = layout.x[order], layout.y[order]

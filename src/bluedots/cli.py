@@ -175,12 +175,15 @@ def _is_number(value) -> bool:
 # What a typed field holds: a test of its JSON value and the words for it.
 _NUMBER = (_is_number, "a number")
 _COUNT = (lambda v: _is_number(v) and isinstance(v, int) and v >= 0, "a non-negative integer")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_CLASS = (lambda v: isinstance(v, str) or _is_number(v), "a string or a number")
 
 
 def _fields(obj, keys: tuple[str, ...], where: str, kind=None) -> list:
     """The values of ``keys`` in the JSON object ``obj``, or a ``ValueError``
     that names ``where`` and the first key missing or, given a ``kind``
-    (``_NUMBER`` or ``_COUNT``), the first whose value is not of it."""
+    (``_NUMBER``, ``_COUNT``, ``_STRING`` or ``_CLASS``), the first whose
+    value is not of it."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
     missing = [key for key in keys if key not in obj]
@@ -203,7 +206,8 @@ def load_layout(path) -> tuple[DotLayout, dict]:
     the wrong type raises one ``ValueError`` that names the field (and the
     dot). ``version`` must be the integer 1; ``seed`` and ``iterations_run``
     non-negative integers; the domain's values and each dot's ``x_norm`` and
-    ``y`` JSON numbers, ``true`` and ``false`` refused in all of them."""
+    ``y`` JSON numbers, and the dots' classes all JSON strings or all JSON
+    numbers, ``true`` and ``false`` refused in all of them."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -219,7 +223,10 @@ def load_layout(path) -> tuple[DotLayout, dict]:
     rows = [_fields(dot, ("x_norm", "y"), f"layout file's dot {i}", _NUMBER) for i, dot in enumerate(dots)]
     labels = None
     if dots and "class" in dots[0]:
-        labels = tuple(_fields(dot, ("class",), f"layout file's dot {i}")[0] for i, dot in enumerate(dots))
+        # Classes of one kind, dot 0's, so that they sort as the renderer needs.
+        _fields(dots[0], ("class",), "layout file's dot 0", _CLASS)
+        kind = _STRING if isinstance(dots[0]["class"], str) else _NUMBER
+        labels = tuple(_fields(dot, ("class",), f"layout file's dot {i}", kind)[0] for i, dot in enumerate(dots))
     layout = DotLayout(
         x=np.array([row[0] for row in rows]),
         y=np.array([row[1] for row in rows]),

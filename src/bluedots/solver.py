@@ -34,40 +34,22 @@ loop at the cap or after the first whole iteration that moves no dot by
 ``convergence_eps`` times the height.
 
 The nearest-dot search is exact: its owners are the dense (m, n) search's bit
-for bit, ties going to the lowest dot index, since every distance keeps the
-metric's float order (``core.MetricSpec.distance``, which also gives callers
-the owners' distances). It comes in two forms, and ``_site_assigner`` picks
-one per dot group. Every group's assigner reads the run's one site array as
-drawn, x-local column by column, and the band's blocks hold views of it.
-Because x is frozen, the encoding-axis term w*|dx| of every dot-to-site
-distance is constant for the whole run, and so is which dots can own which
-sites: with every |dy| at most delta (the height, or the initial y's span),
-a dot whose term exceeds the smallest one by more than delta is strictly
-farther than that dot whatever the y. Where those candidate windows are
-narrow, blocks of consecutive sites store their windows' terms once
-(``_BandAssigner``). At large n with the auto height they span most dots and
-the store grows as m*n, so there a grid search scores each site only against
-the dots within its distance to a known dot (``_GridAssigner``): a few dots
-per site once the layout settles, and nothing of size m*n is stored. Its grid
-is fixed for the run, built once over x and the y range, so only the dots'
-rows change. It searches in parts of at most ``_SITE_PART`` sites, so that
-the run's own O(m + n) state sets its peak memory.
+for bit, ties going to the lowest dot index (``core.MetricSpec.distance``
+gives callers the owners' distances). It comes in two forms, each built from
+what its exactness argument reads, and ``_site_assigner`` picks one per dot
+group:
 
-Both forms are incremental, since with fixed sites a dot's cell changes only
-where dots moved, and late in a run few do. Each assigner keeps the y and the
-owners of its last call, and a later call re-scores only the sites whose
-owner can have changed: the band's blocks with a moved candidate dot, and
-the grid's sites whose owner moved or whose box holds a moved dot. A site's
-box is the grid cells its last search reached, around its distance to the
-dot that search started from, so it holds every dot as near as the owner.
-Every other site keeps its owner bit for bit, because the dots that could
-beat or tie it are unmoved and score as before. So the band is a run's
-incremental store, its terms paying only across calls, and a single call
-(``assign_sites``, so ``cost_estimate``) goes to the grid: the same owners, in
-O(m + n) memory. On the fixtures relaxed at CLI seed 0, with the run's sites,
-``cost_estimate`` ran 1.5-2.1x faster there (minima of 7 calls); at n = 256,
-height 0.2 and 100,000 i.i.d. sites ``assign_sites`` took 42 / 55 ms
-(uniform / warped) and peaked at 4.0 MB, the band 90 / 178 ms and 48 / 53 MB.
+- the band (``_BandAssigner``), from the group's dots' x, frozen for the run,
+  the run's one site array as drawn, and delta, a bound on every |s_y - y| a
+  call can see: the run's height. It stores the encoding terms of each block
+  of consecutive sites against the block's candidate dots, so it serves where
+  those candidate windows are narrow.
+- the grid search (``_GridAssigner``), from the dots' x and the sites alone.
+  It stores nothing of size m*n, so it serves where the windows span most
+  dots (at large n with the auto height) and for one call (``assign_sites``).
+
+Each class docstring gives its exactness argument, and why a later call
+re-scores only the sites a move can give another owner.
 """
 
 from __future__ import annotations
@@ -170,11 +152,13 @@ class _Block(NamedTuple):
     xp: np.ndarray
 
 
-def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray):
+def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, delta: float):
     """The exact nearest-dot search for a run's incremental calls (one call
-    takes the grid), dots at fixed ``x`` and these sites, for any dot y within
-    the range of ``y_range``: the band where each of its blocks would span
-    fewer than ``_WIDE`` dots, else the grid search.
+    takes the grid), dots at fixed ``x`` and these sites, for any dot y with
+    every |s_y - y| at most ``delta``: the band where each of its blocks would
+    span fewer than ``_WIDE`` dots, else the grid search, which holds for any
+    y. A run passes its height: its sites and its dots lie in [0, h]
+    (``_relax_groups``), so every |s_y - y|, rounded, is at most h.
 
     The band cuts the sites, as given, into blocks of consecutive sites, each
     scored only against the candidate window of its sites' x-extent. Owners
@@ -190,7 +174,6 @@ def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range
     """
     n, m = x.size, sites.shape[0]
     sx, sy = sites[:, 0], sites[:, 1]
-    delta = max(float(sy.max()) - float(np.min(y_range)), float(np.max(y_range)) - float(sy.min()))
     by_x = np.argsort(x)
     x_sorted = x[by_x]
 
@@ -221,7 +204,7 @@ def _site_assigner(x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range
             break
         size = max(1, min(size - 1, size * _CHUNK_ELEMENTS // terms))
     if int((hi - lo).max()) >= _WIDE:
-        return _GridAssigner(x, sites, metric, y_range)
+        return _GridAssigner(x, sites, metric)
 
     blocks = []
     for a, b, first, last in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
@@ -301,9 +284,11 @@ class _Grid(NamedTuple):
 
     @classmethod
     def over(cls, x: np.ndarray, y: np.ndarray, w: float, cells: int) -> _Grid:
-        """About ``cells`` cells over the bounding box of the points (x, y)."""
-        x0, y0 = float(x.min()), float(y.min())
-        ex, ey = float(x.max()) - x0, float(y.max()) - y0
+        """About ``cells`` cells over the box that ``x`` and ``y`` span (the
+        dots' x and the sites' y, ``_GridAssigner``). No y, as with no sites,
+        spans nothing: one row."""
+        x0, y0 = float(x.min()), float(y.min(initial=np.inf))
+        ex, ey = float(x.max()) - x0, float(y.max(initial=-np.inf)) - y0
         # A span too small for a finite cell scale (a subnormal one) counts
         # as zero: its dots share one cell along that axis, and since any
         # monotone cell map keeps the search exact, so does that one.
@@ -325,15 +310,17 @@ class _Grid(NamedTuple):
 class _GridAssigner:
     """Exact nearest-dot search over a grid of the dots, for any y.
 
-    The grid (``_Grid``) is built once, over the dots' x and the y range the
-    assigner is built for, with x scaled by w_min, the smallest encoding
-    weight: 2 for the uniform metric, 1 for the warped one. Its cells are
-    column-major, so each dot's column and each column's dot x extent are
-    fixed for the run, and a call only re-buckets the dots by row. A y
-    outside the range goes to the first or last row. Each site is scored
-    only against the dots in the grid columns within its reach in x, and in
-    each column only against the rows within what the reach leaves after the
-    column's gap in x.
+    The grid (``_Grid``) is built once, over the dots' x and the sites' y,
+    with x scaled by w_min, the smallest encoding weight: 2 for the uniform
+    metric, 1 for the warped one. Both are fixed for the run, and the boxes
+    the search reaches lie around the sites, so the rows follow them; the
+    dots' y needs no range, since the argument below holds for any monotone
+    cell map, and a dot's y outside the sites' goes to the first or last row.
+    Its cells are column-major, so each dot's column and each column's dot x
+    extent are fixed for the run, and a call only re-buckets the dots by row.
+    Each site is scored only against the dots in the grid columns within its
+    reach in x, and in each column only against the rows within what the
+    reach leaves after the column's gap in x.
 
     Exactness. Let D be a site's distance to any one dot, in the metric's
     float order (``MetricSpec.distance``): it bounds the site's nearest
@@ -385,12 +372,12 @@ class _GridAssigner:
     of all the sites gives.
     """
 
-    def __init__(self, x: np.ndarray, sites: np.ndarray, metric: MetricSpec, y_range: np.ndarray):
+    def __init__(self, x: np.ndarray, sites: np.ndarray, metric: MetricSpec):
         self.x, self.metric = x, metric
         self.sx, self.sy = sites[:, 0], sites[:, 1]
         self.w_min = 2.0 if metric.kind is MetricKind.UNIFORM else 1.0
         self.scale = float(np.abs(sites).max(initial=0.0))
-        self.grid = grid = _Grid.over(x, y_range, self.w_min / _CELL_ASPECT, _CELLS_PER_DOT * x.size)
+        self.grid = grid = _Grid.over(x, self.sy, self.w_min / _CELL_ASPECT, _CELLS_PER_DOT * x.size)
         col = grid.col(x)
         self.col_key = col * grid.ny
         # Each column's dot x extent, empty columns reaching nothing.
@@ -452,8 +439,6 @@ class _GridAssigner:
         """Sites the move can give another owner: those whose owner moved
         or whose box holds a moved dot."""
         moved = y != self._y
-        if not moved.any():
-            return np.empty(0, dtype=np.intp)
         inbox = self._count(self._prefix_counts(key[moved])[1], self._boxes)
         return np.flatnonzero(moved[self._owner] | (inbox > 0))
 
@@ -591,8 +576,8 @@ def _start(data: DataSet, domain: PlotDomain, config: SolverConfig) -> tuple[Dot
     metric on the vertically centered band of height min(h, height_profile(x)),
     the centrality variant's start.
 
-    The start lies in [0, h], so the run's searches are built for that band
-    alone (``_relax_groups``). Rounding is monotone, and u < 1:
+    The start lies in [0, h], so the run's band takes delta = h
+    (``_relax_groups``). Rounding is monotone, and u < 1:
 
     - uniform metric: y = 0 + fl(u h) <= h;
     - warped metric, band >= h / 2: fl(h - band) is exact (Sterbenz), so
@@ -621,14 +606,20 @@ def assign_sites(dots: DotLayout, sites, metric: MetricSpec) -> VoronoiAssignmen
     """Map each site, in any order, to its nearest dot; ties go to the lowest
     dot index. One call, so the grid search scores it (the band's stored
     terms pay only across a run's calls), in O(m + n) memory for any site
-    count and order. The owners are read-only."""
+    count and order. The owners are read-only.
+
+    On the fixtures relaxed at CLI seed 0, with the run's sites,
+    ``cost_estimate`` ran 1.5-2.1x faster on the grid than on the band
+    (minima of 7 calls); at n = 256, height 0.2 and 100,000 i.i.d. sites
+    this took 42 / 55 ms (uniform / warped) and peaked at 4.0 MB, the band
+    90 / 178 ms and 48 / 53 MB."""
     sites = np.asarray(sites, dtype=np.float64)
     if sites.ndim != 2 or sites.shape[1] != 2:
         raise ValueError("sites must be an (m, 2) array")
     bad = np.flatnonzero(~np.isfinite(sites).all(axis=1))
     if bad.size:
         raise ValueError(f"non-finite site at index {int(bad[0])}: {sites[bad[0]].tolist()}")
-    owner = _GridAssigner(dots.x, sites, metric, dots.y).assign(dots.y)
+    owner = _GridAssigner(dots.x, sites, metric).assign(dots.y)
     owner.flags.writeable = False
     return VoronoiAssignment(sites, owner)
 
@@ -653,12 +644,12 @@ def _relax_groups(xs, y0, sites, groups, h: float, metric: MetricSpec):
     cell-mean step per index group (its dots competing for all sites alone)
     and yields y, the loop's own array, which the next pull updates in place.
     The first pull builds the groups' assigners, each over ``sites`` as drawn
-    and for the plot band [0, h]: every y the loop sees is y0, which lies in
-    it (``_start``), or a cell mean clamped to it."""
+    with delta = h, which bounds every |s_y - y| a search sees: the sites
+    lie in [0, h] (``_draw_sites``), and so does every y the loop sees, y0
+    (``_start``) or a cell mean clamped to it."""
     y = np.array(y0)
     site_y = sites[:, 1]
-    band = np.array([0.0, h])
-    assigners = [_site_assigner(xs[idx], sites, metric, band) for idx in groups]
+    assigners = [_site_assigner(xs[idx], sites, metric, h) for idx in groups]
     while True:
         for idx, assigner in zip(groups, assigners):
             old = y[idx]

@@ -192,8 +192,10 @@ class TestOverlapMetric:
         assert overlap_metric(layout_of(x[perm], y[perm], radius=0.01)) == pytest.approx(base)
         assert overlap_metric(layout_of(x + 0.3, y + 0.1, radius=0.01)) == pytest.approx(base)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_single_dot(self):
-        assert overlap_metric(layout_of([0.5], [0.1])) == 0.0
+        for y in (0.0, 0.1, 1e300):
+            assert overlap_metric(layout_of([0.5], [y])) == 0.0
 
     @pytest.mark.parametrize("scale", [2.0**-1000, 2.0**600])
     @pytest.mark.filterwarnings("error::RuntimeWarning")

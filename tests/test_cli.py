@@ -28,6 +28,7 @@ from bluedots import (
     normalize,
     power_spectrum,
     relax_multiclass,
+    render_svg,
 )
 from bluedots import cli, density
 from bluedots.cli import CliError, load_csv, load_layout, main
@@ -857,6 +858,46 @@ class TestLayoutRoundTrip:
         with pytest.raises(ValueError) as err:
             load_layout(path)
         assert str(err.value) == named
+
+    @staticmethod
+    def tips_layout(tmp_path) -> dict:
+        out = tmp_path / "t"
+        main(["plot", "--input", TIPS, "--column", "bill", "--class-column", "time", "--iterations", "0",
+              "--out", str(out)])
+        return json.loads(Path(f"{out}.json").read_text())
+
+    @pytest.mark.parametrize("value, got", [([1], "list"), ({"a": 1}, "dict"), (True, "bool"), (3, "3"), (None, "NoneType")])
+    def test_mistyped_class_rejected_naming_the_dot(self, tmp_path, value, got):
+        """Tips' classes are strings, so every one must be: an array, object,
+        boolean, number or null class on dot 2 is one ``ValueError`` that
+        names it, not a failure to sort the classes when the layout renders."""
+        doc = self.tips_layout(tmp_path)
+        doc["dots"][2]["class"] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc, indent=2))
+        with pytest.raises(ValueError) as err:
+            load_layout(path)
+        assert str(err.value) == f"layout file's dot 2 field 'class' must be a string, got {got}"
+
+    def test_number_classes_round_trip(self, tmp_path):
+        """Classes that are all numbers load, render, and write back the same
+        bytes; a first class of neither kind is named as such."""
+        doc = self.tips_layout(tmp_path)
+        for dot in doc["dots"]:
+            dot["class"] = {"Dinner": 1, "Lunch": 0.5}[dot["class"]]
+        path = tmp_path / "numbers.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        layout, _ = load_layout(path)
+        assert set(layout.labels) == {1, 0.5}
+        assert "<svg" in render_svg(layout)
+        data = DataSet(values=[dot["x_raw"] for dot in doc["dots"]], labels=layout.labels, name=doc["dataset_name"])
+        again = tmp_path / "again.json"
+        cli.save_layout(layout, data, MetricKind(doc["metric"]["kind"]), again)
+        assert again.read_bytes() == path.read_bytes()
+        doc["dots"][0]["class"] = None
+        path.write_text(json.dumps(doc, indent=2))
+        with pytest.raises(ValueError, match="^layout file's dot 0 field 'class' must be a string or a number, got NoneType$"):
+            load_layout(path)
 
     @pytest.mark.parametrize("labels", [np.array([0, 1, 1]), np.array([0.5, 2.0, 2.0]), np.array(["a", "b", "b"])])
     def test_numpy_scalar_labels_round_trip(self, tmp_path, labels):

@@ -258,8 +258,8 @@ def record_assign_calls(monkeypatch) -> list:
     calls = []
     build = solver._site_assigner
 
-    def building(x, sites, metric, y_range):
-        assigner = build(x, sites, metric, y_range)
+    def building(x, sites, metric, delta):
+        assigner = build(x, sites, metric, delta)
         assign = assigner.assign
 
         def recording(y):
@@ -307,6 +307,13 @@ def assign_checked(assigner, x, y, sites, spec) -> np.ndarray:
     return owner
 
 
+def dy_bound(sites, *ys) -> float:
+    """The band's delta for dots at any of the y arrays ``ys``: the largest
+    |s_y - y| between these sites and those y."""
+    y = np.concatenate(ys)
+    return max(float(sites[:, 1].max()) - float(y.min()), float(y.max()) - float(sites[:, 1].min()))
+
+
 def bound_by(owners):
     """A stand-in for the grid search's seed owners: the given owners, one
     per site (any dot is a valid bound)."""
@@ -343,7 +350,7 @@ class TestBandedExactness:
         with patch.object(solver, "_SITE_PART", data.draw(st.sampled_from([solver._SITE_PART, 5]))):
             for arbitrary_bound in (False, True):
                 with patch.object(solver, "_WIDE", 1):
-                    assigner = _site_assigner(lay.x, sites, spec, lay.y)
+                    assigner = _site_assigner(lay.x, sites, spec, dy_bound(sites, lay.y))
                 assert isinstance(assigner, _GridAssigner)
                 if arbitrary_bound:
                     assigner._first_bound = bound_by(arbitrary)
@@ -360,13 +367,15 @@ class TestBandedExactness:
     ])
     @pytest.mark.parametrize("kind", list(MetricKind))
     def test_grid_over_subnormal_span_matches_dense(self, x, y, kind):
+        """The grid spans the dots' x and the sites' y, which here take the
+        dots' y in turn, so both spans are the dots'."""
         x, y = np.array(x), np.array(y)
         spec = MetricSpec(kind=kind, density=estimate_density(np.random.default_rng(1).random(64)))
-        sites = np.random.default_rng(2).random((64, 2)) * [1.0, 0.5]
+        sites = np.column_stack([np.random.default_rng(2).random(64), np.resize(y, 64)])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with patch.object(solver, "_WIDE", 1):
-                assigner = _site_assigner(x, sites, spec, y)
+                assigner = _site_assigner(x, sites, spec, dy_bound(sites, y))
             assert isinstance(assigner, _GridAssigner)
             assign_checked(assigner, x, y, sites, spec)
 
@@ -378,9 +387,9 @@ class TestBandedExactness:
         unchanged, with one dot moved, with one dot moved onto a tie for a
         site, with every dot moved, with a site's owner moved toward it
         (alone, or with a lower-index rival moved to the owner's new
-        distance), or with dots moved outside the y range the grid search
-        was built for. The grid searches its sites in one part or in parts
-        of 5."""
+        distance), or with dots moved past the y the band was built for
+        (given to the grid alone, which puts them in its first or last row).
+        The grid searches its sites in one part or in parts of 5."""
         lay, sites, spec = inputs
         m, n = sites.shape[0], len(lay)
         moved_y = _grid.map(lambda v: v / 4)
@@ -413,10 +422,10 @@ class TestBandedExactness:
                     y[i] = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.sampled_from([0.3, 0.7, 1.0, 5.0]))
             steps.append(step)
             ys.append(y)
-        # The band is exact only within its range; the grid clips to its cells.
-        y_range = np.concatenate([y for step, y in zip(["first"] + steps, ys) if step != "outside" or not on_grid])
+        # The band is exact only for y within its delta of the sites.
+        delta = dy_bound(sites, *(y for step, y in zip(["first"] + steps, ys) if step != "outside" or not on_grid))
         with patch.object(solver, "_WIDE", 1 if on_grid else solver._WIDE):
-            assigner = _site_assigner(lay.x, sites, spec, y_range)
+            assigner = _site_assigner(lay.x, sites, spec, delta)
         assert isinstance(assigner, _GridAssigner if on_grid else _BandAssigner)
         if on_grid and data.draw(st.booleans()):
             arbitrary = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.intp)
@@ -454,7 +463,7 @@ class TestBandedExactness:
         sites = np.stack([np.clip(sx, 0.0, 1.0), np.zeros(m)], axis=1)
         for kind, w_min in ((MetricKind.DENSITY_WARPED, 1.0), (MetricKind.UNIFORM, 2.0)):
             spec = MetricSpec(kind=kind, density=density)
-            assert _GridAssigner(xs, sites, spec, np.array([0.0, 1.0])).w_min == w_min
+            assert _GridAssigner(xs, sites, spec).w_min == w_min
             w = spec.encoding_weight(x, sx)
             assert np.all(w >= w_min) if kind is MetricKind.DENSITY_WARPED else w == w_min
 
@@ -469,12 +478,13 @@ class TestBandedExactness:
         values[0] = 1.0
         spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=DensityEstimate(values=values))
         x, y = np.array([0.75, 0.5, 1.0]), np.array([0.0, 0.25 + 2**-24, 0.3])
-        sites = np.array([[0.5, 0.0]])
+        # The second site, on dot 2, gives the grid's rows the dots' y span.
+        sites = np.array([[0.5, 0.0], [1.0, 0.3]])
         with patch.object(solver, "_WIDE", 1):
-            assigner = _site_assigner(x, sites, spec, np.array([0.0, 0.3]))
+            assigner = _site_assigner(x, sites, spec, 0.3)
         assert isinstance(assigner, _GridAssigner)
         assert (assigner.grid.nx, assigner.grid.col(np.array([0.75 - 2**-22, 0.75])).tolist()) == (2, [0, 1])
-        assigner._first_bound = bound_by(np.array([1]))
+        assigner._first_bound = bound_by(np.array([1, 2]))
         assert assign_checked(assigner, x, y, sites, spec)[0] == 0
 
     @pytest.mark.parametrize("second", [
@@ -489,10 +499,11 @@ class TestBandedExactness:
         """A site at (0.5, 1) owned by dot 1 at distance 0.75; the next call
         moves dot 0 onto a tie for it, which the lower index wins."""
         x = np.full(3, 0.5)
-        sites = np.array([[0.5, 1.0]])
+        # Sites at y = 0 and 3 span the grid's rows over the dots' y.
+        sites = np.array([[0.5, 1.0], [0.5, 0.0], [0.5, 3.0]])
         spec = MetricSpec(kind=kind, density=estimate_density(np.random.default_rng(1).random(64)))
         with patch.object(solver, "_WIDE", 1):
-            assigner = _site_assigner(x, sites, spec, np.array([0.0, 3.0]))
+            assigner = _site_assigner(x, sites, spec, 3.0)
         # One column of 12 rows, each 0.25 tall.
         assert (assigner.grid.nx, assigner.grid.y_scale) == (1, 4.0)
         for y in (np.array([3.0, 1.75, 3.0]), np.array(second)):
@@ -535,7 +546,7 @@ class TestBandedExactness:
         assert all(isinstance(assigner, _BandAssigner) for assigner, *_ in calls)
         assert_calls_match_dense(calls, spec)
         sites = calls[0][2]
-        assign_checked(_site_assigner(final.x, sites, spec, final.y), final.x, final.y, sites, spec)
+        assign_checked(_site_assigner(final.x, sites, spec, dom.height), final.x, final.y, sites, spec)
 
 
 class TestSiteAssigner:
@@ -558,7 +569,7 @@ class TestSiteAssigner:
         x, sites, spec = self.warped_inputs(1024, 300, h=0.05)
         sx = sites[:, 0][:, None]
         full = spec.encoding_weight(x[None, :], sx) * np.abs(x[None, :] - sx)
-        assigner = _site_assigner(x, sites, spec, np.array([0.0, 0.05]))
+        assigner = _site_assigner(x, sites, spec, 0.05)
         assert isinstance(assigner, _BandAssigner)
         assert len(assigner.blocks) > 1
         for blk in assigner.blocks:
@@ -572,7 +583,7 @@ class TestSiteAssigner:
         x, sites, spec = self.warped_inputs(1024, 8192, h=0.05)
         tracemalloc.start()
         try:
-            assigner = _site_assigner(x, sites, spec, np.array([0.0, 0.05]))
+            assigner = _site_assigner(x, sites, spec, 0.05)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -614,7 +625,7 @@ class TestSiteAssigner:
         else:
             rng = np.random.default_rng(0)
             sites = x_sorted(np.column_stack([rng.random(8192), rng.random(8192) * h]))
-        assigner = _site_assigner(xs, sites, MetricSpec(), np.array([0.0, h]))
+        assigner = _site_assigner(xs, sites, MetricSpec(), h)
         assert isinstance(assigner, _BandAssigner)
         assert sum(blk.xp.size for blk in assigner.blocks) <= 0.15 * sites.shape[0] * xs.size
 
@@ -814,6 +825,26 @@ class TestRelax:
         assert calls == [] and out.iterations_run == 0
         assert np.array_equal(trace.sites, relax_traced(data, dom, SolverConfig(seed=2))[1].sites)
         assert calls  # the recorder does see the default run's calls
+
+    @pytest.mark.parametrize("name", ["geyser", "tips", "iris", "bimodal"])
+    @pytest.mark.parametrize("warped", [False, True])
+    def test_sites_and_searched_y_lie_in_the_band(self, monkeypatch, name, warped):
+        """The band search of a run takes delta = h, which holds while every
+        site y and every y a search is called with lie in [0, h]. The
+        bimodal sample (n = 1024) is searched on the grid, the fixtures on
+        the band."""
+        data = DataSet(values=bimodal_sample(1024, 0)) if name == "bimodal" else load_fixture(name)
+        xs, (lo, hi) = normalize(data)
+        dens = estimate_density(xs)
+        h = automatic_height(dens.d_max, xs.size, 0.01)
+        dom = PlotDomain(x_min=lo, x_max=hi, height=h, radius=0.01)
+        spec = MetricSpec(kind=MetricKind.DENSITY_WARPED, density=dens) if warped else MetricSpec()
+        calls = record_assign_calls(monkeypatch)
+        (relax_multiclass if data.labels is not None else relax)(data, dom, SolverConfig(seed=0, metric=spec))
+        assert calls and all(isinstance(a, _GridAssigner) == (name == "bimodal") for a, *_ in calls)
+        for _, _, sites, y, *_ in calls:
+            assert np.all((sites[:, 1] >= 0.0) & (sites[:, 1] <= h))
+            assert np.all((y >= 0.0) & (y <= h))
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     @pytest.mark.filterwarnings("error::RuntimeWarning")
