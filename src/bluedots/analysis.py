@@ -3,7 +3,9 @@
 The plot domain is a non-square box, so the spectrum is only valid on a
 lattice: integer frequencies along x and integer multiples of 1/height along
 y. The DC term always equals the dot count and is excluded from every
-summary statistic.
+summary statistic. The largest vertical frequency, k_max / height, must be
+finite: ``SpectrumGrid`` and ``power_spectrum`` reject a height at which it
+overflows with one ``ValueError``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,15 @@ from .solver import _cell_means, assign_sites
 MIN_KMAX = 8
 # Largest |kx| and |ky*h| of the low band.
 LOW_BAND = 3
+
+
+def _check_height(height: float, k_max: int) -> None:
+    """The one rule on a spectrum's height: the lattice's largest vertical
+    frequency, k_max / height, is positive and finite."""
+    if not (height > 0 and k_max / float(height) < np.inf):
+        raise ValueError(
+            f"spectrum height {float(height)!r} at k_max {k_max}: k_max / height must be positive and finite"
+        )
 
 
 @dataclass(frozen=True)
@@ -45,6 +56,7 @@ class SpectrumGrid:
             raise ValueError(
                 f"power must be a square grid of odd side at least {2 * MIN_KMAX + 1}, got shape {power.shape}"
             )
+        _check_height(self.height, side // 2)
         k = _readonly(np.arange(-(side // 2), side // 2 + 1), np.int64)
         object.__setattr__(self, "kx", k)
         object.__setattr__(self, "ky_multiples", k)
@@ -66,7 +78,7 @@ def power_spectrum(realizations: Iterable[DotLayout], k_max: int) -> SpectrumGri
     Per realization, P(k) = |sum_j exp(-2*pi*i * k . p_j)|^2 / n. The
     realizations are read once, in order, so a generator of layouts is
     summed one layout at a time; each must share the first's dot count and
-    height.
+    height, which the first realization checks before any exponential.
     """
     if k_max < MIN_KMAX:
         raise ValueError(f"k_max must be at least {MIN_KMAX}")
@@ -77,6 +89,7 @@ def power_spectrum(realizations: Iterable[DotLayout], k_max: int) -> SpectrumGri
     for lay in realizations:
         if count == 0:
             n, h = len(lay), lay.domain.height
+            _check_height(h, k_max)
             ky = k / h
         elif len(lay) != n:
             raise ValueError("realizations must share the same dot count")

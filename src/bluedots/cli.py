@@ -1,9 +1,10 @@
 """Command-line front end: CSV in, layout JSON + SVG + analysis reports out.
 
 Input CSVs are read by ``bluedots.datasets.load_csv``, the same reader the
-bundled fixtures go through; its ``CliError``, every ``ValueError`` from the
-library, a ``MemoryError`` from an allocation that cannot succeed and an
-``OSError`` from an output path that cannot be written end the command with
+bundled fixtures go through. Bad input, from the reader, the flags or the
+library, raises ``ValueError``; an input file that cannot be read or an
+output path that cannot be written raises ``OSError``. Either, or a
+``MemoryError`` from an allocation that cannot succeed, ends the command with
 a one-line diagnostic and exit status 1. Each command builds all of its
 outputs before ``_write`` writes them, and a write that fails removes the
 files the command wrote, so a command that fails leaves no file. Every
@@ -14,10 +15,12 @@ more classes), or ``jitter``, its seeded start (``jitter_init``). The solver
 derives x, the centrality band and the labels; ``--centrality`` only picks
 the warped metric and the SVG envelope. ``plot`` checks its canvas and its
 class count before the layout runs, and ``analyze spectrum`` sums its
-realizations one layout at a time. ``--iterations`` defaults to
-``SolverConfig``'s cap, and the solver derives the site count from the row
-count. The layout file records the seed, iterations run, domain and metric:
-``plot`` rerun with them (``--iterations`` the iterations run) rewrites it.
+realizations one layout at a time; by the rule ``bluedots.analysis`` states
+for every spectrum, a height at which ``--kmax`` / height overflows is bad
+input. ``--iterations`` defaults to ``SolverConfig``'s cap, and the solver
+derives the site count from the row count. The layout file records the
+seed, iterations run, domain and metric: ``plot`` rerun with them
+(``--iterations`` the iterations run) rewrites it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import io
 import json
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +56,7 @@ from .analysis import (
     spectrum_to_csv,
     spectrum_to_pgm,
 )
-from .datasets import CliError, load_csv
+from .datasets import load_csv
 from .render import _DOT_PART, canvas_size, check_palette, render_svg
 
 LAYOUT_FILE_VERSION = 1
@@ -70,7 +73,7 @@ def _resolve_domain(data: DataSet, radius: float, height_arg: str):
         try:
             height = float(height_arg)
         except ValueError:
-            raise CliError(f"--height must be 'auto' or a number, got {height_arg!r}")
+            raise ValueError(f"--height must be 'auto' or a number, got {height_arg!r}")
     domain = PlotDomain(x_min=x_min, x_max=x_max, height=height, radius=radius)
     return domain, dens
 
@@ -78,7 +81,7 @@ def _resolve_domain(data: DataSet, radius: float, height_arg: str):
 def _solver_config(args, metric: MetricSpec = MetricSpec()) -> SolverConfig:
     """The run's solver settings; the solver derives the site count."""
     if args.iterations < 0:
-        raise CliError(f"--iterations must be non-negative, got {args.iterations}")
+        raise ValueError(f"--iterations must be non-negative, got {args.iterations}")
     return SolverConfig(max_iterations=args.iterations, seed=args.seed, metric=metric)
 
 
@@ -139,12 +142,7 @@ def _layout_text(layout: DotLayout, data: DataSet, metric_kind: MetricKind) -> s
         "dataset_name": data.name or "",
         "seed": layout.seed,
         "iterations_run": layout.iterations_run,
-        "domain": {
-            "x_min": layout.domain.x_min,
-            "x_max": layout.domain.x_max,
-            "height": layout.domain.height,
-            "radius": layout.domain.radius,
-        },
+        "domain": asdict(layout.domain),
         "metric": {"kind": metric_kind.value},
     }
     dot = '    {\n      "x_raw": %r,\n      "x_norm": %r,\n      "y": %r'
@@ -179,7 +177,7 @@ _STRING = (lambda v: isinstance(v, str), "a string")
 _CLASS = (lambda v: isinstance(v, str) or _is_number(v), "a string or a number")
 
 
-def _fields(obj, keys: tuple[str, ...], where: str, kind=None) -> list:
+def _fields(obj, keys: tuple[str, ...] | list[str], where: str, kind=None) -> list:
     """The values of ``keys`` in the JSON object ``obj``, or a ``ValueError``
     that names ``where`` and the first key missing or, given a ``kind``
     (``_NUMBER``, ``_COUNT``, ``_STRING`` or ``_CLASS``), the first whose
@@ -204,10 +202,12 @@ def load_layout(path) -> tuple[DotLayout, dict]:
     A document that is not a JSON object, lacks a field the layout needs
     (``class`` on every dot once the first dot has one) or holds a value of
     the wrong type raises one ``ValueError`` that names the field (and the
-    dot). ``version`` must be the integer 1; ``seed`` and ``iterations_run``
-    non-negative integers; the domain's values and each dot's ``x_norm`` and
-    ``y`` JSON numbers, and the dots' classes all JSON strings or all JSON
-    numbers, ``true`` and ``false`` refused in all of them."""
+    dot), as does an empty ``dots`` array. The domain's fields are
+    ``PlotDomain``'s, the ones ``save_layout`` writes. ``version`` must be the
+    integer 1; ``seed`` and ``iterations_run`` non-negative integers; the
+    domain's values and each dot's ``x_norm`` and ``y`` JSON numbers, and the
+    dots' classes all JSON strings or all JSON numbers, ``true`` and
+    ``false`` refused in all of them."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -217,12 +217,14 @@ def load_layout(path) -> tuple[DotLayout, dict]:
         raise ValueError(f"layout file version {version!r} is not {LAYOUT_FILE_VERSION}")
     seed, iterations_run = _fields(doc, ("seed", "iterations_run"), "layout file", _COUNT)
     domain, dots = _fields(doc, ("domain", "dots"), "layout file")
-    domain = PlotDomain(*_fields(domain, ("x_min", "x_max", "height", "radius"), "layout file's domain", _NUMBER))
+    domain = PlotDomain(*_fields(domain, [f.name for f in fields(PlotDomain)], "layout file's domain", _NUMBER))
     if not isinstance(dots, list):
         raise ValueError(f"layout file's dots must be a JSON array, got {type(dots).__name__}")
+    if not dots:
+        raise ValueError("layout file's dots must not be empty")
     rows = [_fields(dot, ("x_norm", "y"), f"layout file's dot {i}", _NUMBER) for i, dot in enumerate(dots)]
     labels = None
-    if dots and "class" in dots[0]:
+    if "class" in dots[0]:
         # Classes of one kind, dot 0's, so that they sort as the renderer needs.
         _fields(dots[0], ("class",), "layout file's dot 0", _CLASS)
         kind = _STRING if isinstance(dots[0]["class"], str) else _NUMBER
@@ -266,9 +268,9 @@ def cmd_plot(args) -> int:
 
 def cmd_analyze_spectrum(args) -> int:
     if args.kmax < MIN_KMAX:
-        raise CliError(f"--kmax must be at least {MIN_KMAX}, got {args.kmax}")
+        raise ValueError(f"--kmax must be at least {MIN_KMAX}, got {args.kmax}")
     if args.realizations < 1:
-        raise CliError(f"--realizations must be at least 1, got {args.realizations}")
+        raise ValueError(f"--realizations must be at least 1, got {args.realizations}")
     data = load_csv(args.input, args.column, None)
     domain, _ = _resolve_domain(data, args.radius, args.height)
     config = _solver_config(args)
@@ -306,15 +308,15 @@ def cmd_analyze_overlap(args) -> int:
     try:
         counts = [int(c) for c in args.counts.split(",") if c.strip()]
     except ValueError:
-        raise CliError(f"--counts must be a comma-separated list of integers: {args.counts!r}")
+        raise ValueError(f"--counts must be a comma-separated list of integers: {args.counts!r}")
     if not counts or any(c <= 0 for c in counts):
-        raise CliError("--counts entries must be positive")
+        raise ValueError("--counts entries must be positive")
     if len(set(counts)) != len(counts):
-        raise CliError(f"--counts entries must be distinct: {args.counts!r}")
+        raise ValueError(f"--counts entries must be distinct: {args.counts!r}")
     if max(counts) > len(data):
-        raise CliError(f"count {max(counts)} exceeds dataset size {len(data)}")
+        raise ValueError(f"count {max(counts)} exceeds dataset size {len(data)}")
     if args.seeds <= 0:
-        raise CliError("--seeds must be positive")
+        raise ValueError("--seeds must be positive")
 
     config = _solver_config(args)
     seeds = range(args.seed, args.seed + args.seeds)
@@ -403,7 +405,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, MemoryError, OSError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,10 @@
 """CSV ingestion and the bundled reference datasets.
 
 ``load_csv`` is the one CSV reader, for user files and fixtures alike.
-Malformed cells, blank class labels included, are hard errors (``CliError``):
-dropping or imputing rows would break the promise that every point is shown.
+Malformed cells, blank class labels included, are hard errors: dropping or
+imputing rows would break the promise that every point is shown. As in
+``DataSet``, bad input raises ``ValueError``; a file that cannot be opened
+raises ``OSError``.
 
 The fixtures are synthetic stand-ins for classic teaching datasets,
 committed as CSV files under ``bluedots/data/``; ``bluedots.fixtures``
@@ -22,10 +24,6 @@ from .core import DataSet
 DATA_DIR = Path(__file__).parent / "data"
 
 
-class CliError(Exception):
-    """User-facing error; printed as a diagnostic with a nonzero exit."""
-
-
 def load_csv(path, column: str, class_column: str | None = None) -> DataSet:
     """Read one numeric column (and an optional class column) from a CSV.
 
@@ -42,7 +40,7 @@ def load_csv(path, column: str, class_column: str | None = None) -> DataSet:
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise OSError(f"cannot read {path}: {exc}") from exc
     values, labels = [], []
     with fh:
         reader = csv.reader(fh)
@@ -51,7 +49,7 @@ def load_csv(path, column: str, class_column: str | None = None) -> DataSet:
             last = {name: i for i, name in enumerate(fields)}  # a repeated name reads its last column
             for name in [column] + ([class_column] if class_column else []):
                 if name not in last:
-                    raise CliError(f"{path}: column {name!r} not found (have {fields})")
+                    raise ValueError(f"{path}: column {name!r} not found (have {fields})")
             at, label_at = last[column], last.get(class_column)
             for row in reader:
                 if not row:
@@ -62,19 +60,19 @@ def load_csv(path, column: str, class_column: str | None = None) -> DataSet:
                 except (TypeError, ValueError):
                     value = math.nan
                 if not math.isfinite(value):
-                    raise CliError(f"{path}: row {reader.line_num}, column {column!r}: not a number: {cell!r}")
+                    raise ValueError(f"{path}: row {reader.line_num}, column {column!r}: not a number: {cell!r}")
                 values.append(value)
                 if class_column:
                     label = row[label_at] if label_at < len(row) else None
                     if label is None or label.strip() == "":
-                        raise CliError(f"{path}: row {reader.line_num}, column {class_column!r}: blank class label")
+                        raise ValueError(f"{path}: row {reader.line_num}, column {class_column!r}: blank class label")
                     labels.append(label)
         except csv.Error as exc:
-            raise CliError(f"{path}: row {reader.line_num}: {exc}") from None
+            raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
-            raise CliError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})") from None
+            raise ValueError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})") from None
     if not values:
-        raise CliError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     return DataSet(
         values=np.array(values),
         labels=tuple(labels) if class_column else None,

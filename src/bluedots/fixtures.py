@@ -3,14 +3,16 @@
 The fixtures are synthetic stand-ins for classic teaching datasets, generated
 once from the documented distributions below and committed as CSV files
 under ``bluedots/data/``, where ``bluedots.datasets`` reads them. The package
-does not import this module, so running it is its first import.
+does not import this module, so running it is its first import. Each
+fixture's file, value column and class column are the ones
+``bluedots.datasets.FIXTURES`` lists; its rows are:
 
-- geyser.csv  column ``waiting``: 256 draws from the even mixture
-  0.5*N(55, 7^2) + 0.5*N(80, 7^2), rounded to 3 decimals (seed 7).
-- tips.csv    columns ``bill,time``: 88 Lunch draws from exp(N(log 15.5,
-  0.28^2)) and 156 Dinner draws from exp(N(log 19.5, 0.33^2)), clipped to
-  [3, 60], rounded to 2 decimals, interleaved by shuffle (seed 11).
-- iris.csv    columns ``sepal_length,species``: 50 draws per species from
+- geyser: 256 draws from the even mixture 0.5*N(55, 7^2) + 0.5*N(80, 7^2),
+  rounded to 3 decimals (seed 7).
+- tips: 88 Lunch draws from exp(N(log 15.5, 0.28^2)) and 156 Dinner draws
+  from exp(N(log 19.5, 0.33^2)), clipped to [3, 60], rounded to 2 decimals,
+  interleaved by shuffle (seed 11).
+- iris: 50 draws per species, setosa, versicolor and virginica, from
   N(5.0, 0.35^2), N(5.94, 0.51^2), N(6.59, 0.64^2), rounded to 1 decimal
   (seed 23).
 """
@@ -21,7 +23,7 @@ import csv
 
 import numpy as np
 
-from .datasets import DATA_DIR, FIXTURES, fixture_path
+from .datasets import FIXTURES, fixture_path
 
 
 def _generate_geyser(rng: np.random.Generator) -> list[tuple]:
@@ -48,18 +50,18 @@ def _generate_iris(rng: np.random.Generator) -> list[tuple]:
     return rows
 
 
+# Each fixture's generator and seed; its file and columns are in ``FIXTURES``.
+_GENERATORS = {"geyser": (_generate_geyser, 7), "tips": (_generate_tips, 11), "iris": (_generate_iris, 23)}
+
+
 def write_fixtures() -> None:
     """Regenerate the committed fixture CSVs from their documented seeds."""
-    tables = [
-        ("geyser.csv", ["waiting"], _generate_geyser(np.random.default_rng(7))),
-        ("tips.csv", ["bill", "time"], _generate_tips(np.random.default_rng(11))),
-        ("iris.csv", ["sepal_length", "species"], _generate_iris(np.random.default_rng(23))),
-    ]
-    for filename, header, rows in tables:
-        with open(DATA_DIR / filename, "w", newline="", encoding="utf-8") as fh:
+    for name, (_, column, class_column) in FIXTURES.items():
+        generate, seed = _GENERATORS[name]
+        with open(fixture_path(name), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            writer.writerow([column] + ([class_column] if class_column else []))
+            writer.writerows(generate(np.random.default_rng(seed)))
 
 
 if __name__ == "__main__":

@@ -82,6 +82,24 @@ class TestPowerSpectrum:
         with pytest.raises(ValueError, match="at least one realization"):
             power_spectrum(iter([]), 8)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_height_whose_largest_frequency_overflows_rejected(self):
+        """At h = 5e-324, k_max / h overflows: one ValueError that names h and
+        k_max, from the first realization before any exponential, and from a
+        grid given that height. At h = 1e-300 every power is finite."""
+        from bluedots import SpectrumGrid
+
+        def layout_at(h):
+            domain = PlotDomain(x_min=0.0, x_max=1.0, height=h, radius=0.01)
+            return DotLayout(x=np.array([0.2, 0.7]), y=np.array([0.0, h]), domain=domain)
+
+        assert np.isfinite(power_spectrum([layout_at(1e-300)], 8).power).all()
+        message = "^spectrum height 5e-324 at k_max 8: k_max / height must be positive and finite$"
+        with pytest.raises(ValueError, match=message):
+            power_spectrum([layout_at(5e-324)], 8)
+        with pytest.raises(ValueError, match=message):
+            SpectrumGrid(power=np.ones((17, 17)), height=5e-324, n_points=2, n_realizations=1)
+
     def test_kmax_validated(self):
         lay = layout_of([0.5], [0.1])
         with pytest.raises(ValueError):

@@ -31,8 +31,8 @@ from bluedots import (
     render_svg,
 )
 from bluedots import cli, density
-from bluedots.cli import CliError, load_csv, load_layout, main
-from bluedots.datasets import fixture_path
+from bluedots.cli import load_csv, load_layout, main
+from bluedots.datasets import FIXTURES, fixture_path
 
 GEYSER = str(fixture_path("geyser"))
 TIPS = str(fixture_path("tips"))
@@ -59,26 +59,26 @@ class TestLoadCsv:
     def test_bad_cell_names_row(self, tmp_path):
         # header is row 1; the bad cell sits on file row 7
         path = write_csv(tmp_path, "c.csv", "v\n1\n2\n3\n4\n5\nabc\n7\n")
-        with pytest.raises(CliError, match="row 7"):
+        with pytest.raises(ValueError, match="row 7"):
             load_csv(path, "v")
 
     def test_blank_cell_rejected(self, tmp_path):
         path = write_csv(tmp_path, "d.csv", "v,c\n1,a\n,b\n3,c\n")
-        with pytest.raises(CliError, match="row 3"):
+        with pytest.raises(ValueError, match="row 3"):
             load_csv(path, "v", "c")
 
     def test_blank_class_label_rejected(self, tmp_path):
         path = write_csv(tmp_path, "g.csv", "v,c\n1,a\n2, \n3,b\n")
-        with pytest.raises(CliError, match="row 3, column 'c'"):
+        with pytest.raises(ValueError, match="row 3, column 'c'"):
             load_csv(path, "v", "c")
 
     def test_missing_column(self, tmp_path):
         path = write_csv(tmp_path, "e.csv", "v\n1\n")
-        with pytest.raises(CliError, match="'nope'"):
+        with pytest.raises(ValueError, match="'nope'"):
             load_csv(path, "nope")
 
     def test_unreadable_file(self, tmp_path):
-        with pytest.raises(CliError, match="cannot read"):
+        with pytest.raises(OSError, match="cannot read"):
             load_csv(str(tmp_path / "missing.csv"), "v")
 
     def test_row_order_preserved(self, tmp_path):
@@ -117,11 +117,24 @@ class TestLoadCsv:
         path.write_bytes(text.encode("utf-8"))
         try:
             data = load_csv(str(path), column, class_column)
-        except CliError as exc:
+        except ValueError as exc:
             got = ("error", str(exc))
         else:
             got = (data.values.tobytes(), data.labels)
         assert got == dictreader_load(str(path), column, class_column)
+
+
+class TestFixtures:
+    def test_generator_rewrites_the_committed_files(self, tmp_path, monkeypatch):
+        """``write_fixtures``, pointed at tmp_path, writes each ``FIXTURES``
+        file byte for byte as committed, and no other file."""
+        from bluedots import fixtures
+
+        monkeypatch.setattr(fixtures, "fixture_path", lambda name: tmp_path / fixture_path(name).name)
+        fixtures.write_fixtures()
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(fixture_path(name).name for name in FIXTURES)
+        for name in FIXTURES:
+            assert (tmp_path / fixture_path(name).name).read_bytes() == fixture_path(name).read_bytes()
 
 
 def dictreader_load(path, column, class_column):
@@ -643,6 +656,22 @@ class TestCmdAnalyze:
         assert len(err) == 1 and err[0].startswith("error: ") and "too large for 4096 sites" in err[0]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("args", [
+        ["--height", "1e-310", "--realizations", "1"],
+        # The automatic height's 2r floor, 2e-310.
+        ["--radius", "1e-310", "--realizations", "1", "--iterations", "1"],
+    ], ids=["height", "auto-height"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_spectrum_height_whose_largest_frequency_overflows_rejected(self, tmp_path, capsys, args):
+        """16 / height overflows: one error line that names the height and
+        k_max, not a spectrum of NaN."""
+        code = main(["analyze", "spectrum", "--input", GEYSER, "--column", "waiting", *args,
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: spectrum height ") and "k_max 16" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("args, message", [
         (["--kmax", "4", "--realizations", "20"], "--kmax must be at least 8"),
         (["--realizations", "0"], "--realizations must be at least 1"),
@@ -914,6 +943,17 @@ class TestLayoutRoundTrip:
             cli.save_layout(lay, data, MetricKind.UNIFORM, path)
             assert f'"class": {json.dumps(labels.tolist()[0])}' in path.read_text()
             assert load_layout(path)[0].labels == tuple(labels.tolist())
+
+    def test_empty_dots_rejected_naming_the_field(self, tmp_path):
+        out = tmp_path / "g"
+        main(["plot", "--input", GEYSER, "--column", "waiting", "--iterations", "0", "--out", str(out)])
+        doc = json.loads(Path(f"{out}.json").read_text())
+        doc["dots"] = []
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc, indent=2))
+        with pytest.raises(ValueError) as err:
+            load_layout(path)
+        assert str(err.value) == "layout file's dots must not be empty"
 
     @pytest.mark.parametrize("version", [2, 0, "1", None])
     def test_other_version_rejected_naming_it(self, tmp_path, version):
